@@ -10,15 +10,11 @@
  * RunObserver seam, which must be negligible when no observer is
  * attached.
  *
- * Links Google Benchmark when libbenchmark-dev is available; falls
- * back to the vendored harness in vendor/microbench.h otherwise, so
- * the binary always builds.
+ * Times everything with the harness in vendor/microbench.h, then runs
+ * the tracing-disabled ceiling check below; the exit status is the
+ * check's.
  */
-#if defined(POWERDIAL_HAVE_GOOGLE_BENCHMARK)
-#include <benchmark/benchmark.h>
-#else
 #include "vendor/microbench.h"
-#endif
 
 #include <algorithm>
 #include <chrono>
@@ -267,8 +263,8 @@ BENCHMARK(BM_Session256Beats_TraceRecorder);
 // Structured trace sink (obs/trace_sink.h): the per-beat cost of the
 // fleet tracing layer in its three modes. With every category masked
 // off, each would-be event must cost one branch in TraceSink::wants —
-// the ceiling check below (vendored harness only) fails the binary if
-// the masked-off probe regresses past a pinned per-beat budget.
+// the ceiling check below fails the binary if the masked-off probe
+// regresses past a pinned per-beat budget.
 // ---------------------------------------------------------------------------
 
 /** Categories all masked off: the tracing-disabled fast path. */
@@ -324,16 +320,6 @@ BM_Session256Beats_TraceProbeRing(benchmark::State &state)
     }
 }
 BENCHMARK(BM_Session256Beats_TraceProbeRing);
-
-} // namespace
-
-#if defined(POWERDIAL_HAVE_GOOGLE_BENCHMARK)
-
-BENCHMARK_MAIN();
-
-#else
-
-namespace {
 
 /** Wall-clock seconds for @p batch back-to-back 256-beat runs. */
 double
@@ -410,5 +396,3 @@ main()
     powerdial::microbench::RunAll();
     return checkTracingOverheadCeiling();
 }
-
-#endif // POWERDIAL_HAVE_GOOGLE_BENCHMARK

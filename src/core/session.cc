@@ -46,19 +46,6 @@ makeDutyCycleGate(double ratio)
     };
 }
 
-BeatGate
-makeDutyCycleGate(std::function<double()> ratio)
-{
-    if (!ratio)
-        throw std::invalid_argument(
-            "makeDutyCycleGate: null ratio provider");
-    return [ratio = std::move(ratio)](BeatGateContext &ctx) {
-        const double r = ratio();
-        if (r > 0.0)
-            ctx.pause_per_busy += r;
-    };
-}
-
 SessionOptions &
 SessionOptions::withQuantum(std::size_t beats)
 {
@@ -308,7 +295,7 @@ Session::advanceUntil(double deadline_s)
             const double share = machine.share();
             state.result.queue_share_s += busy * (1.0 - share);
             const double effective = busy * share;
-            const double nominal = machine.scale().frequencyHz(0);
+            const double nominal = machine.scale().maxHz();
             const double speed_ratio = nominal > 0.0
                 ? std::min(1.0, machine.effectiveHz() / nominal)
                 : 1.0;

@@ -106,13 +106,6 @@ BeatGate composeGates(BeatGate first, BeatGate second);
 BeatGate makeDutyCycleGate(double ratio);
 
 /**
- * Dynamic duty-cycle gate: @p ratio() is sampled every beat, so an
- * external agent (e.g. a fleet arbitration lease) can retune the
- * pause mid-run and the next beat already honours it.
- */
-BeatGate makeDutyCycleGate(std::function<double()> ratio);
-
-/**
  * Session configuration: plain fields plus builder-style setters so
  * call sites can compose options fluently:
  *

@@ -54,7 +54,7 @@ class EventServe
                const ServerOptions &options,
                const std::vector<std::vector<workload::OfferedJob>>
                    &offers)
-        : app_(app), table_(table), model_(model), options_(options),
+        : model_(model), options_(options),
           offers_(offers),
           cluster_(detail::makeCluster(options)),
           scheduler_(cluster_,
@@ -63,6 +63,7 @@ class EventServe
                                       options.admission, &model}),
           arbiter_(options.arbiter), engine_(options.threads),
           hub_(engine_.workers()), tracer_(options.trace),
+          pool_(options, app, table, model, hub_),
           qos_feedback_(cluster_.size(), 0.0)
     {
         epoch_s_ = options_.epoch_seconds > 0.0
@@ -148,7 +149,8 @@ class EventServe
 
         // Tenants that completed during the previous epoch's slice
         // release their machine slot now, feeding their observed-vs-
-        // predicted latency to the admission policy.
+        // predicted latency to the admission policy, and return to the
+        // pool.
         std::size_t kept = 0;
         for (auto &tenant : active_) {
             if (tenant->done) {
@@ -157,6 +159,7 @@ class EventServe
                                           record.predicted_s);
                 scheduler_.release(tenant->machine_index);
                 ++pending_.completed;
+                pool_.release(std::move(tenant));
             } else {
                 active_[kept++] = std::move(tenant);
             }
@@ -296,7 +299,7 @@ class EventServe
     void
     arrivalsAt(std::size_t e)
     {
-        // makeTenant stamps arrival_time_s = t(e), which is bitwise
+        // assignJob stamps arrival_time_s = t(e), which is bitwise
         // clock_.now() here (advanceTo installs the event time
         // exactly).
         const std::size_t admitted = admit(offers_[e], e, window_);
@@ -309,10 +312,11 @@ class EventServe
     /**
      * Sweep tenants that finished during the latest advancement:
      * count them into the open stats window, feed their QoS loss back
-     * to the arbiter, release their machine slots, and destroy them
-     * (their records are already committed in the hub) — then ask for
-     * a re-price, since occupancy changed. Idempotent; any same-time
-     * handler may call it before the Completion event pops.
+     * to the arbiter, release their machine slots, and return them to
+     * the pool (their records are already committed in the hub) —
+     * then ask for a re-price, since occupancy changed. Idempotent;
+     * any same-time handler may call it before the Completion event
+     * pops.
      */
     void
     processCompletions()
@@ -332,7 +336,7 @@ class EventServe
                 scheduler_.noteCompletion(record.latency_s,
                                           record.predicted_s);
                 scheduler_.release(tenant->machine_index);
-                tenant.reset();
+                pool_.release(std::move(tenant));
             } else {
                 active_[kept++] = std::move(tenant);
             }
@@ -464,8 +468,8 @@ class EventServe
 
     /**
      * Serial admission of @p offered jobs arriving at epoch @p e, with
-     * shed accounting into @p stats, followed by tenant construction
-     * through the shared clone/gate recipe.
+     * shed accounting into @p stats, each admitted job assigned to a
+     * tenant from the pool.
      * @return Jobs actually admitted (appended to active_, in order).
      */
     std::size_t
@@ -481,18 +485,10 @@ class EventServe
         stats.shed += shed;
         report_.total_shed += shed;
 
-        auto bound = core::FanoutEngine::cloneBound(
-            app_, table_, placements.size());
-        for (std::size_t i = 0; i < placements.size(); ++i) {
-            active_.push_back(detail::makeTenant(
-                options_, model_, hub_,
-                cluster_.configOf(placements[i].first.machine),
-                next_job_, placements[i].first.machine, e,
-                static_cast<double>(e) * epoch_s_,
-                *placements[i].second, placements[i].first.predicted_s,
-                std::move(bound.apps[i]), std::move(bound.tables[i])));
-            ++next_job_;
-        }
+        for (const auto &[admission, offer] : placements)
+            active_.push_back(pool_.acquire(
+                cluster_, admission, *offer, next_job_++, e,
+                static_cast<double>(e) * epoch_s_));
         return placements.size();
     }
 
@@ -507,29 +503,10 @@ class EventServe
     {
         engine_.run(active_.size(),
                     [&](std::size_t i, std::size_t worker) {
-                        Tenant &t = *active_[i];
-                        if (t.done)
-                            return; // Awaiting release.
-                        if (t.trace)
-                            t.trace->beginSlice(worker);
-                        if (!t.started) {
-                            t.session->observe(*t.probe);
-                            if (t.trace)
-                                t.session->observe(*t.trace);
-                            t.session->start(t.input, t.machine);
-                            t.started = true;
-                        }
-                        const auto result =
-                            t.session->advanceUntil(t.slice_deadline_s);
-                        if (result.has_value()) {
-                            t.done = true;
-                            t.probe->finishOn(worker, t.machine);
-                        }
+                        detail::runSlice(*active_[i], worker);
                     });
     }
 
-    const core::App &app_;
-    const core::KnobTable &table_;
     const core::ResponseModel &model_;
     const ServerOptions &options_;
     const std::vector<std::vector<workload::OfferedJob>> &offers_;
@@ -540,6 +517,7 @@ class EventServe
     core::FanoutEngine engine_;
     MetricsHub hub_;
     FleetTracer tracer_;
+    detail::TenantPool pool_;
 
     sim::VirtualClock clock_;
     EventQueue<Event> queue_;

@@ -101,6 +101,7 @@ Server::serve(const std::vector<std::vector<workload::OfferedJob>> &offers)
     if (options_.trace != nullptr)
         options_.trace->beginServe(engine.workers());
     FleetTracer tracer(options_.trace);
+    detail::TenantPool pool(options_, *app_, *table_, *model_, hub);
 
     std::vector<double> qos_feedback(cluster.size(), 0.0);
     std::vector<std::unique_ptr<Tenant>> active; // In job order.
@@ -111,29 +112,11 @@ Server::serve(const std::vector<std::vector<workload::OfferedJob>> &offers)
     std::size_t next_offer = 0;
 
     // Advance every active tenant to its current slice deadline
-    // (+inf for the final drain); the slice that completes a run
-    // commits its record on the worker actually running it.
+    // (+inf for the final drain).
     const auto runSlices = [&]() {
         engine.run(active.size(),
                    [&](std::size_t i, std::size_t worker) {
-                       Tenant &t = *active[i];
-                       if (t.done)
-                           return; // Awaiting release at the epoch top.
-                       if (t.trace)
-                           t.trace->beginSlice(worker);
-                       if (!t.started) {
-                           t.session->observe(*t.probe);
-                           if (t.trace)
-                               t.session->observe(*t.trace);
-                           t.session->start(t.input, t.machine);
-                           t.started = true;
-                       }
-                       const auto result =
-                           t.session->advanceUntil(t.slice_deadline_s);
-                       if (result.has_value()) {
-                           t.done = true;
-                           t.probe->finishOn(worker, t.machine);
-                       }
+                       detail::runSlice(*active[i], worker);
                    });
     };
 
@@ -143,7 +126,8 @@ Server::serve(const std::vector<std::vector<workload::OfferedJob>> &offers)
 
         // Top of epoch: tenants that completed during the previous
         // epoch's slice release their machine slot now, feeding their
-        // observed-vs-predicted latency to the admission policy.
+        // observed-vs-predicted latency to the admission policy, and
+        // return to the pool.
         std::size_t kept = 0;
         for (auto &tenant : active) {
             if (tenant->done) {
@@ -152,6 +136,7 @@ Server::serve(const std::vector<std::vector<workload::OfferedJob>> &offers)
                                          record.predicted_s);
                 scheduler.release(tenant->machine_index);
                 ++stats.completed;
+                pool.release(std::move(tenant));
             } else {
                 active[kept++] = std::move(tenant);
             }
@@ -168,20 +153,13 @@ Server::serve(const std::vector<std::vector<workload::OfferedJob>> &offers)
         stats.shed = scheduler.shedCount() - shed_before;
         report.total_shed += stats.shed;
 
-        // Private clones with rebound knob tables, created serially
-        // by the fan-out engine's preamble helper.
-        auto bound = core::FanoutEngine::cloneBound(
-            *app_, *table_, placements.size());
-        for (std::size_t i = 0; i < placements.size(); ++i) {
-            active.push_back(detail::makeTenant(
-                options_, *model_, hub,
-                cluster.configOf(placements[i].first.machine), next_job,
-                placements[i].first.machine, e,
-                static_cast<double>(e) * epoch_s,
-                *placements[i].second, placements[i].first.predicted_s,
-                std::move(bound.apps[i]), std::move(bound.tables[i])));
-            ++next_job;
-        }
+        // Each admitted job runs on a pooled tenant, built (cloned)
+        // only when the pool is empty.
+        for (const auto &[admission, offer] : placements)
+            active.push_back(pool.acquire(cluster, admission, *offer,
+                                          next_job++, e,
+                                          static_cast<double>(e) *
+                                              epoch_s));
 
         // Arbitration reads the post-placement occupancy; the new
         // terms land in every in-flight tenant's lease — including

@@ -6,10 +6,10 @@
  * (event_engine.cc) must construct tenants — and summarise finished
  * runs — through *identical* code paths, or their reports could drift
  * apart in ways the differential tests would then chase through two
- * divergent copies. This header is that single path: the persistent
- * Tenant record, the gate-composition recipe that wires a tenant's
- * lease into its session, and the report finalisation that turns
- * drained job records into fleet aggregates.
+ * divergent copies. This header is that single path: the recyclable
+ * Tenant slot and its per-serve pool, the lease gate that wires a
+ * tenant's lease into its session, the slice step, and the report
+ * finalisation that turns drained job records into fleet aggregates.
  */
 #ifndef POWERDIAL_FLEET_TENANT_H
 #define POWERDIAL_FLEET_TENANT_H
@@ -21,6 +21,7 @@
 #include <utility>
 #include <vector>
 
+#include "core/fanout.h"
 #include "fleet/observability.h"
 #include "fleet/server.h"
 
@@ -40,15 +41,21 @@ makeCluster(const ServerOptions &options)
 }
 
 /**
- * One admitted job, persistent across epochs: its session, private
- * clone, simulated machine, and metrics probe live as long as the job
- * is in flight, and its lease is rewritten by the arbiter at every
- * arbitration round. Tenants are heap-allocated and never move, so the
- * session's pointers into the clone and table (and the gate's pointer
- * back into the tenant) stay valid for the whole run.
+ * One tenant slot. Built once per slot: a private application clone,
+ * its rebound knob table, and the session that drives them, with the
+ * lease gate and the metrics and trace probes attached. Reset for
+ * every job by assignJob: the job's identity, its simulated machine,
+ * lease, slice bookkeeping, and probe contents. A finished tenant goes
+ * back to its serve's TenantPool and serves a later job, so a serve
+ * clones the application once per peak concurrent job, not per job.
+ * A tenant keeps one heap address for the whole serve — only its
+ * owning pointer moves between the active list and the pool — so the
+ * session's pointers into the clone, table, machine, and probes (and
+ * the gate's pointer back into the tenant) stay valid across jobs.
  */
 struct Tenant
 {
+    // Per job: assignJob resets every field in this block.
     std::size_t job = 0;
     std::size_t input = 0;
     std::size_t machine_index = 0;
@@ -56,101 +63,209 @@ struct Tenant
     double arrival_time_s = 0.0; //!< Fleet virtual time at admission
                                  //!< (event engine; the epoch loop
                                  //!< derives times from arrival_epoch).
-
-    std::unique_ptr<core::App> app;
-    core::KnobTable table;
     sim::Machine machine;
     ArbitrationLease lease;
     std::size_t applied_generation = 0; //!< Gate-side: last applied.
     double slice_deadline_s = 0.0;      //!< Tenant-local slice end.
     std::size_t beats_reported = 0;     //!< Beats already attributed
                                         //!< to earlier epochs' rates.
-
-    explicit Tenant(const sim::Machine::Config &config)
-        : machine(config)
-    {
-    }
-
     std::optional<MetricsHub::Probe> probe;
     /** Structured trace stream of this job (present when the serve
      *  has a TraceSink attached). */
     std::optional<obs::TraceProbe> trace;
-    std::optional<core::Session> session;
     bool started = false;
     bool done = false;
+
+    // Per slot: built once by makeTenant.
+    std::unique_ptr<core::App> app;
+    core::KnobTable table;
+    std::optional<core::Session> session;
 };
 
 /**
- * Build one tenant the way both engines must: probe seeded from the
- * job's identity and offered metadata, session gated by (caller's
- * gate, lease re-read, lease-driven duty-cycle pause) in that order.
- * The lease re-read gate applies changed terms within one beat of an
- * arbiter rewrite and reports the applied generation to the metrics
- * probe. An offer with the kRoundRobinTenant sentinel resolves its
- * input by the legacy round-robin-on-job-id rule. The tenant's private
- * machine is built from @p host_config — the *class* configuration of
- * the machine the job was placed on (cluster.configOf(machine_index)),
- * so a job landing on a little node simulates little-node frequency,
- * power, and speed tables, not the fleet default's.
+ * The tenant's beat gate: the lease re-read, then the lease-driven
+ * duty-cycle pause, after @p caller's gate when one is set. The
+ * re-read applies changed terms within one beat of an arbiter rewrite
+ * and reports the applied generation to the metrics probe; the pause
+ * reads the ratio in force at that beat, so a retuned lease already
+ * paces the next beat.
+ */
+inline core::BeatGate
+makeLeaseGate(Tenant &tenant, core::BeatGate caller)
+{
+    Tenant *t = &tenant;
+    return core::composeGates(
+        std::move(caller), [t](core::BeatGateContext &ctx) {
+            const ArbitrationLease &lease = t->lease;
+            if (t->applied_generation != lease.generation) {
+                ctx.machine.setPStateCap(lease.pstate_cap);
+                ctx.machine.setShare(lease.share);
+                ctx.machine.setUtilization(lease.utilization);
+                t->applied_generation = lease.generation;
+                t->probe->noteLease(lease.generation);
+            }
+            if (lease.pause_ratio > 0.0)
+                ctx.pause_per_busy += lease.pause_ratio;
+        });
+}
+
+/**
+ * Build one tenant slot the way both engines must: a clone of @p app
+ * with a rebindKnobTable() copy of @p table, and a session gated by
+ * makeLeaseGate (after the caller's gate) and observed by the metrics
+ * probe, then by the trace probe when the serve traces. The slot
+ * serves no job until assignJob.
  */
 inline std::unique_ptr<Tenant>
-makeTenant(const ServerOptions &options,
-           const core::ResponseModel &model, MetricsHub &hub,
-           const sim::Machine::Config &host_config, std::size_t job,
-           std::size_t machine_index, std::size_t arrival_epoch,
-           double arrival_time_s, const workload::OfferedJob &offer,
-           double predicted_s, std::unique_ptr<core::App> app,
-           core::KnobTable table)
+makeTenant(const ServerOptions &options, const core::App &app,
+           const core::KnobTable &table,
+           const core::ResponseModel &model, MetricsHub &hub)
 {
-    auto tenant = std::make_unique<Tenant>(host_config);
-    Tenant *t = tenant.get();
-    t->job = job;
-    t->input = offer.tenant == kRoundRobinTenant
+    auto tenant = std::make_unique<Tenant>();
+    Tenant &t = *tenant;
+    t.app = app.clone();
+    t.table = core::rebindKnobTable(table, *t.app);
+    t.probe.emplace(hub.probe(0, JobRecord{}));
+    if (options.trace != nullptr)
+        t.trace.emplace(*options.trace, obs::TraceProbe::Identity{});
+    core::SessionOptions session_options = options.session;
+    session_options.withGate(makeLeaseGate(t, options.session.gate));
+    t.session.emplace(*t.app, t.table, model,
+                      std::move(session_options));
+    t.session->observe(*t.probe);
+    if (t.trace)
+        t.session->observe(*t.trace);
+    return tenant;
+}
+
+/**
+ * Assign one admitted job to tenant @p t, fresh or reused alike:
+ * resets every per-job field. The metrics probe is seeded from the
+ * job's identity and offered metadata. An offer with the
+ * kRoundRobinTenant sentinel resolves its input by the legacy
+ * round-robin-on-job-id rule. The job's private machine is built from
+ * @p host_config — the *class* configuration of the machine the job
+ * was placed on (cluster.configOf(machine_index)), so a job landing on
+ * a little node simulates little-node frequency, power, and speed
+ * tables, not the fleet default's.
+ */
+inline void
+assignJob(Tenant &t, const ServerOptions &options, MetricsHub &hub,
+          const sim::Machine::Config &host_config, std::size_t job,
+          std::size_t machine_index, std::size_t arrival_epoch,
+          double arrival_time_s, const workload::OfferedJob &offer,
+          double predicted_s)
+{
+    t.job = job;
+    t.input = offer.tenant == kRoundRobinTenant
         ? options.tenants[job % options.tenants.size()]
         : offer.tenant;
-    t->machine_index = machine_index;
-    t->arrival_epoch = arrival_epoch;
-    t->arrival_time_s = arrival_time_s;
-    t->app = std::move(app);
-    t->table = std::move(table);
+    t.machine_index = machine_index;
+    t.arrival_epoch = arrival_epoch;
+    t.arrival_time_s = arrival_time_s;
+    t.machine = sim::Machine(host_config);
+    t.lease = ArbitrationLease{};
+    t.applied_generation = 0;
+    t.slice_deadline_s = 0.0;
+    t.beats_reported = 0;
 
     JobRecord seed;
-    seed.job = t->job;
-    seed.tenant = t->input;
+    seed.job = t.job;
+    seed.tenant = t.input;
     seed.epoch = arrival_epoch;
-    seed.machine = t->machine_index;
+    seed.machine = t.machine_index;
     seed.job_class = offer.job_class;
     seed.deadline_s = offer.deadline_s;
     seed.predicted_s = predicted_s;
-    t->probe.emplace(hub.probe(0, seed));
-
-    if (options.trace != nullptr)
-        t->trace.emplace(*options.trace,
-                         obs::TraceProbe::Identity{
-                             t->job, t->input, t->machine_index,
-                             offer.job_class, arrival_time_s});
-
-    // The tenant's gate: the caller's gate first, then the lease
-    // re-read (terms applied within one beat of the rewrite), then
-    // the lease-driven duty-cycle pause.
-    core::SessionOptions session_options = options.session;
-    session_options.withGate(core::composeGates(
-        {options.session.gate,
-         [t](core::BeatGateContext &ctx) {
-             const ArbitrationLease &lease = t->lease;
-             if (t->applied_generation != lease.generation) {
-                 ctx.machine.setPStateCap(lease.pstate_cap);
-                 ctx.machine.setShare(lease.share);
-                 ctx.machine.setUtilization(lease.utilization);
-                 t->applied_generation = lease.generation;
-                 t->probe->noteLease(lease.generation);
-             }
-         },
-         core::makeDutyCycleGate([t]() { return t->lease.pause_ratio; })}));
-    t->session.emplace(*t->app, t->table, model,
-                       std::move(session_options));
-    return tenant;
+    *t.probe = hub.probe(0, seed);
+    if (t.trace)
+        *t.trace = obs::TraceProbe(
+            *options.trace,
+            obs::TraceProbe::Identity{t.job, t.input, t.machine_index,
+                                      offer.job_class, arrival_time_s});
+    t.started = false;
+    t.done = false;
 }
+
+/**
+ * Advance tenant @p t to its slice deadline on pool worker @p worker —
+ * the slice both engines fan out. The first slice starts the run; the
+ * slice that completes it commits the job's record on the worker
+ * actually running it.
+ */
+inline void
+runSlice(Tenant &t, std::size_t worker)
+{
+    if (t.done)
+        return; // Awaiting release.
+    if (t.trace)
+        t.trace->beginSlice(worker);
+    if (!t.started) {
+        t.session->start(t.input, t.machine);
+        t.started = true;
+    }
+    if (t.session->advanceUntil(t.slice_deadline_s).has_value()) {
+        t.done = true;
+        t.probe->finishOn(worker, t.machine);
+    }
+}
+
+/**
+ * One serve's idle tenants. Admission takes a tenant from the pool,
+ * building one only when the pool is empty, and the engines return a
+ * tenant here once its finished job is released.
+ */
+class TenantPool
+{
+  public:
+    /** All references must outlive the pool. */
+    TenantPool(const ServerOptions &options, const core::App &app,
+               const core::KnobTable &table,
+               const core::ResponseModel &model, MetricsHub &hub)
+        : options_(options), app_(app), table_(table), model_(model),
+          hub_(hub)
+    {
+    }
+
+    /**
+     * A tenant assigned (see assignJob) to fleet job @p job, admitted
+     * as @p admission of @p offer on @p cluster at @p arrival_epoch /
+     * @p arrival_time_s.
+     */
+    std::unique_ptr<Tenant>
+    acquire(const sim::Cluster &cluster, const Admission &admission,
+            const workload::OfferedJob &offer, std::size_t job,
+            std::size_t arrival_epoch, double arrival_time_s)
+    {
+        std::unique_ptr<Tenant> tenant;
+        if (idle_.empty()) {
+            tenant = makeTenant(options_, app_, table_, model_, hub_);
+        } else {
+            tenant = std::move(idle_.back());
+            idle_.pop_back();
+        }
+        assignJob(*tenant, options_, hub_,
+                  cluster.configOf(admission.machine), job,
+                  admission.machine, arrival_epoch, arrival_time_s,
+                  offer, admission.predicted_s);
+        return tenant;
+    }
+
+    /** Return a tenant whose job has been released. */
+    void
+    release(std::unique_ptr<Tenant> tenant)
+    {
+        idle_.push_back(std::move(tenant));
+    }
+
+  private:
+    const ServerOptions &options_;
+    const core::App &app_;
+    const core::KnobTable &table_;
+    const core::ResponseModel &model_;
+    MetricsHub &hub_;
+    std::vector<std::unique_ptr<Tenant>> idle_;
+};
 
 /**
  * Serial admission of one batch of offered jobs, the way both engines

@@ -12,61 +12,71 @@ Monitor::Monitor(std::size_t window_size, HeartRateTarget target)
         throw std::invalid_argument("Monitor: window size must be >= 1");
     if (target_.min_rate < 0.0 || target_.max_rate < target_.min_rate)
         throw std::invalid_argument("Monitor: bad target range");
+    ring_.resize(window_size_);
 }
 
 const HeartbeatRecord &
 Monitor::beat(double now)
 {
-    HeartbeatRecord rec{};
-    rec.tag = log_.size();
-    rec.timestamp = now;
-    if (!log_.empty()) {
-        const double prev = log_.back().timestamp;
-        if (now < prev)
-            throw std::invalid_argument("Monitor: time went backwards");
-        rec.latency = now - prev;
-        rec.instant_rate = rec.latency > 0.0 ? 1.0 / rec.latency : 0.0;
+    // Written so a NaN timestamp fails it too; the first beat compares
+    // against the initial -inf.
+    if (!(now >= latest_.timestamp))
+        throw std::invalid_argument(
+            "Monitor: time went backwards or is NaN");
+    const double prev = latest_.timestamp;
+    latest_.tag = count_;
+    latest_.timestamp = now;
+    if (count_ == 0) {
+        first_timestamp_ = now;
+    } else {
+        const double latency = now - prev;
+        latest_.latency = latency;
+        latest_.instant_rate = latency > 0.0 ? 1.0 / latency : 0.0;
 
-        window_latencies_.push_back(rec.latency);
-        window_latency_sum_ += rec.latency;
-        if (window_latencies_.size() > window_size_) {
-            window_latency_sum_ -= window_latencies_.front();
-            window_latencies_.pop_front();
+        // Add before subtracting the evicted latency: the running
+        // sum's rounding depends on that order.
+        window_latency_sum_ += latency;
+        if (window_count_ < window_size_) {
+            ring_[window_count_++] = latency;
+        } else {
+            window_latency_sum_ -= ring_[ring_head_];
+            ring_[ring_head_] = latency;
+            if (++ring_head_ == window_size_)
+                ring_head_ = 0;
         }
     }
-    rec.window_rate = windowRate();
-    const double span = log_.empty() ? 0.0 : now - log_.front().timestamp;
-    rec.global_rate =
-        span > 0.0 ? static_cast<double>(log_.size()) / span : 0.0;
-    log_.push_back(rec);
-    return log_.back();
+    latest_.window_rate = windowRate();
+    const double span = count_ == 0 ? 0.0 : now - first_timestamp_;
+    latest_.global_rate =
+        span > 0.0 ? static_cast<double>(count_) / span : 0.0;
+    ++count_;
+    return latest_;
 }
 
 const HeartbeatRecord &
 Monitor::latest() const
 {
-    if (log_.empty())
+    if (count_ == 0)
         throw std::logic_error("Monitor: no heartbeats yet");
-    return log_.back();
+    return latest_;
 }
 
 double
 Monitor::windowRate() const
 {
-    if (window_latencies_.empty() || window_latency_sum_ <= 0.0)
+    if (window_count_ == 0 || window_latency_sum_ <= 0.0)
         return 0.0;
-    return static_cast<double>(window_latencies_.size()) /
-           window_latency_sum_;
+    return static_cast<double>(window_count_) / window_latency_sum_;
 }
 
 double
 Monitor::globalRate() const
 {
-    if (log_.size() < 2)
+    if (count_ < 2)
         return 0.0;
-    const double span = log_.back().timestamp - log_.front().timestamp;
+    const double span = latest_.timestamp - first_timestamp_;
     return span > 0.0
-        ? static_cast<double>(log_.size() - 1) / span
+        ? static_cast<double>(count_ - 1) / span
         : 0.0;
 }
 
@@ -74,13 +84,18 @@ WindowStats
 Monitor::windowStats() const
 {
     WindowStats stats;
-    if (window_latencies_.empty())
+    if (window_count_ == 0)
         return stats;
-    const double n = static_cast<double>(window_latencies_.size());
-    stats.min_latency = window_latencies_.front();
-    stats.max_latency = window_latencies_.front();
+    const double n = static_cast<double>(window_count_);
+    stats.min_latency = ring_[ring_head_];
+    stats.max_latency = ring_[ring_head_];
     double sum = 0.0, sum_sq = 0.0;
-    for (const double lat : window_latencies_) {
+    // Oldest to newest: the sums' rounding depends on the order.
+    for (std::size_t i = 0; i < window_count_; ++i) {
+        std::size_t slot = ring_head_ + i;
+        if (slot >= window_size_)
+            slot -= window_size_;
+        const double lat = ring_[slot];
         stats.min_latency = std::min(stats.min_latency, lat);
         stats.max_latency = std::max(stats.max_latency, lat);
         sum += lat;

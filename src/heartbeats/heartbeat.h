@@ -14,7 +14,7 @@
 
 #include <cstddef>
 #include <cstdint>
-#include <deque>
+#include <limits>
 #include <stdexcept>
 #include <vector>
 
@@ -56,9 +56,10 @@ struct WindowStats
 /**
  * The heartbeat registry for one application instance.
  *
- * Maintains the full beat log plus a sliding window of the most recent
+ * Keeps O(window) state: the most recent record, the first beat's
+ * timestamp, the beat count, and a fixed ring of the most recent
  * latencies for window-rate queries (the paper's figures use a sliding
- * mean over the last twenty beats).
+ * mean over the last twenty beats). Emitting a beat never allocates.
  */
 class Monitor
 {
@@ -71,16 +72,13 @@ class Monitor
 
     /**
      * Emit a heartbeat at time @p now (seconds). Timestamps must be
-     * non-decreasing.
-     * @return The record for this beat.
+     * non-decreasing (and not NaN).
+     * @return The record for this beat (valid until the next beat).
      */
     const HeartbeatRecord &beat(double now);
 
     /** Total beats emitted. */
-    std::size_t count() const { return log_.size(); }
-
-    /** The i-th heartbeat record. */
-    const HeartbeatRecord &record(std::size_t i) const { return log_.at(i); }
+    std::size_t count() const { return count_; }
 
     /** The most recent heartbeat. Throws if no beat was emitted. */
     const HeartbeatRecord &latest() const;
@@ -106,14 +104,19 @@ class Monitor
     /** Sliding-window size in beats. */
     std::size_t windowSize() const { return window_size_; }
 
-    /** Full beat log. */
-    const std::vector<HeartbeatRecord> &log() const { return log_; }
-
   private:
     std::size_t window_size_;
     HeartRateTarget target_;
-    std::vector<HeartbeatRecord> log_;
-    std::deque<double> window_latencies_;
+    std::size_t count_ = 0;
+    /** The latest record; its timestamp starts at -inf so the first
+     *  beat passes the same ordering check as every later one. */
+    HeartbeatRecord latest_{0, -std::numeric_limits<double>::infinity(),
+                            0.0, 0.0, 0.0, 0.0};
+    double first_timestamp_ = 0.0;
+    /** Window latencies, oldest at ring_head_ once the ring is full. */
+    std::vector<double> ring_;
+    std::size_t ring_head_ = 0;
+    std::size_t window_count_ = 0;
     double window_latency_sum_ = 0.0;
 };
 

@@ -40,12 +40,8 @@ class Reader
     /** Declared maximum target rate. */
     double maxTarget() const { return monitor_->target().max_rate; }
 
-    /** Record of beat @p tag. */
-    const HeartbeatRecord &
-    record(std::uint64_t tag) const
-    {
-        return monitor_->record(tag);
-    }
+    /** Record of the most recent beat. Throws if no beat was emitted. */
+    const HeartbeatRecord &latest() const { return monitor_->latest(); }
 
   private:
     const Monitor *monitor_;

@@ -15,6 +15,18 @@ Machine::Machine(const Config &config)
     if (speed_factor_ <= 0.0)
         throw std::invalid_argument(
             "Machine: speed factor must be > 0");
+    refreshPower();
+}
+
+void
+Machine::refreshPower()
+{
+    freq_hz_ = scale_.frequencyHz(pstate_);
+    const double util = utilization_ >= 0.0
+        ? utilization_
+        : 1.0 / static_cast<double>(cores_);
+    busy_watts_ = power_.watts(freq_hz_, util);
+    idle_watts_ = power_.watts(freq_hz_, 0.0);
 }
 
 void
@@ -23,6 +35,7 @@ Machine::setPState(std::size_t state)
     if (state >= scale_.states())
         throw std::out_of_range("Machine: bad P-state");
     pstate_ = std::max(state, pstate_cap_);
+    refreshPower();
 }
 
 void
@@ -33,6 +46,7 @@ Machine::setPStateCap(std::size_t state)
     pstate_cap_ = state;
     if (pstate_ < pstate_cap_)
         pstate_ = pstate_cap_;
+    refreshPower();
 }
 
 void
@@ -51,10 +65,13 @@ Machine::account(double dt, double watts)
     }
 }
 
+// Every input check below is written so that NaN, which fails every
+// ordered comparison, fails the check too.
+
 void
 Machine::setShare(double share)
 {
-    if (share <= 0.0 || share > 1.0)
+    if (!(share > 0.0 && share <= 1.0))
         throw std::invalid_argument("Machine: share must be in (0, 1]");
     share_ = share;
 }
@@ -62,35 +79,37 @@ Machine::setShare(double share)
 void
 Machine::setUtilization(double utilization)
 {
-    utilization_ = utilization < 0.0
-        ? -1.0
-        : std::clamp(utilization, 0.0, 1.0);
+    if (utilization < 0.0)
+        utilization_ = -1.0;
+    else if (utilization >= 0.0)
+        utilization_ = std::min(utilization, 1.0);
+    else
+        throw std::invalid_argument("Machine: utilization is NaN");
+    refreshPower();
 }
 
 double
 Machine::execute(double cycles)
 {
-    if (cycles < 0.0)
-        throw std::invalid_argument("Machine: negative work");
+    if (!(cycles >= 0.0))
+        throw std::invalid_argument("Machine: negative or NaN work");
     if (cycles == 0.0)
         return 0.0;
-    const double util = utilization_ >= 0.0
-        ? utilization_
-        : 1.0 / static_cast<double>(cores_);
     // Multiplying by a speed factor of exactly 1.0 is an IEEE
     // identity, so the default class retires work bit-identically to
     // the pre-heterogeneity machine.
     const double dt = cycles / (effectiveHz() * share_);
-    account(dt, power_.watts(frequencyHz(), util));
+    account(dt, busy_watts_);
     return dt;
 }
 
 void
 Machine::idleFor(double dt)
 {
-    if (dt < 0.0)
-        throw std::invalid_argument("Machine: negative idle time");
-    account(dt, power_.watts(frequencyHz(), 0.0));
+    if (!(dt >= 0.0))
+        throw std::invalid_argument(
+            "Machine: negative or NaN idle time");
+    account(dt, idle_watts_);
 }
 
 void

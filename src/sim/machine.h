@@ -70,7 +70,7 @@ class Machine
     std::size_t pstate() const { return pstate_; }
 
     /** Current clock frequency in Hz. */
-    double frequencyHz() const { return scale_.frequencyHz(pstate_); }
+    double frequencyHz() const { return freq_hz_; }
 
     /** The machine's frequency table. */
     const FrequencyScale &scale() const { return scale_; }
@@ -117,7 +117,7 @@ class Machine
      * The work proceeds at the current context share and is accounted at
      * the current machine-wide utilisation.
      *
-     * @param cycles Work to retire, in clock cycles (>= 0).
+     * @param cycles Work to retire, in clock cycles (>= 0, not NaN).
      * @return Virtual seconds consumed.
      */
     double execute(double cycles);
@@ -126,7 +126,8 @@ class Machine
      * Set the fraction of one context's throughput available to the
      * running work (1.0 = dedicated core; 0.5 = core shared two ways).
      * Oversubscribed machines in the consolidation experiments give each
-     * instance a share of cores/instances. Must be in (0, 1].
+     * instance a share of cores/instances. Must be in (0, 1] (NaN is
+     * rejected).
      */
     void setShare(double share);
 
@@ -135,15 +136,17 @@ class Machine
 
     /**
      * Set the machine-wide utilisation used for power accounting while
-     * work executes, in [0, 1]; a negative value restores the default
-     * (one busy core out of cores()).
+     * work executes, in [0, 1] (larger values clamp to 1); a negative
+     * value restores the default (one busy core out of cores()). NaN is
+     * rejected.
      */
     void setUtilization(double utilization);
 
     /** Current accounting utilisation (negative = automatic). */
     double utilization() const { return utilization_; }
 
-    /** Sit idle for @p dt virtual seconds, drawing idle power. */
+    /** Sit idle for @p dt (>= 0, not NaN) virtual seconds, drawing
+     *  idle power. */
     void idleFor(double dt);
 
     /** Sit idle until absolute virtual time @p t (no-op if past). */
@@ -168,6 +171,10 @@ class Machine
     /** Record @p dt seconds at @p watts, integrating energy. */
     void account(double dt, double watts);
 
+    /** Recompute the cached frequency and busy/idle power draw from
+     *  the P-state and utilisation; every setter of either calls it. */
+    void refreshPower();
+
     FrequencyScale scale_;
     PowerModel power_;
     std::size_t cores_;
@@ -176,6 +183,9 @@ class Machine
     std::size_t pstate_cap_ = 0;
     double share_ = 1.0;
     double utilization_ = -1.0;
+    double freq_hz_ = 0.0;    //!< scale_.frequencyHz(pstate_).
+    double busy_watts_ = 0.0; //!< Power while executing work.
+    double idle_watts_ = 0.0; //!< Power while idle.
     VirtualClock clock_;
     double energy_j_ = 0.0;
     std::vector<PowerSegment> trace_;

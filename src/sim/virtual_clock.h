@@ -27,12 +27,12 @@ class VirtualClock
 
     /**
      * Advance the clock by @p dt seconds.
-     * @throws std::invalid_argument if @p dt is negative.
+     * @throws std::invalid_argument if @p dt is negative or NaN.
      */
     void
     advance(double dt)
     {
-        if (dt < 0.0)
+        if (!(dt >= 0.0))
             throw std::invalid_argument("VirtualClock: negative advance");
         now_s_ += dt;
     }

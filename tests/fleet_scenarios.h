@@ -47,6 +47,30 @@ makePipeline(const powerdial::tests::ToyApp::Config &config = {})
     return p;
 }
 
+/** Assert two job records are identical field for field (exact). */
+inline void
+expectJobRecordsIdentical(const JobRecord &a, const JobRecord &b)
+{
+    EXPECT_EQ(a.job, b.job);
+    EXPECT_EQ(a.tenant, b.tenant);
+    EXPECT_EQ(a.epoch, b.epoch);
+    EXPECT_EQ(a.machine, b.machine);
+    EXPECT_EQ(a.job_class, b.job_class);
+    EXPECT_EQ(a.deadline_s, b.deadline_s);
+    EXPECT_EQ(a.predicted_s, b.predicted_s);
+    EXPECT_EQ(a.latency_s, b.latency_s);
+    EXPECT_EQ(a.mean_rate, b.mean_rate);
+    EXPECT_EQ(a.qos_loss, b.qos_loss);
+    EXPECT_EQ(a.energy_j, b.energy_j);
+    EXPECT_EQ(a.beats, b.beats);
+    EXPECT_EQ(a.lease_generation, b.lease_generation);
+    EXPECT_EQ(a.lease_updates, b.lease_updates);
+    EXPECT_EQ(a.service_s, b.service_s);
+    EXPECT_EQ(a.queue_share_s, b.queue_share_s);
+    EXPECT_EQ(a.class_deficit_s, b.class_deficit_s);
+    EXPECT_EQ(a.pause_s, b.pause_s);
+}
+
 /**
  * Assert two FleetReports are identical field for field — exact
  * (bit-level) equality on every double, no tolerances. Wrap calls in
@@ -76,26 +100,7 @@ expectReportsIdentical(const FleetReport &a, const FleetReport &b)
     ASSERT_EQ(a.jobs.size(), b.jobs.size());
     for (std::size_t i = 0; i < a.jobs.size(); ++i) {
         SCOPED_TRACE(::testing::Message() << "job " << i);
-        EXPECT_EQ(a.jobs[i].job, b.jobs[i].job);
-        EXPECT_EQ(a.jobs[i].tenant, b.jobs[i].tenant);
-        EXPECT_EQ(a.jobs[i].epoch, b.jobs[i].epoch);
-        EXPECT_EQ(a.jobs[i].machine, b.jobs[i].machine);
-        EXPECT_EQ(a.jobs[i].job_class, b.jobs[i].job_class);
-        EXPECT_EQ(a.jobs[i].deadline_s, b.jobs[i].deadline_s);
-        EXPECT_EQ(a.jobs[i].predicted_s, b.jobs[i].predicted_s);
-        EXPECT_EQ(a.jobs[i].latency_s, b.jobs[i].latency_s);
-        EXPECT_EQ(a.jobs[i].mean_rate, b.jobs[i].mean_rate);
-        EXPECT_EQ(a.jobs[i].qos_loss, b.jobs[i].qos_loss);
-        EXPECT_EQ(a.jobs[i].energy_j, b.jobs[i].energy_j);
-        EXPECT_EQ(a.jobs[i].beats, b.jobs[i].beats);
-        EXPECT_EQ(a.jobs[i].lease_generation,
-                  b.jobs[i].lease_generation);
-        EXPECT_EQ(a.jobs[i].lease_updates, b.jobs[i].lease_updates);
-        EXPECT_EQ(a.jobs[i].service_s, b.jobs[i].service_s);
-        EXPECT_EQ(a.jobs[i].queue_share_s, b.jobs[i].queue_share_s);
-        EXPECT_EQ(a.jobs[i].class_deficit_s,
-                  b.jobs[i].class_deficit_s);
-        EXPECT_EQ(a.jobs[i].pause_s, b.jobs[i].pause_s);
+        expectJobRecordsIdentical(a.jobs[i], b.jobs[i]);
     }
     ASSERT_EQ(a.tenants.size(), b.tenants.size());
     for (std::size_t i = 0; i < a.tenants.size(); ++i) {

@@ -21,13 +21,21 @@
  */
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <cstdint>
+#include <limits>
+#include <memory>
 #include <numeric>
+#include <sstream>
+#include <string>
 #include <vector>
 
 #include "fleet/server.h"
+#include "fleet/tenant.h"
 #include "fleet_scenarios.h"
+#include "obs/trace_json.h"
+#include "sim/machine_catalog.h"
 
 namespace powerdial::fleet {
 namespace {
@@ -388,6 +396,245 @@ TEST(EventEngine, IdleEpochsScheduleNoArbitration)
     EXPECT_EQ(epoch_rounds, arrivals.size());
     EXPECT_LT(event_rounds, epoch_rounds / 2);
     EXPECT_GT(event_rounds, 0u);
+}
+
+// ---------------------------------------------------------------------
+// Tenant recycling: a pooled tenant serves its next job exactly like a
+// freshly built one, and a serve clones once per peak tenant.
+// ---------------------------------------------------------------------
+
+/** One job as the engines hand it to a tenant. */
+struct TenantJob
+{
+    std::size_t job = 0;
+    std::size_t input = 0;
+    std::size_t machine = 0;
+    sim::Machine::Config host;
+    ArbitrationLease lease;
+    double arrival_s = 0.0;
+};
+
+void
+assignTenantJob(detail::Tenant &tenant, const ServerOptions &options,
+                MetricsHub &hub, const TenantJob &job)
+{
+    const workload::OfferedJob offer{job.input, 1, 0.0};
+    detail::assignJob(tenant, options, hub, job.host, job.job,
+                      job.machine, 0, job.arrival_s, offer, 0.0);
+}
+
+/**
+ * Install @p job's lease (as writeLease would), run to the end, and
+ * attribute the job's beats (as a stats sample would).
+ */
+void
+runTenantJob(detail::Tenant &tenant, const TenantJob &job)
+{
+    tenant.lease = job.lease;
+    tenant.slice_deadline_s = std::numeric_limits<double>::infinity();
+    detail::runSlice(tenant, 0);
+    EXPECT_TRUE(tenant.done);
+    tenant.beats_reported = tenant.probe->record().beats;
+}
+
+/** Assert two just-assigned tenants hold identical per-job state. */
+void
+expectSameJobState(const detail::Tenant &a, const detail::Tenant &b)
+{
+    EXPECT_EQ(a.job, b.job);
+    EXPECT_EQ(a.input, b.input);
+    EXPECT_EQ(a.machine_index, b.machine_index);
+    EXPECT_EQ(a.arrival_epoch, b.arrival_epoch);
+    EXPECT_EQ(a.arrival_time_s, b.arrival_time_s);
+    EXPECT_EQ(a.machine.now(), b.machine.now());
+    EXPECT_EQ(a.machine.energyJoules(), b.machine.energyJoules());
+    EXPECT_EQ(a.machine.powerTrace().size(),
+              b.machine.powerTrace().size());
+    EXPECT_EQ(a.machine.pstate(), b.machine.pstate());
+    EXPECT_EQ(a.machine.pstateCap(), b.machine.pstateCap());
+    EXPECT_EQ(a.machine.frequencyHz(), b.machine.frequencyHz());
+    EXPECT_EQ(a.machine.speedFactor(), b.machine.speedFactor());
+    EXPECT_EQ(a.machine.cores(), b.machine.cores());
+    EXPECT_EQ(a.machine.share(), b.machine.share());
+    EXPECT_EQ(a.machine.utilization(), b.machine.utilization());
+    EXPECT_EQ(a.lease.generation, b.lease.generation);
+    EXPECT_EQ(a.lease.epoch, b.lease.epoch);
+    EXPECT_EQ(a.lease.share, b.lease.share);
+    EXPECT_EQ(a.lease.utilization, b.lease.utilization);
+    EXPECT_EQ(a.lease.pstate_cap, b.lease.pstate_cap);
+    EXPECT_EQ(a.lease.pause_ratio, b.lease.pause_ratio);
+    EXPECT_EQ(a.applied_generation, b.applied_generation);
+    EXPECT_EQ(a.slice_deadline_s, b.slice_deadline_s);
+    EXPECT_EQ(a.beats_reported, b.beats_reported);
+    EXPECT_EQ(a.started, b.started);
+    EXPECT_EQ(a.done, b.done);
+    EXPECT_EQ(a.session->active(), b.session->active());
+    tests::expectJobRecordsIdentical(a.probe->record(), b.probe->record());
+}
+
+/** Job @p job's trace stream from @p sink, as JSONL. */
+std::string
+traceStreamOf(obs::TraceSink &sink, std::size_t job)
+{
+    std::vector<obs::TraceRecord> stream;
+    for (const obs::TraceRecord &record : sink.drain())
+        if (record.job == job)
+            stream.push_back(record);
+    std::ostringstream jsonl;
+    obs::writeJsonl(jsonl, stream);
+    return jsonl.str();
+}
+
+TEST(TenantPool, RecycledTenantMatchesFreshTenant)
+{
+    auto p = makePipeline();
+    const auto catalog = sim::MachineCatalog::bigLittle();
+    // Job A differs from B in input, machine class, lease terms, and
+    // pause ratio, but shares B's lease generation, so a tenant that
+    // kept A's applied generation would skip B's terms.
+    TenantJob a;
+    a.job = 4;
+    a.input = 2;
+    a.machine = 1;
+    a.host = catalog.at(1).config;
+    a.lease = ArbitrationLease{5, 0, 0.5, 0.75, 2, 0.6};
+    a.arrival_s = 1.5;
+    TenantJob b;
+    b.job = 9;
+    b.input = 3;
+    b.machine = 0;
+    b.host = catalog.at(0).config;
+    b.lease = ArbitrationLease{5, 1, 1.0, 0.25, 1, 0.2};
+    b.arrival_s = 4.0;
+
+    obs::TraceSink fresh_sink, reused_sink;
+    fresh_sink.beginServe(1);
+    reused_sink.beginServe(1);
+    ServerOptions fresh_options;
+    fresh_options.tenants = p.app.productionInputs();
+    ServerOptions reused_options = fresh_options;
+    fresh_options.trace = &fresh_sink;
+    reused_options.trace = &reused_sink;
+    MetricsHub fresh_hub(1), reused_hub(1);
+    auto fresh = detail::makeTenant(fresh_options, p.app, p.table,
+                                    p.model, fresh_hub);
+    auto reused = detail::makeTenant(reused_options, p.app, p.table,
+                                     p.model, reused_hub);
+
+    assignTenantJob(*reused, reused_options, reused_hub, a);
+    runTenantJob(*reused, a);
+    assignTenantJob(*reused, reused_options, reused_hub, b);
+    assignTenantJob(*fresh, fresh_options, fresh_hub, b);
+    expectSameJobState(*reused, *fresh);
+    runTenantJob(*reused, b);
+    runTenantJob(*fresh, b);
+
+    const std::vector<JobRecord> fresh_records = fresh_hub.drain();
+    const std::vector<JobRecord> reused_records = reused_hub.drain();
+    ASSERT_EQ(fresh_records.size(), 1u);
+    ASSERT_EQ(reused_records.size(), 2u);
+    EXPECT_NE(reused_records.front().latency_s,
+              reused_records.back().latency_s);
+    tests::expectJobRecordsIdentical(reused_records.back(),
+                                     fresh_records.back());
+    const std::string fresh_trace = traceStreamOf(fresh_sink, b.job);
+    EXPECT_FALSE(fresh_trace.empty());
+    EXPECT_EQ(traceStreamOf(reused_sink, b.job), fresh_trace);
+}
+
+/** Clone bookkeeping shared by a prototype and all its clones. */
+struct CloneCounts
+{
+    std::size_t clones = 0;
+    std::size_t alive = 0;
+    std::size_t peak_alive = 0;
+};
+
+/** A ToyApp whose clones report to a shared CloneCounts. */
+class CountingApp final : public powerdial::tests::ToyApp
+{
+  public:
+    explicit CountingApp(CloneCounts &counts) : counts_(&counts) {}
+
+    CountingApp(const CountingApp &other)
+        : ToyApp(other), counts_(other.counts_), is_clone_(true)
+    {
+        ++counts_->clones;
+        counts_->peak_alive = std::max(counts_->peak_alive,
+                                       ++counts_->alive);
+    }
+
+    ~CountingApp() override
+    {
+        if (is_clone_)
+            --counts_->alive;
+    }
+
+    CountingApp &operator=(const CountingApp &) = delete;
+
+    std::unique_ptr<core::App>
+    clone() const override
+    {
+        return std::make_unique<CountingApp>(*this);
+    }
+
+  private:
+    CloneCounts *counts_;
+    bool is_clone_ = false;
+};
+
+TEST(TenantPool, EventServeClonesOncePerPeakTenant)
+{
+    // Every held tenant owns exactly one clone, so the clones alive at
+    // once count the tenants held; with recycling no clone dies before
+    // the serve ends, so clone() calls equal that peak — not the job
+    // count.
+    auto p = makePipeline();
+    for (const std::size_t threads : {1u, 4u}) {
+        SCOPED_TRACE(::testing::Message() << "threads=" << threads);
+        CloneCounts counts;
+        CountingApp app(counts);
+        ServerOptions options;
+        options.machines = 2;
+        options.epoch_seconds = p.model.baselineSeconds() * 0.5;
+        options.arbiter.cluster_cap_watts = 400.0;
+        options.engine = EngineMode::Event;
+        options.threads = threads;
+        const std::vector<std::size_t> arrivals = {3, 1, 0, 2, 4, 0, 0,
+                                                   1, 3, 0, 2, 0, 0, 0};
+        Server server(app, p.table, p.model, options);
+        const FleetReport report = server.serve(arrivals);
+
+        EXPECT_EQ(report.total_jobs, 16u);
+        EXPECT_EQ(counts.clones, counts.peak_alive);
+        EXPECT_LT(counts.clones, report.total_jobs);
+        EXPECT_EQ(counts.alive, 0u);
+        std::size_t peak_active = 0;
+        for (const EpochStats &row : report.epochs)
+            peak_active = std::max(peak_active, row.active);
+        EXPECT_GE(counts.clones, peak_active);
+    }
+}
+
+TEST(TenantPool, LeaseGateHonoursARetunedPauseAtTheNextBeat)
+{
+    // An arbiter retunes the lease's pause ratio between beats and the
+    // next beat already honours it, after the caller's own gate.
+    auto p = makePipeline();
+    ServerOptions options;
+    options.session.withGate(
+        [](core::BeatGateContext &ctx) { ctx.pause_per_busy = 0.1; });
+    MetricsHub hub(1);
+    auto tenant = detail::makeTenant(options, p.app, p.table, p.model, hub);
+    const core::BeatGate &gate = tenant->session->options().gate;
+    sim::Machine machine;
+    core::BeatGateContext first{0, machine};
+    gate(first);
+    EXPECT_DOUBLE_EQ(first.pause_per_busy, 0.1);
+    tenant->lease.pause_ratio = 0.3;
+    core::BeatGateContext second{1, machine};
+    gate(second);
+    EXPECT_DOUBLE_EQ(second.pause_per_busy, 0.4);
 }
 
 } // namespace

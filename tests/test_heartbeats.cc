@@ -1,6 +1,12 @@
 /** @file Unit tests for the Application Heartbeats framework. */
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cmath>
+#include <deque>
+#include <random>
+#include <vector>
+
 #include "heartbeats/heartbeat.h"
 #include "heartbeats/reader.h"
 
@@ -130,7 +136,128 @@ TEST(Reader, ExposesMonitorState)
     EXPECT_DOUBLE_EQ(reader.globalRate(), monitor.globalRate());
     EXPECT_DOUBLE_EQ(reader.minTarget(), 2.0);
     EXPECT_DOUBLE_EQ(reader.maxTarget(), 3.0);
-    EXPECT_DOUBLE_EQ(reader.record(1).latency, 0.5);
+    EXPECT_DOUBLE_EQ(reader.latest().latency, 0.5);
+}
+
+/**
+ * The unbounded-log monitor the ring replaced (a full record log plus
+ * a deque of window latencies), kept as the bit-exactness oracle.
+ */
+class DequeMonitor
+{
+  public:
+    explicit DequeMonitor(std::size_t window) : window_(window) {}
+
+    HeartbeatRecord
+    beat(double now)
+    {
+        HeartbeatRecord rec{};
+        rec.tag = log_.size();
+        rec.timestamp = now;
+        if (!log_.empty()) {
+            rec.latency = now - log_.back().timestamp;
+            rec.instant_rate = rec.latency > 0.0 ? 1.0 / rec.latency : 0.0;
+            latencies_.push_back(rec.latency);
+            sum_ += rec.latency;
+            if (latencies_.size() > window_) {
+                sum_ -= latencies_.front();
+                latencies_.pop_front();
+            }
+        }
+        rec.window_rate = windowRate();
+        const double span =
+            log_.empty() ? 0.0 : now - log_.front().timestamp;
+        rec.global_rate =
+            span > 0.0 ? static_cast<double>(log_.size()) / span : 0.0;
+        log_.push_back(rec);
+        return rec;
+    }
+
+    double
+    windowRate() const
+    {
+        if (latencies_.empty() || sum_ <= 0.0)
+            return 0.0;
+        return static_cast<double>(latencies_.size()) / sum_;
+    }
+
+    double
+    globalRate() const
+    {
+        if (log_.size() < 2)
+            return 0.0;
+        const double span = log_.back().timestamp - log_.front().timestamp;
+        return span > 0.0 ? static_cast<double>(log_.size() - 1) / span
+                          : 0.0;
+    }
+
+    WindowStats
+    windowStats() const
+    {
+        WindowStats stats;
+        if (latencies_.empty())
+            return stats;
+        const double n = static_cast<double>(latencies_.size());
+        stats.min_latency = latencies_.front();
+        stats.max_latency = latencies_.front();
+        double sum = 0.0, sum_sq = 0.0;
+        for (const double lat : latencies_) {
+            stats.min_latency = std::min(stats.min_latency, lat);
+            stats.max_latency = std::max(stats.max_latency, lat);
+            sum += lat;
+            sum_sq += lat * lat;
+        }
+        stats.mean_latency = sum / n;
+        const double var =
+            sum_sq / n - stats.mean_latency * stats.mean_latency;
+        stats.stddev_latency = var > 0.0 ? std::sqrt(var) : 0.0;
+        return stats;
+    }
+
+  private:
+    std::size_t window_;
+    std::vector<HeartbeatRecord> log_;
+    std::deque<double> latencies_;
+    double sum_ = 0.0;
+};
+
+TEST(Monitor, RingMatchesUnboundedLogBitForBit)
+{
+    // Seeded streams mixing zero-latency repeats with latencies over
+    // nine decades from t = 0, so latencies and the running window sum
+    // round (steadier streams telescope exactly and would hide an
+    // add/subtract reordering).
+    for (const std::size_t window : {1u, 2u, 3u, 20u}) {
+        std::mt19937_64 rng(1234 + window);
+        std::uniform_real_distribution<double> exponent(-6.0, 3.0);
+        std::bernoulli_distribution repeat(0.2);
+        Monitor ring(window, {1.0, 1.0});
+        DequeMonitor oracle(window);
+        double t = 0.0;
+        for (std::size_t i = 0; i < 400; ++i) {
+            SCOPED_TRACE(::testing::Message()
+                         << "window " << window << " beat " << i);
+            if (i > 0 && !repeat(rng))
+                t += std::pow(10.0, exponent(rng));
+            const HeartbeatRecord expected = oracle.beat(t);
+            const HeartbeatRecord &got = ring.beat(t);
+            EXPECT_EQ(got.tag, expected.tag);
+            EXPECT_EQ(got.timestamp, expected.timestamp);
+            EXPECT_EQ(got.latency, expected.latency);
+            EXPECT_EQ(got.instant_rate, expected.instant_rate);
+            EXPECT_EQ(got.window_rate, expected.window_rate);
+            EXPECT_EQ(got.global_rate, expected.global_rate);
+            EXPECT_EQ(ring.count(), i + 1);
+            EXPECT_EQ(ring.windowRate(), oracle.windowRate());
+            EXPECT_EQ(ring.globalRate(), oracle.globalRate());
+            const WindowStats a = ring.windowStats();
+            const WindowStats b = oracle.windowStats();
+            EXPECT_EQ(a.min_latency, b.min_latency);
+            EXPECT_EQ(a.max_latency, b.max_latency);
+            EXPECT_EQ(a.mean_latency, b.mean_latency);
+            EXPECT_EQ(a.stddev_latency, b.stddev_latency);
+        }
+    }
 }
 
 /** Property: constant-latency streams report rate = 1/latency. */

@@ -1,7 +1,15 @@
 /** @file Unit tests for sim::Machine. */
 #include <gtest/gtest.h>
 
+#include <functional>
+#include <limits>
+#include <string>
+#include <utility>
+#include <vector>
+
+#include "heartbeats/heartbeat.h"
 #include "sim/machine.h"
+#include "sim/virtual_clock.h"
 
 namespace powerdial::sim {
 namespace {
@@ -85,6 +93,41 @@ TEST(Machine, EnergyIntegratesPowerOverTime)
     m.setUtilization(1.0);
     m.execute(2.4e9); // 1 s at peak power.
     EXPECT_NEAR(m.energyJoules(), m.powerModel().peakWatts(), 1e-6);
+
+    // After every setter that moves the frequency or the utilisation,
+    // the next busy and idle spans draw exactly the power model's
+    // watts at the machine's current state.
+    const std::vector<std::pair<std::string, std::function<void()>>>
+        setters = {
+            {"setPState(2)", [&m] { m.setPState(2); }},
+            {"setPStateCap(4)", [&m] { m.setPStateCap(4); }},
+            {"setPState(0) under the cap", [&m] { m.setPState(0); }},
+            {"setPStateCap(0)", [&m] { m.setPStateCap(0); }},
+            {"setPState(6)", [&m] { m.setPState(6); }},
+            {"setUtilization(0.3)", [&m] { m.setUtilization(0.3); }},
+            {"setUtilization(1.7)", [&m] { m.setUtilization(1.7); }},
+            {"setUtilization(-2)", [&m] { m.setUtilization(-2.0); }},
+            {"setPStateCap(1)", [&m] { m.setPStateCap(1); }},
+            {"setUtilization(-0.5)", [&m] { m.setUtilization(-0.5); }},
+        };
+    for (const auto &[name, set] : setters) {
+        SCOPED_TRACE(name);
+        set();
+        const double hz = m.scale().frequencyHz(m.pstate());
+        EXPECT_EQ(m.frequencyHz(), hz);
+        const double u = m.utilization() >= 0.0
+            ? m.utilization()
+            : 1.0 / static_cast<double>(m.cores());
+        double before = m.energyJoules();
+        const double busy = m.execute(1.3e9);
+        EXPECT_EQ(busy, 1.3e9 / (hz * m.speedFactor() * m.share()));
+        EXPECT_EQ(m.energyJoules(),
+                  before + m.powerModel().watts(hz, u) * busy);
+        before = m.energyJoules();
+        m.idleFor(0.37);
+        EXPECT_EQ(m.energyJoules(),
+                  before + m.powerModel().watts(hz, 0.0) * 0.37);
+    }
 }
 
 TEST(Machine, DefaultUtilizationIsOneCore)
@@ -196,6 +239,38 @@ TEST(Machine, BadPStateCapThrows)
 {
     Machine m;
     EXPECT_THROW(m.setPStateCap(99), std::out_of_range);
+}
+
+TEST(NanInputs, PerBeatEntryPointsRejectNaN)
+{
+    // Every per-beat input check must reject NaN, which fails every
+    // ordered comparison and so slips past a plain `x < 0` test.
+    const double nan = std::numeric_limits<double>::quiet_NaN();
+    const std::vector<std::pair<std::string, std::function<void()>>>
+        entry_points = {
+            {"Monitor::beat, first beat",
+             [nan] {
+                 hb::Monitor monitor(4, {1.0, 1.0});
+                 monitor.beat(nan);
+             }},
+            {"Monitor::beat, later beat",
+             [nan] {
+                 hb::Monitor monitor(4, {1.0, 1.0});
+                 monitor.beat(1.0);
+                 monitor.beat(nan);
+             }},
+            {"Machine::execute", [nan] { Machine().execute(nan); }},
+            {"Machine::idleFor", [nan] { Machine().idleFor(nan); }},
+            {"Machine::setShare", [nan] { Machine().setShare(nan); }},
+            {"Machine::setUtilization",
+             [nan] { Machine().setUtilization(nan); }},
+            {"VirtualClock::advance",
+             [nan] { VirtualClock().advance(nan); }},
+        };
+    for (const auto &[name, call] : entry_points) {
+        SCOPED_TRACE(name);
+        EXPECT_THROW(call(), std::invalid_argument);
+    }
 }
 
 } // namespace

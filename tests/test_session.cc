@@ -434,24 +434,6 @@ TEST(GateHelpers, DutyCycleGateAddsFixedRatio)
     // A zero ratio is "no gate"; a negative one is a caller bug.
     EXPECT_FALSE(static_cast<bool>(makeDutyCycleGate(0.0)));
     EXPECT_THROW(makeDutyCycleGate(-0.1), std::invalid_argument);
-    EXPECT_THROW(makeDutyCycleGate(std::function<double()>{}),
-                 std::invalid_argument);
-}
-
-TEST(GateHelpers, DynamicDutyCycleGateSamplesEveryBeat)
-{
-    // The lease-driven form: an external agent retunes the ratio
-    // between beats and the next beat already honours it.
-    double ratio = 0.0;
-    BeatGate gate = makeDutyCycleGate([&ratio]() { return ratio; });
-    sim::Machine machine;
-    BeatGateContext first{0, machine};
-    gate(first);
-    EXPECT_DOUBLE_EQ(first.pause_per_busy, 0.0);
-    ratio = 0.3;
-    BeatGateContext second{1, machine};
-    gate(second);
-    EXPECT_DOUBLE_EQ(second.pause_per_busy, 0.3);
 }
 
 TEST(GateHelpers, ComposedDutyCycleGatesSlowARunTogether)
