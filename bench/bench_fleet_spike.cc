@@ -28,12 +28,10 @@
  * fleet-smoke job asserts this, and diffs the summary section against
  * bench/golden/fleet_spike_steps50.txt).
  *
- * --engine selects the serve loop: `epoch` (legacy synchronous round
- * loop), `event` (discrete-event engine, its own golden
- * fleet_spike_event.txt), or `compat` (event engine in epoch-compat
- * mode — stdout is byte-identical to `epoch`, which CI diffs).
- * Wall-clock timings go to stderr only, keeping stdout deterministic
- * for the golden comparisons.
+ * --engine selects the serve schedule: `epoch` (synchronous round
+ * loop) or `event` (discrete-event engine, its own golden
+ * fleet_spike_event.txt). Wall-clock timings go to stderr only,
+ * keeping stdout deterministic for the golden comparisons.
  *
  * --fleet=N switches to the scale scenario: N machines serving a
  * Poisson stream of synthetic microsim tenants (defined below; real
@@ -76,7 +74,6 @@ struct FleetBenchOptions
     std::size_t epoch_frac_pct = 100;
     std::size_t queue_depth = 0; //!< Per-machine bound (0 = unbounded).
     fleet::EngineMode engine = fleet::EngineMode::Epoch;
-    bool epoch_compat = false;      //!< --engine=compat.
     std::size_t sample_stride = 1;  //!< Event-engine report stride.
     std::size_t fleet = 0;          //!< 0 = comparison bench; else scale.
     std::size_t peak_rate = 0;      //!< Poisson peak (0 = mode default).
@@ -89,9 +86,8 @@ struct FleetBenchOptions
 const char *
 engineLabel(const FleetBenchOptions &options)
 {
-    if (options.engine == fleet::EngineMode::Epoch)
-        return "epoch";
-    return options.epoch_compat ? "compat" : "event";
+    return options.engine == fleet::EngineMode::Epoch ? "epoch"
+                                                      : "event";
 }
 
 FleetBenchOptions
@@ -102,7 +98,7 @@ parseFleetOptions(int argc, char **argv)
         std::fprintf(stderr,
                      "usage: %s [--steps=N] [--threads=N | -t N]\n"
                      "          [--epoch-frac=P] [--queue-depth=N]\n"
-                     "          [--engine=epoch|event|compat] "
+                     "          [--engine=epoch|event] "
                      "[--sample-stride=N]\n"
                      "          [--fleet=N] [--peak-rate=N]\n"
                      "  steps       load-trace epochs (default 96)\n"
@@ -114,10 +110,8 @@ parseFleetOptions(int argc, char **argv)
                      "and feel lease updates mid-run)\n"
                      "  queue-depth max in-flight jobs per machine "
                      "(default 0 = unbounded; overload sheds)\n"
-                     "  engine      serve loop: epoch (legacy round "
-                     "loop), event (discrete-event),\n"
-                     "              compat (event engine replaying the "
-                     "epoch schedule bit-for-bit)\n"
+                     "  engine      serve schedule: epoch (round loop) "
+                     "or event (discrete-event)\n"
                      "  sample-stride  epochs per report row "
                      "(event engine only; default 1)\n"
                      "  fleet       scale mode: N machines serving "
@@ -151,18 +145,12 @@ parseFleetOptions(int argc, char **argv)
         } else if (std::strncmp(arg, "--queue-depth=", 14) == 0) {
             options.queue_depth = parseCount(arg + 14);
         } else if (std::strncmp(arg, "--engine=", 9) == 0) {
-            if (std::strcmp(arg + 9, "epoch") == 0) {
+            if (std::strcmp(arg + 9, "epoch") == 0)
                 options.engine = fleet::EngineMode::Epoch;
-                options.epoch_compat = false;
-            } else if (std::strcmp(arg + 9, "event") == 0) {
+            else if (std::strcmp(arg + 9, "event") == 0)
                 options.engine = fleet::EngineMode::Event;
-                options.epoch_compat = false;
-            } else if (std::strcmp(arg + 9, "compat") == 0) {
-                options.engine = fleet::EngineMode::Event;
-                options.epoch_compat = true;
-            } else {
+            else
                 usage();
-            }
         } else if (std::strncmp(arg, "--sample-stride=", 16) == 0) {
             options.sample_stride = parseCount(arg + 16);
         } else if (std::strncmp(arg, "--fleet=", 8) == 0) {
@@ -182,10 +170,6 @@ parseFleetOptions(int argc, char **argv)
     if (options.steps == 0 || options.epoch_frac_pct == 0 ||
         options.sample_stride == 0)
         usage();
-    // Compat mode replays the legacy schedule; a coarser stride would
-    // change it (the Server constructor rejects this combination too).
-    if (options.epoch_compat && options.sample_stride != 1)
-        usage();
     return options;
 }
 
@@ -195,16 +179,15 @@ applyEngine(fleet::ServerOptions &server_options,
             const FleetBenchOptions &options)
 {
     server_options.engine = options.engine;
-    server_options.event.epoch_compat = options.epoch_compat;
-    if (options.engine == fleet::EngineMode::Event &&
-        !options.epoch_compat)
-        server_options.event.sample_stride = options.sample_stride;
+    // Ignored under the epoch schedule.
+    server_options.event.sample_stride = options.sample_stride;
 }
 
 /**
  * Serve and report the wall-clock on stderr (never stdout: the CI
  * fleet-smoke job diffs stdout byte-for-byte against goldens and
- * across engines, and timings are the one nondeterministic output).
+ * across thread counts, and timings are the one nondeterministic
+ * output).
  */
 fleet::FleetReport
 timedServe(fleet::Server &server,

@@ -9,7 +9,7 @@
  * Poisson arrival trace on three fleets provisioned from the built-in
  * big.LITTLE catalog (all-big, 2 big + 2 little, 1 big + 3 little),
  * once under class-blind least-loaded placement and once under the
- * affinity-aware policy, on both serve engines. Both apps are sized so
+ * affinity-aware policy, on the epoch schedule. Both apps are sized so
  * the calibrated maximum speedup is *below* the little class's
  * effective-speed deficit (reference 2.4 GHz vs 1.6 GHz x 0.6 = 2.5x):
  * jobs placed on a little machine cannot buy the deficit back with
@@ -17,14 +17,13 @@
  * latency/QoS consequences — exactly the regime the affinity policy's
  * cost function prices.
  *
- * The verdict: on every mixed (app, mix, engine) cell the affinity
+ * The verdict: on every mixed (app, mix) cell the affinity
  * policy must deliver a lower p95 latency AND a lower mean QoS loss
  * than least-loaded; on the all-big fleet both policies must produce
  * identical numbers (the bit-identity guarantee made visible). The
  * process exits nonzero otherwise.
  *
- * Output is byte-identical for --threads=1 and --threads=N and across
- * the two engines (the event engine runs in epoch-compat mode; the CI
+ * Output is byte-identical for --threads=1 and --threads=N (the CI
  * hetero-smoke job asserts this and diffs the summary against
  * bench/golden/hetero_placement.txt). Wall-clock goes to stderr.
  */
@@ -52,7 +51,6 @@ struct HeteroBenchOptions
 {
     std::size_t steps = 48;  //!< Arrival-trace length, epochs.
     std::size_t threads = 0; //!< Tenant-session workers (0 = all).
-    std::string engine = "both"; //!< "epoch", "event", or "both".
     ObsOptions obs; //!< --trace / --trace-jsonl / --metrics outputs.
 };
 
@@ -63,12 +61,10 @@ parseHeteroOptions(int argc, char **argv)
     const auto usage = [argv]() {
         std::fprintf(
             stderr,
-            "usage: %s [--steps=N] [--threads=N | -t N] "
-            "[--engine=epoch|event|both]\n"
+            "usage: %s [--steps=N] [--threads=N | -t N]\n"
             "  steps    arrival-trace epochs (default 48)\n"
             "  threads  tenant-session workers "
             "(0 = all hardware contexts, 1 = serial)\n"
-            "  engine   which serve engine(s) to run (default both)\n"
             "%s",
             argv[0], obsUsage());
         std::exit(2);
@@ -90,11 +86,6 @@ parseHeteroOptions(int argc, char **argv)
             options.threads = parseCount(arg + 10);
         } else if (std::strcmp(arg, "-t") == 0 && i + 1 < argc) {
             options.threads = parseCount(argv[++i]);
-        } else if (std::strncmp(arg, "--engine=", 9) == 0) {
-            options.engine = arg + 9;
-            if (options.engine != "epoch" && options.engine != "event" &&
-                options.engine != "both")
-                usage();
         } else if (parseObsArg(options.obs, arg)) {
             // Consumed by the shared observability parser.
         } else {
@@ -131,7 +122,6 @@ struct HeteroCase
 {
     std::string app;
     std::string mix;
-    std::string engine;
     std::string placement;
     bool mixed = false;
     fleet::FleetReport report;
@@ -183,16 +173,6 @@ main(int argc, char **argv)
         {"2big2little", {2, 2}, true},
         {"1big3little", {1, 3}, true},
     };
-    struct EngineCase
-    {
-        const char *label;
-        fleet::EngineMode mode;
-    };
-    std::vector<EngineCase> engines;
-    if (options.engine != "event")
-        engines.push_back({"epoch", fleet::EngineMode::Epoch});
-    if (options.engine != "epoch")
-        engines.push_back({"event", fleet::EngineMode::Event});
     struct PlacementCase
     {
         const char *label;
@@ -222,7 +202,7 @@ main(int argc, char **argv)
 
     // One sink across the matrix: beginServe resets it at each serve,
     // so the outputs describe the final cell (spmv / 1big3little /
-    // last engine / affinity-aware).
+    // affinity-aware).
     auto obs_sink = makeObsSink(options.obs);
 
     std::vector<HeteroCase> cases;
@@ -237,45 +217,33 @@ main(int argc, char **argv)
                      app_case.label, baseline_s, model.maxSpeedup());
 
         for (const auto &mix : mixes) {
-            for (const auto &engine : engines) {
-                for (const auto &placement : placements) {
-                    fleet::ServerOptions server_options;
-                    server_options.catalog =
-                        sim::MachineCatalog::bigLittle();
-                    server_options.class_mix = mix.class_mix;
-                    server_options.threads = options.threads;
-                    server_options.epoch_seconds = baseline_s;
-                    server_options.queue_depth = 6;
-                    server_options.placement = placement.factory();
-                    server_options.engine = engine.mode;
-                    // Epoch-compat keeps the two engines' reports
-                    // byte-identical, so the golden pins both at once.
-                    server_options.event.epoch_compat = true;
-                    server_options.trace =
-                        obs_sink ? &*obs_sink : nullptr;
+            for (const auto &placement : placements) {
+                fleet::ServerOptions server_options;
+                server_options.catalog = sim::MachineCatalog::bigLittle();
+                server_options.class_mix = mix.class_mix;
+                server_options.threads = options.threads;
+                server_options.epoch_seconds = baseline_s;
+                server_options.queue_depth = 6;
+                server_options.placement = placement.factory();
+                server_options.trace = obs_sink ? &*obs_sink : nullptr;
 
-                    std::string label = std::string(app_case.label) +
-                        " / " + mix.label + " / " + engine.label +
-                        " / " + placement.label;
-                    banner(label);
-                    fleet::Server server(*app_case.app,
-                                         cal.ident.table, model,
-                                         server_options);
-                    const auto start =
-                        std::chrono::steady_clock::now();
-                    auto report = server.serve(arrivals);
-                    const double wall_s =
-                        std::chrono::duration<double>(
-                            std::chrono::steady_clock::now() - start)
-                            .count();
-                    std::fprintf(stderr,
-                                 "[bench] %-44s wall-clock %.3f s\n",
-                                 label.c_str(), wall_s);
-                    printMachineTable(report);
-                    cases.push_back({app_case.label, mix.label,
-                                     engine.label, placement.label,
-                                     mix.mixed, std::move(report)});
-                }
+                std::string label = std::string(app_case.label) + " / " +
+                    mix.label + " / epoch / " + placement.label;
+                banner(label);
+                fleet::Server server(*app_case.app, cal.ident.table,
+                                     model, server_options);
+                const auto start = std::chrono::steady_clock::now();
+                auto report = server.serve(arrivals);
+                const double wall_s =
+                    std::chrono::duration<double>(
+                        std::chrono::steady_clock::now() - start)
+                        .count();
+                std::fprintf(stderr, "[bench] %-44s wall-clock %.3f s\n",
+                             label.c_str(), wall_s);
+                printMachineTable(report);
+                cases.push_back({app_case.label, mix.label,
+                                 placement.label, mix.mixed,
+                                 std::move(report)});
             }
         }
     }
@@ -283,16 +251,18 @@ main(int argc, char **argv)
     writeObsOutputs(options.obs, obs_sink ? &*obs_sink : nullptr,
                     cases.back().report);
 
+    // Every cell runs the default epoch schedule; the engine column and
+    // the "/epoch" verdict suffix keep the golden's layout.
     banner("hetero summary");
     std::printf("%-8s %-12s %-6s %-14s %6s %6s %10s %10s %9s %9s\n",
                 "app", "mix", "engine", "placement", "jobs", "shed",
                 "p95_lat", "p99_lat", "qos_loss%", "watts");
     for (const auto &hetero_case : cases)
         std::printf(
-            "%-8s %-12s %-6s %-14s %6zu %6zu %10.4f %10.4f %9.4f "
+            "%-8s %-12s epoch  %-14s %6zu %6zu %10.4f %10.4f %9.4f "
             "%9.1f\n",
             hetero_case.app.c_str(), hetero_case.mix.c_str(),
-            hetero_case.engine.c_str(), hetero_case.placement.c_str(),
+            hetero_case.placement.c_str(),
             hetero_case.report.total_jobs,
             hetero_case.report.total_shed,
             hetero_case.report.p95_latency_s,
@@ -301,7 +271,7 @@ main(int argc, char **argv)
             hetero_case.report.mean_watts);
 
     // The acceptance verdict. Cases were pushed least-loaded first,
-    // affinity-aware second for each (app, mix, engine) cell.
+    // affinity-aware second for each (app, mix) cell.
     bool ok = true;
     std::printf("\n");
     for (std::size_t i = 0; i + 1 < cases.size(); i += 2) {
@@ -315,10 +285,10 @@ main(int argc, char **argv)
                     blind.report.mean_qos_loss;
             ok = ok && dominates;
             std::printf(
-                "affinity dominates least-loaded on %s/%s/%s "
+                "affinity dominates least-loaded on %s/%s/epoch "
                 "(p95 %.4f < %.4f, qos %.4f%% < %.4f%%): %s\n",
                 blind.app.c_str(), blind.mix.c_str(),
-                blind.engine.c_str(), aware.report.p95_latency_s,
+                aware.report.p95_latency_s,
                 blind.report.p95_latency_s,
                 100.0 * aware.report.mean_qos_loss,
                 100.0 * blind.report.mean_qos_loss,
@@ -336,9 +306,8 @@ main(int argc, char **argv)
                 aware.report.total_shed == blind.report.total_shed;
             ok = ok && identical;
             std::printf("affinity identical to least-loaded on "
-                        "homogeneous %s/%s/%s: %s\n",
+                        "homogeneous %s/%s/epoch: %s\n",
                         blind.app.c_str(), blind.mix.c_str(),
-                        blind.engine.c_str(),
                         identical ? "yes" : "NO");
         }
     }

@@ -11,7 +11,7 @@
  *
  *   - QueueDepthAdmission reproduces the historical behaviour exactly
  *     (shed only when no machine has room), keeping every existing
- *     golden and differential harness valid;
+ *     golden and bit-identity test valid;
  *   - PredictiveAdmission uses the tenant's *calibrated response
  *     model* plus the live cluster occupancy and arbitration-lease
  *     state to estimate each arrival's completion time, and sheds only

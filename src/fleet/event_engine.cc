@@ -1,6 +1,32 @@
-#include "fleet/event_engine.h"
-
+/**
+ * @file
+ * The fleet serve: one per-serve state that runs either schedule.
+ *
+ * Server::serve builds an EventServe — the serve's cluster, scheduler,
+ * arbiter, fan-out engine, metrics hub, tracer, and tenant pool — and
+ * runs the schedule ServerOptions::engine selects:
+ *
+ *   - EngineMode::Epoch, the synchronous round loop: every epoch
+ *     releases finished tenants, admits that epoch's arrivals, runs one
+ *     arbitration round, advances every tenant one slice, and closes
+ *     one EpochStats row, whether or not anything changed;
+ *   - EngineMode::Event, the discrete-event engine: a priority queue of
+ *     typed events — job arrivals, beat-quantum expiries, job
+ *     completions, lease rewrites (arbitration), trace samples —
+ *     ordered by (virtual time, stable sequence id), so execution order
+ *     is total and independent of thread count. Arbitration is
+ *     triggered by state changes (admissions, completions) rather than
+ *     by the epoch clock, which survives only as a periodic event
+ *     source (trace samples, the default quantum).
+ *
+ * Both schedules share admission, arbitration and lease rewrites,
+ * tenant release, the per-machine QoS-feedback fold, stats rows, and
+ * the drain past the horizon. Tenant advancement runs through
+ * core::FanoutEngine's fixed-order merge — the only parallel section —
+ * so either report is bit-identical at any thread count.
+ */
 #include <algorithm>
+#include <cmath>
 #include <limits>
 #include <memory>
 #include <stdexcept>
@@ -8,6 +34,7 @@
 
 #include "core/fanout.h"
 #include "fleet/event_queue.h"
+#include "fleet/server.h"
 #include "fleet/tenant.h"
 #include "sim/virtual_clock.h"
 
@@ -29,22 +56,20 @@ using detail::Tenant;
 struct Event
 {
     enum class Kind {
-        EpochTop,   //!< Compat: release + admit + arbitrate, epoch e.
-        Sample,     //!< Stats-row close (epoch e / window index).
-        Arrivals,   //!< Event mode: the trace offers jobs at epoch e.
-        Quantum,    //!< Event mode: beat-quantum expiry.
-        Completion, //!< Event mode: completions discovered at now.
-        Arbitrate,  //!< Event mode: coalesced lease rewrite at now.
+        Sample,     //!< Stats-row close (window index).
+        Arrivals,   //!< The trace offers jobs at epoch e.
+        Quantum,    //!< Beat-quantum expiry.
+        Completion, //!< Completions discovered at now.
+        Arbitrate,  //!< Coalesced lease rewrite at now.
     };
     Kind kind = Kind::Quantum;
     std::size_t index = 0;
 };
 
 /**
- * One serve() worth of discrete-event state. Construction mirrors the
- * epoch loop exactly (same cluster, scheduler, arbiter, fan-out
- * engine, and metrics hub); the two run modes differ only in which
- * events they schedule and how tenant slice deadlines are set.
+ * One serve() worth of state. The two schedules differ only in when
+ * they release, admit, arbitrate, advance tenants, and close stats
+ * rows; everything they do at those points is shared.
  */
 class EventServe
 {
@@ -54,8 +79,7 @@ class EventServe
                const ServerOptions &options,
                const std::vector<std::vector<workload::OfferedJob>>
                    &offers)
-        : model_(model), options_(options),
-          offers_(offers),
+        : options_(options), offers_(offers),
           cluster_(detail::makeCluster(options)),
           scheduler_(cluster_,
                      SchedulerOptions{options.placement,
@@ -64,12 +88,14 @@ class EventServe
           arbiter_(options.arbiter), engine_(options.threads),
           hub_(engine_.workers()), tracer_(options.trace),
           pool_(options, app, table, model, hub_),
-          qos_feedback_(cluster_.size(), 0.0)
+          qos_feedback_(cluster_.size(), 0.0),
+          machine_qos_(cluster_.size(), 0.0),
+          machine_jobs_(cluster_.size(), 0)
     {
         epoch_s_ = options_.epoch_seconds > 0.0
             ? options_.epoch_seconds
-            : model_.baselineSeconds();
-        if (epoch_s_ <= 0.0)
+            : model.baselineSeconds();
+        if (!std::isfinite(epoch_s_) || epoch_s_ <= 0.0)
             throw std::invalid_argument(
                 "Server: epoch duration must be > 0");
     }
@@ -79,10 +105,10 @@ class EventServe
     {
         if (options_.trace != nullptr)
             options_.trace->beginServe(engine_.workers());
-        if (options_.event.epoch_compat)
-            runCompat();
+        if (options_.engine == EngineMode::Epoch)
+            runEpochs();
         else
-            runEvent();
+            runEvents();
 
         // Past the horizon: in-flight tenants run to completion under
         // their final lease terms. Everything still held here was
@@ -104,126 +130,66 @@ class EventServe
 
   private:
     // ------------------------------------------------------------------
-    // Epoch-compat mode: the event machinery replaying the legacy
-    // schedule. Per epoch e the setup pushes EpochTop(e) at t(e) and
-    // Sample(e) at t(e+1); push order makes Sample(e) dispatch before
-    // EpochTop(e+1) at their shared timestamp, so accounting for epoch
-    // e lands before epoch e+1 releases finished tenants — exactly the
-    // legacy statement order. The clock move from t(e) to t(e+1) runs
-    // the epoch's tenant slices in between.
+    // Epoch mode: per epoch e, the top (release, admit, arbitrate), one
+    // slice for every held tenant up to t(e+1), then epoch e's row.
     // ------------------------------------------------------------------
     void
-    runCompat()
+    runEpochs()
     {
         report_.epochs.reserve(offers_.size());
         for (std::size_t e = 0; e < offers_.size(); ++e) {
-            queue_.push(static_cast<double>(e) * epoch_s_,
-                        Event{Event::Kind::EpochTop, e});
-            queue_.push(static_cast<double>(e + 1) * epoch_s_,
-                        Event{Event::Kind::Sample, e});
-        }
-        while (!queue_.empty()) {
-            const auto entry = queue_.pop();
-            if (clock_.advanceTo(entry.time_s))
-                runSlices(); // To the deadlines EpochTop installed.
-            switch (entry.payload.kind) {
-            case Event::Kind::EpochTop:
-                epochTop(entry.payload.index);
-                break;
-            case Event::Kind::Sample:
-                sampleCompat();
-                break;
-            default:
-                throw std::logic_error(
-                    "event engine: unexpected event in compat mode");
-            }
+            epochTop(e);
+            runSlices();
+            sampleEpoch(e);
         }
     }
 
-    /** Legacy top-of-epoch: release, admit, arbitrate, write leases. */
+    /** Top of epoch e: release, admit, arbitrate, set slice ends. */
     void
     epochTop(std::size_t e)
     {
-        pending_ = EpochStats{};
-        pending_.epoch = e;
-
         // Tenants that completed during the previous epoch's slice
-        // release their machine slot now, feeding their observed-vs-
-        // predicted latency to the admission policy, and return to the
-        // pool.
+        // release their machine slot now; their QoS loss was folded
+        // when that epoch's row closed.
         std::size_t kept = 0;
         for (auto &tenant : active_) {
-            if (tenant->done) {
-                const JobRecord &record = tenant->probe->record();
-                scheduler_.noteCompletion(record.latency_s,
-                                          record.predicted_s);
-                scheduler_.release(tenant->machine_index);
-                ++pending_.completed;
-                pool_.release(std::move(tenant));
-            } else {
+            if (tenant->done)
+                releaseTenant(std::move(tenant));
+            else
                 active_[kept++] = std::move(tenant);
-            }
         }
         active_.resize(kept);
 
-        admit(offers_[e], e, pending_);
-
-        last_decision_ = arbiter_.arbitrate(cluster_, qos_feedback_);
-        scheduler_.noteArbitration(last_decision_);
-        const std::size_t generation = e + 1;
-        pending_.lease_generation = generation;
-        if (options_.arbitration_probe)
-            options_.arbitration_probe(ArbitrationSample{
-                static_cast<double>(e) * epoch_s_, generation,
-                last_decision_});
-        tracer_.arbitration(generation, last_decision_);
-        for (auto &tenant : active_) {
-            detail::writeLease(cluster_, *tenant, generation, e,
-                               last_decision_, tracer_);
-            // The legacy float expression, tenant-local: NOT
-            // t(e+1) - arrival_time, which rounds differently.
+        admit(e);
+        arbitrate(static_cast<double>(e) * epoch_s_, e);
+        for (auto &tenant : active_)
+            // Tenant-local, in exactly this float form (the goldens
+            // pin it): t(e+1) - arrival_time rounds differently.
             tenant->slice_deadline_s =
                 static_cast<double>(e - tenant->arrival_epoch + 1) *
                 epoch_s_;
-        }
     }
 
-    /** Legacy end-of-epoch accounting over the still-held tenants. */
+    /** Close epoch e's row over the still-held tenants. */
     void
-    sampleCompat()
+    sampleEpoch(std::size_t e)
     {
-        std::vector<double> machine_qos(cluster_.size(), 0.0);
-        std::vector<std::size_t> machine_jobs(cluster_.size(), 0);
-        double qos_sum = 0.0;
-        std::size_t finished = 0;
+        // Fleet heart rate = beats delivered during this epoch's
+        // slices over the epoch length, so a cross-epoch tenant
+        // contributes each beat to exactly one epoch. Jobs that
+        // finished this epoch feed their QoS loss back to the arbiter.
+        double fleet_rate = 0.0;
         for (const auto &tenant : active_) {
             const std::size_t beats = tenant->probe->record().beats;
-            pending_.fleet_rate +=
+            fleet_rate +=
                 static_cast<double>(beats - tenant->beats_reported) /
                 epoch_s_;
             tenant->beats_reported = beats;
-            if (tenant->done) {
-                const JobRecord &record = tenant->probe->record();
-                machine_qos[tenant->machine_index] += record.qos_loss;
-                ++machine_jobs[tenant->machine_index];
-                qos_sum += record.qos_loss;
-                ++finished;
-            }
+            if (tenant->done)
+                noteQos(*tenant);
         }
-        for (std::size_t m = 0; m < cluster_.size(); ++m)
-            if (machine_jobs[m] > 0)
-                qos_feedback_[m] = machine_qos[m] /
-                    static_cast<double>(machine_jobs[m]);
-
-        pending_.active = cluster_.totalActive();
-        pending_.watts = cluster_.dynamicWatts();
-        pending_.mean_qos_loss = finished == 0
-            ? 0.0
-            : qos_sum / static_cast<double>(finished);
-        pending_.max_pause_ratio = *std::max_element(
-            last_decision_.pause_ratio.begin(),
-            last_decision_.pause_ratio.end());
-        report_.epochs.push_back(pending_);
+        commitQos();
+        closeWindow(e, fleet_rate);
     }
 
     // ------------------------------------------------------------------
@@ -235,7 +201,7 @@ class EventServe
     // nothing — an idle fleet costs no events at all.
     // ------------------------------------------------------------------
     void
-    runEvent()
+    runEvents()
     {
         const std::size_t n = offers_.size();
         horizon_s_ = static_cast<double>(n) * epoch_s_;
@@ -254,7 +220,6 @@ class EventServe
                         Event{Event::Kind::Sample, w});
         }
         report_.epochs.reserve((n + stride - 1) / stride);
-        window_ = EpochStats{};
 
         while (!queue_.empty()) {
             const auto entry = queue_.pop();
@@ -265,7 +230,7 @@ class EventServe
             switch (entry.payload.kind) {
             case Event::Kind::Arrivals:
                 // Releases settle before admissions at equal times,
-                // like the legacy epoch top.
+                // like the epoch top.
                 processCompletions();
                 arrivalsAt(entry.payload.index);
                 break;
@@ -282,15 +247,12 @@ class EventServe
             case Event::Kind::Arbitrate:
                 arbitrate_pending_ = false;
                 processCompletions();
-                arbitrateNow();
+                arbitrate(clock_.now(), epochOf(clock_.now()));
                 break;
             case Event::Kind::Sample:
                 processCompletions();
                 sampleWindow(entry.payload.index);
                 break;
-            default:
-                throw std::logic_error(
-                    "event engine: unexpected event in event mode");
             }
         }
     }
@@ -302,8 +264,7 @@ class EventServe
         // assignJob stamps arrival_time_s = t(e), which is bitwise
         // clock_.now() here (advanceTo installs the event time
         // exactly).
-        const std::size_t admitted = admit(offers_[e], e, window_);
-        if (admitted == 0)
+        if (admit(e) == 0)
             return;
         requestArbitration();
         scheduleQuantum();
@@ -311,32 +272,21 @@ class EventServe
 
     /**
      * Sweep tenants that finished during the latest advancement:
-     * count them into the open stats window, feed their QoS loss back
-     * to the arbiter, release their machine slots, and return them to
-     * the pool (their records are already committed in the hub) —
-     * then ask for a re-price, since occupancy changed. Idempotent;
-     * any same-time handler may call it before the Completion event
-     * pops.
+     * attribute their undelivered beats and QoS loss to the open
+     * window, release them, and publish the QoS feedback — then ask
+     * for a re-price, since occupancy changed. Idempotent; any
+     * same-time handler may call it before the Completion event pops.
      */
     void
     processCompletions()
     {
-        std::vector<double> machine_qos(cluster_.size(), 0.0);
-        std::vector<std::size_t> machine_jobs(cluster_.size(), 0);
         std::size_t kept = 0;
         for (auto &tenant : active_) {
             if (tenant->done) {
-                const JobRecord &record = tenant->probe->record();
-                ++window_.completed;
-                window_beats_ += record.beats - tenant->beats_reported;
-                machine_qos[tenant->machine_index] += record.qos_loss;
-                ++machine_jobs[tenant->machine_index];
-                window_qos_sum_ += record.qos_loss;
-                ++window_finished_;
-                scheduler_.noteCompletion(record.latency_s,
-                                          record.predicted_s);
-                scheduler_.release(tenant->machine_index);
-                pool_.release(std::move(tenant));
+                window_beats_ +=
+                    tenant->probe->record().beats - tenant->beats_reported;
+                noteQos(*tenant);
+                releaseTenant(std::move(tenant));
             } else {
                 active_[kept++] = std::move(tenant);
             }
@@ -344,29 +294,8 @@ class EventServe
         if (kept == active_.size())
             return;
         active_.resize(kept);
-        for (std::size_t m = 0; m < cluster_.size(); ++m)
-            if (machine_jobs[m] > 0)
-                qos_feedback_[m] = machine_qos[m] /
-                    static_cast<double>(machine_jobs[m]);
+        commitQos();
         requestArbitration();
-    }
-
-    /** One coalesced lease rewrite at the current virtual time. */
-    void
-    arbitrateNow()
-    {
-        last_decision_ = arbiter_.arbitrate(cluster_, qos_feedback_);
-        scheduler_.noteArbitration(last_decision_);
-        ++generation_;
-        if (options_.arbitration_probe)
-            options_.arbitration_probe(ArbitrationSample{
-                clock_.now(), generation_, last_decision_});
-        tracer_.at(clock_.now());
-        tracer_.arbitration(generation_, last_decision_);
-        const std::size_t epoch = epochOf(clock_.now());
-        for (auto &tenant : active_)
-            detail::writeLease(cluster_, *tenant, generation_, epoch,
-                               last_decision_, tracer_);
     }
 
     /** Close stats window @p w covering [w*stride, w*stride+stride). */
@@ -383,28 +312,9 @@ class EventServe
             window_beats_ += beats - tenant->beats_reported;
             tenant->beats_reported = beats;
         }
-
-        EpochStats row = window_;
-        row.epoch = start;
-        row.lease_generation = generation_;
-        row.fleet_rate = static_cast<double>(window_beats_) /
-            (static_cast<double>(end - start) * epoch_s_);
-        row.active = cluster_.totalActive();
-        row.watts = cluster_.dynamicWatts();
-        row.mean_qos_loss = window_finished_ == 0
-            ? 0.0
-            : window_qos_sum_ /
-                static_cast<double>(window_finished_);
-        row.max_pause_ratio = last_decision_.pause_ratio.empty()
-            ? 0.0
-            : *std::max_element(last_decision_.pause_ratio.begin(),
-                                last_decision_.pause_ratio.end());
-        report_.epochs.push_back(row);
-
-        window_ = EpochStats{};
-        window_beats_ = 0;
-        window_qos_sum_ = 0.0;
-        window_finished_ = 0;
+        closeWindow(start,
+                    static_cast<double>(window_beats_) /
+                        (static_cast<double>(end - start) * epoch_s_));
     }
 
     void
@@ -463,26 +373,25 @@ class EventServe
     }
 
     // ------------------------------------------------------------------
-    // Shared with both modes (and bit-identical to the epoch loop).
+    // Shared by both schedules.
     // ------------------------------------------------------------------
 
     /**
-     * Serial admission of @p offered jobs arriving at epoch @p e, with
-     * shed accounting into @p stats, each admitted job assigned to a
+     * Serial admission of the jobs offered at epoch @p e, with shed
+     * accounting into the open window, each admitted job assigned to a
      * tenant from the pool.
      * @return Jobs actually admitted (appended to active_, in order).
      */
     std::size_t
-    admit(const std::vector<workload::OfferedJob> &offered,
-          std::size_t e, EpochStats &stats)
+    admit(std::size_t e)
     {
         tracer_.at(static_cast<double>(e) * epoch_s_);
         const std::size_t shed_before = scheduler_.shedCount();
         const auto placements = detail::admitOffers(
-            scheduler_, offered, next_job_, next_offer_, tracer_);
-        stats.arrivals += placements.size();
+            scheduler_, offers_[e], next_job_, next_offer_, tracer_);
+        window_.arrivals += placements.size();
         const std::size_t shed = scheduler_.shedCount() - shed_before;
-        stats.shed += shed;
+        window_.shed += shed;
         report_.total_shed += shed;
 
         for (const auto &[admission, offer] : placements)
@@ -490,6 +399,105 @@ class EventServe
                 cluster_, admission, *offer, next_job_++, e,
                 static_cast<double>(e) * epoch_s_));
         return placements.size();
+    }
+
+    /**
+     * One arbitration round at virtual time @p t: the arbiter prices
+     * the current occupancy and QoS feedback, and every held tenant's
+     * lease takes the new terms under a fresh generation, tagged with
+     * epoch @p epoch. Each tenant's gate applies them at its next beat.
+     */
+    void
+    arbitrate(double t, std::size_t epoch)
+    {
+        last_decision_ = arbiter_.arbitrate(cluster_, qos_feedback_);
+        scheduler_.noteArbitration(last_decision_);
+        ++generation_;
+        if (options_.arbitration_probe)
+            options_.arbitration_probe(
+                ArbitrationSample{t, generation_, last_decision_});
+        tracer_.at(t);
+        tracer_.arbitration(generation_, last_decision_);
+        for (auto &tenant : active_)
+            detail::writeLease(cluster_, *tenant, generation_, epoch,
+                               last_decision_, tracer_);
+    }
+
+    /**
+     * Release a finished tenant: count it into the open window, feed
+     * its observed-vs-predicted latency to the admission policy, free
+     * its machine slot, and return it to the pool (its record is
+     * already committed in the hub).
+     */
+    void
+    releaseTenant(std::unique_ptr<Tenant> tenant)
+    {
+        const JobRecord &record = tenant->probe->record();
+        ++window_.completed;
+        scheduler_.noteCompletion(record.latency_s, record.predicted_s);
+        scheduler_.release(tenant->machine_index);
+        pool_.release(std::move(tenant));
+    }
+
+    /** Fold a finished tenant's QoS loss into its machine's pending
+     *  feedback and the open window's mean. */
+    void
+    noteQos(const Tenant &tenant)
+    {
+        const double loss = tenant.probe->record().qos_loss;
+        machine_qos_[tenant.machine_index] += loss;
+        ++machine_jobs_[tenant.machine_index];
+        window_qos_sum_ += loss;
+        ++window_finished_;
+    }
+
+    /**
+     * Publish the folded QoS to the arbiter: every machine with a
+     * finisher since the last commit feeds back its finishers' mean
+     * loss; machines with none keep their last-known loss, so the
+     * signal persists across idle gaps rather than flickering to zero.
+     */
+    void
+    commitQos()
+    {
+        for (std::size_t m = 0; m < machine_jobs_.size(); ++m) {
+            if (machine_jobs_[m] == 0)
+                continue;
+            qos_feedback_[m] =
+                machine_qos_[m] / static_cast<double>(machine_jobs_[m]);
+            machine_qos_[m] = 0.0;
+            machine_jobs_[m] = 0;
+        }
+    }
+
+    /**
+     * Close the open window as the report row starting at epoch
+     * @p epoch, with @p fleet_rate heartbeats per second, and open the
+     * next.
+     */
+    void
+    closeWindow(std::size_t epoch, double fleet_rate)
+    {
+        EpochStats row = window_;
+        row.epoch = epoch;
+        row.lease_generation = generation_;
+        row.fleet_rate = fleet_rate;
+        row.active = cluster_.totalActive();
+        row.watts = cluster_.dynamicWatts();
+        row.mean_qos_loss = window_finished_ == 0
+            ? 0.0
+            : window_qos_sum_ /
+                static_cast<double>(window_finished_);
+        row.max_pause_ratio = last_decision_.pause_ratio.empty()
+            ? 0.0
+            : *std::max_element(last_decision_.pause_ratio.begin(),
+                                last_decision_.pause_ratio.end());
+        report_.epochs.push_back(row);
+
+        window_ = EpochStats{};
+        window_beats_ = 0;
+        window_qos_sum_ = 0.0;
+        window_finished_ = 0;
     }
 
     /**
@@ -507,7 +515,6 @@ class EventServe
                     });
     }
 
-    const core::ResponseModel &model_;
     const ServerOptions &options_;
     const std::vector<std::vector<workload::OfferedJob>> &offers_;
 
@@ -519,43 +526,43 @@ class EventServe
     FleetTracer tracer_;
     detail::TenantPool pool_;
 
-    sim::VirtualClock clock_;
-    EventQueue<Event> queue_;
-
-    std::vector<double> qos_feedback_;
     std::vector<std::unique_ptr<Tenant>> active_; // In job order.
     FleetReport report_;
     std::size_t next_job_ = 0;
     std::size_t next_offer_ = 0;
     double epoch_s_ = 0.0;
 
-    // Compat-mode state.
-    EpochStats pending_{};
-    ArbitrationDecision last_decision_{};
-
-    // Event-mode state.
-    double horizon_s_ = 0.0;
-    double quantum_s_ = 0.0;
+    // Arbitration and its per-machine QoS feedback; noteQos folds into
+    // the two scratch vectors, commitQos publishes and clears them.
     std::size_t generation_ = 0;
-    bool quantum_pending_ = false;
-    bool arbitrate_pending_ = false;
-    bool completion_pending_ = false;
+    ArbitrationDecision last_decision_{};
+    std::vector<double> qos_feedback_;
+    std::vector<double> machine_qos_;
+    std::vector<std::size_t> machine_jobs_;
+
+    // The open stats window: one epoch under the epoch schedule,
+    // sample_stride epochs under the event schedule.
     EpochStats window_{};
     std::size_t window_beats_ = 0;
     double window_qos_sum_ = 0.0;
     std::size_t window_finished_ = 0;
+
+    // Event-schedule state.
+    sim::VirtualClock clock_;
+    EventQueue<Event> queue_;
+    double horizon_s_ = 0.0;
+    double quantum_s_ = 0.0;
+    bool quantum_pending_ = false;
+    bool arbitrate_pending_ = false;
+    bool completion_pending_ = false;
 };
 
 } // namespace
 
 FleetReport
-serveEventDriven(const core::App &app, const core::KnobTable &table,
-                 const core::ResponseModel &model,
-                 const ServerOptions &options,
-                 const std::vector<std::vector<workload::OfferedJob>>
-                     &offers)
+Server::serve(const std::vector<std::vector<workload::OfferedJob>> &offers)
 {
-    return EventServe(app, table, model, options, offers).run();
+    return EventServe(*app_, *table_, *model_, options_, offers).run();
 }
 
 } // namespace powerdial::fleet

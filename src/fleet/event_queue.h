@@ -7,7 +7,7 @@
  * order. This queue makes that order *total and stable*: every push
  * stamps the event with a monotonically increasing sequence id, and
  * pop() always returns the entry with the smallest (time, seq) pair.
- * Two consequences the fleet engine (and its differential tests)
+ * Two consequences the fleet engine (and its thread-count tests)
  * depend on:
  *
  *   - ties are impossible: events scheduled for the same virtual time

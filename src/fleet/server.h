@@ -60,18 +60,18 @@ class TraceSink;
 namespace powerdial::fleet {
 
 /**
- * Which engine drives the serve.
+ * Which schedule drives the serve.
  *
- * Epoch is the legacy synchronous round loop: every epoch advances
- * every tenant one slice and runs one arbitration round, whether or
- * not anything changed. Event is the discrete-event engine
- * (src/fleet/event_engine.cc): a priority queue of typed events —
- * arrivals, beat-quantum expiries, completions, lease rewrites, trace
- * samples — ordered by (virtual time, stable sequence id), with
- * arbitration fired by state changes rather than by the epoch clock.
- * The event engine configured with EventEngineOptions::epoch_compat
- * reproduces the epoch loop's FleetReport bit for bit
- * (tests/test_fleet_event_engine.cc pins this differentially).
+ * Epoch is the synchronous round loop: every epoch advances every
+ * tenant one slice and runs one arbitration round, whether or not
+ * anything changed. Event is the discrete-event engine: a priority
+ * queue of typed events — arrivals, beat-quantum expiries,
+ * completions, lease rewrites, trace samples — ordered by (virtual
+ * time, stable sequence id), with arbitration fired by state changes
+ * rather than by the epoch clock. Both run in one per-serve state
+ * (src/fleet/event_engine.cc) and share admission, arbitration, tenant
+ * release, QoS feedback, and report finalisation; they differ only in
+ * when those steps run.
  */
 enum class EngineMode
 {
@@ -79,28 +79,21 @@ enum class EngineMode
     Event,
 };
 
-/** Tuning for EngineMode::Event. */
+/** Tuning for EngineMode::Event (ignored under EngineMode::Epoch). */
 struct EventEngineOptions
 {
     /**
-     * Restrict the event engine to epoch-cadence triggers only: one
-     * lease-rewrite and one trace-sample event per epoch, quantum
-     * equal to the epoch — the discrete-event machinery replaying the
-     * legacy schedule exactly. The resulting FleetReport is
-     * bit-identical to EngineMode::Epoch; differential tests run both
-     * and compare. Requires the defaults for the fields below.
-     */
-    bool epoch_compat = false;
-    /**
      * Beat-quantum: the longest the engine lets virtual time run
      * between visits to an active tenant, bounding how stale a
-     * completion can go unnoticed. <= 0 (default) means one epoch.
+     * completion can go unnoticed. 0 (default) means one epoch; must
+     * be finite and >= 0.
      */
     double quantum_seconds = 0.0;
     /**
      * Emit one EpochStats row per this many epochs (trace-sample
-     * events). 1 = every epoch, like the legacy loop; larger strides
-     * keep the report small for 10^4+-epoch scale runs. Must be >= 1.
+     * events). 1 = every epoch, like the epoch schedule; larger
+     * strides keep the report small for 10^4+-epoch scale runs. Must
+     * be >= 1.
      */
     std::size_t sample_stride = 1;
 };
@@ -173,6 +166,7 @@ struct ServerOptions
     /**
      * Virtual seconds per scheduling epoch; <= 0 means the calibrated
      * baseline job duration (so an unloaded job spans ~one epoch).
+     * Must be finite.
      */
     double epoch_seconds = 0.0;
     /** Cluster power-cap arbitration. */

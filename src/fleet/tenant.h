@@ -1,15 +1,15 @@
 /**
  * @file
- * Tenant bookkeeping shared by the two fleet engines.
+ * Tenant bookkeeping for the fleet serve (event_engine.cc).
  *
- * The epoch loop (server.cc) and the discrete-event engine
- * (event_engine.cc) must construct tenants — and summarise finished
- * runs — through *identical* code paths, or their reports could drift
- * apart in ways the differential tests would then chase through two
- * divergent copies. This header is that single path: the recyclable
- * Tenant slot and its per-serve pool, the lease gate that wires a
- * tenant's lease into its session, the slice step, and the report
+ * Both schedules of the serve — epoch and event — construct tenants,
+ * admit, rewrite leases, and summarise finished runs through the
+ * helpers here: the recyclable Tenant slot and its per-serve pool, the
+ * lease gate that wires a tenant's lease into its session, the slice
+ * step, serial admission, the lease rewrite, and the report
  * finalisation that turns drained job records into fleet aggregates.
+ * The tenant pieces live in a header so tests can drive a tenant
+ * directly.
  */
 #ifndef POWERDIAL_FLEET_TENANT_H
 #define POWERDIAL_FLEET_TENANT_H

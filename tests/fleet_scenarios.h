@@ -1,14 +1,14 @@
 /**
  * @file
- * Shared scenario machinery for the fleet engine tests.
+ * Shared scenario machinery for the fleet tests.
  *
- * The differential harness (test_fleet_event_engine.cc) and the fleet
- * subsystem tests (test_fleet.cc) must agree on three things: how a
- * test pipeline is built, what "identical FleetReports" means (every
- * field, not a summary hash), and how a seeded scenario maps to server
- * options + an arrival trace. Keeping all three here means a
- * differential failure in one suite is reproducible from its seed in
- * the other.
+ * The fleet suites (test_fleet.cc, test_fleet_event_engine.cc,
+ * test_fleet_admission.cc, test_hetero.cc, test_obs_trace.cc) agree on
+ * three things: how a test pipeline is built, what "identical
+ * FleetReports" means (every field, not a summary hash), and how a
+ * seeded scenario maps to server options + an arrival trace. Keeping
+ * all three here means a failure in one suite is reproducible from its
+ * seed in the others.
  */
 #ifndef POWERDIAL_TESTS_FLEET_SCENARIOS_H
 #define POWERDIAL_TESTS_FLEET_SCENARIOS_H
@@ -74,8 +74,8 @@ expectJobRecordsIdentical(const JobRecord &a, const JobRecord &b)
 /**
  * Assert two FleetReports are identical field for field — exact
  * (bit-level) equality on every double, no tolerances. Wrap calls in
- * SCOPED_TRACE with the scenario seed so a differential failure
- * prints its reproducer.
+ * SCOPED_TRACE with the scenario seed so a failure prints its
+ * reproducer.
  */
 inline void
 expectReportsIdentical(const FleetReport &a, const FleetReport &b)
@@ -159,7 +159,7 @@ expectReportsIdentical(const FleetReport &a, const FleetReport &b)
     EXPECT_EQ(a.p99_latency_s, b.p99_latency_s);
 }
 
-/** One seeded differential scenario: options + an arrival trace. */
+/** One seeded scenario: options + an arrival trace. */
 struct FleetScenario
 {
     ServerOptions options; //!< engine = Epoch; callers flip the mode.

@@ -38,12 +38,10 @@ using tests::makePipeline;
 
 FleetReport
 serveScenario(const tests::Pipeline &p, const FleetScenario &scenario,
-              EngineMode engine, bool epoch_compat = false,
-              std::size_t threads = 1)
+              EngineMode engine, std::size_t threads = 1)
 {
     ServerOptions options = scenario.options;
     options.engine = engine;
-    options.event.epoch_compat = epoch_compat;
     options.threads = threads;
     Server server(p.app, p.table, p.model, options);
     return server.serve(scenario.arrivals);
@@ -72,14 +70,15 @@ TEST(AdmissionSeam, ExplicitQueueDepthMatchesDefaultAcrossSweep)
         expectReportsIdentical(
             base, serveScenario(p, explicit_policy, EngineMode::Epoch));
         expectReportsIdentical(
-            base, serveScenario(p, explicit_policy, EngineMode::Epoch,
-                                false, 4));
+            base, serveScenario(p, explicit_policy, EngineMode::Epoch, 4));
+        const FleetReport event_base =
+            serveScenario(p, scenario, EngineMode::Event);
         expectReportsIdentical(
-            base, serveScenario(p, explicit_policy, EngineMode::Event,
-                                true));
+            event_base,
+            serveScenario(p, explicit_policy, EngineMode::Event));
         expectReportsIdentical(
-            base, serveScenario(p, explicit_policy, EngineMode::Event,
-                                true, 4));
+            event_base,
+            serveScenario(p, explicit_policy, EngineMode::Event, 4));
         if (::testing::Test::HasFailure())
             break; // One seed's full diff is enough output.
     }
@@ -254,8 +253,7 @@ TEST(PredictiveAdmission, BitIdenticalAcrossThreadsAndEngines)
     // The margin feedback (noteCompletion) and lease context
     // (noteArbitration) are fed serially in virtual-time order by both
     // engines, so an SLO-aware serve over a flash-crowd schedule must
-    // replay bit-identically at any thread count and across the
-    // epoch/event-compat pair.
+    // replay bit-identically at any thread count on either engine.
     auto p = makePipeline();
     const auto offers = makeOverloadSchedule(p);
 
@@ -266,22 +264,23 @@ TEST(PredictiveAdmission, BitIdenticalAcrossThreadsAndEngines)
     options.admission = makePredictiveAdmission();
     options.arbiter.cluster_cap_watts = 130.0;
 
-    auto serve = [&](EngineMode engine, bool compat,
-                     std::size_t threads) {
+    auto serve = [&](EngineMode engine, std::size_t threads) {
         ServerOptions o = options;
         o.engine = engine;
-        o.event.epoch_compat = compat;
         o.threads = threads;
         Server server(p.app, p.table, p.model, o);
         return server.serve(offers);
     };
 
-    const FleetReport base = serve(EngineMode::Epoch, false, 1);
-    ASSERT_GT(base.total_jobs, 0u);
-    ASSERT_GT(base.total_shed, 0u) << "flash crowd must overload";
-    expectReportsIdentical(base, serve(EngineMode::Epoch, false, 4));
-    expectReportsIdentical(base, serve(EngineMode::Event, true, 1));
-    expectReportsIdentical(base, serve(EngineMode::Event, true, 4));
+    for (const EngineMode engine : {EngineMode::Epoch, EngineMode::Event}) {
+        SCOPED_TRACE(::testing::Message()
+                     << "engine="
+                     << (engine == EngineMode::Epoch ? "epoch" : "event"));
+        const FleetReport base = serve(engine, 1);
+        ASSERT_GT(base.total_jobs, 0u);
+        ASSERT_GT(base.total_shed, 0u) << "flash crowd must overload";
+        expectReportsIdentical(base, serve(engine, 4));
+    }
 }
 
 } // namespace

@@ -1,23 +1,16 @@
 /**
  * @file
- * Differential harness for the discrete-event fleet engine.
+ * Properties of the discrete-event fleet engine.
  *
- * The engine's correctness story has two legs, both pinned here:
- *
- *   1. *Differential*: in epoch-compat mode the event engine must
- *      reproduce the legacy epoch loop's FleetReport bit for bit —
- *      every epoch row, every job record, every aggregate — across a
- *      randomized sweep of seeded scenarios (machines, tenant mixes,
- *      Poisson rates, queue depths, epoch fractions, all three
- *      arbiter policies). Failures print the reproducing seed.
- *
- *   2. *Invariants*: in full event mode (where reports legitimately
- *      differ from the epoch loop) every serve must still conserve
- *      jobs (admitted = completed + drained), keep per-machine power
- *      budgets summing to the cluster cap after every arbitration
- *      event, fire arbitrations at monotone non-decreasing times with
- *      strictly increasing lease generations, and stay bit-identical
- *      across thread counts.
+ * Its reports legitimately differ from the epoch schedule's (arbitration
+ * fires on state changes, not on the epoch clock), so the engine is
+ * pinned by invariants instead: every serve must conserve jobs
+ * (admitted = completed + drained), keep per-machine power budgets
+ * summing to the cluster cap after every arbitration event, fire
+ * arbitrations at monotone non-decreasing times with strictly
+ * increasing lease generations, and stay bit-identical across thread
+ * counts — plus its sampling, quantum, and validation behaviour, and
+ * the tenant pool both schedules recycle tenants through.
  */
 #include <gtest/gtest.h>
 
@@ -28,6 +21,7 @@
 #include <memory>
 #include <numeric>
 #include <sstream>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -48,12 +42,10 @@ using tests::makePipeline;
 /** Serve one scenario under the given engine mode. */
 FleetReport
 serveScenario(const tests::Pipeline &p, const FleetScenario &scenario,
-              EngineMode engine, bool epoch_compat = false,
-              std::size_t threads = 1)
+              EngineMode engine, std::size_t threads = 1)
 {
     ServerOptions options = scenario.options;
     options.engine = engine;
-    options.event.epoch_compat = epoch_compat;
     options.threads = threads;
     Server server(p.app, p.table, p.model, options);
     return server.serve(scenario.arrivals);
@@ -69,45 +61,14 @@ completedAcrossEpochs(const FleetReport &report)
 }
 
 // ---------------------------------------------------------------------
-// Differential: epoch loop vs event engine in epoch-compat mode.
+// Shed accounting on the epoch schedule.
 // ---------------------------------------------------------------------
-
-TEST(EventEngineDifferential, CompatMatchesEpochOnSpikeScenario)
-{
-    auto p = makePipeline();
-    const FleetScenario scenario = makeFleetScenario(
-        42, p.model.baselineSeconds(), p.app.productionInputs());
-    expectReportsIdentical(
-        serveScenario(p, scenario, EngineMode::Epoch),
-        serveScenario(p, scenario, EngineMode::Event, true));
-}
-
-TEST(EventEngineDifferential, RandomizedSweepFiftySeeds)
-{
-    auto p = makePipeline();
-    const double baseline_s = p.model.baselineSeconds();
-    const auto inputs = p.app.productionInputs();
-    for (std::uint64_t seed = 1; seed <= 50; ++seed) {
-        SCOPED_TRACE(::testing::Message()
-                     << "reproduce with makeFleetScenario(seed="
-                     << seed << ")");
-        const FleetScenario scenario =
-            makeFleetScenario(seed, baseline_s, inputs);
-        expectReportsIdentical(
-            serveScenario(p, scenario, EngineMode::Epoch),
-            serveScenario(p, scenario, EngineMode::Event, true));
-        if (::testing::Test::HasFailure())
-            break; // One seed's full diff is enough output.
-    }
-}
 
 TEST(EventEngineDifferential, CompatShedAccountingMatchesEpochEngine)
 {
-    // Satellite: shed accounting under pressure. A 1-machine fleet
-    // with a tight queue bound and a hot trace must shed, and the
-    // sheds must agree between engines in total, per machine, per
-    // epoch row, and in lease-generation context (the full row
-    // comparison covers generation tags).
+    // Shed accounting under pressure on the epoch schedule: a
+    // 1-machine fleet with a tight queue bound and a hot trace must
+    // shed, and every shed is attributed to a machine.
     auto p = makePipeline();
     FleetScenario scenario = makeFleetScenario(
         7, p.model.baselineSeconds(), p.app.productionInputs());
@@ -118,28 +79,11 @@ TEST(EventEngineDifferential, CompatShedAccountingMatchesEpochEngine)
 
     const FleetReport epoch =
         serveScenario(p, scenario, EngineMode::Epoch);
-    const FleetReport compat =
-        serveScenario(p, scenario, EngineMode::Event, true);
     ASSERT_GT(epoch.total_shed, 0u);
-    EXPECT_EQ(epoch.total_shed, compat.total_shed);
-    EXPECT_EQ(epoch.shed_by_machine, compat.shed_by_machine);
-    expectReportsIdentical(epoch, compat);
-
-    // Attribution is complete: per-machine sheds sum to the total.
     const std::size_t attributed =
         std::accumulate(epoch.shed_by_machine.begin(),
                         epoch.shed_by_machine.end(), std::size_t{0});
     EXPECT_EQ(attributed, epoch.total_shed);
-}
-
-TEST(EventEngineDifferential, CompatIsBitIdenticalAcrossThreadCounts)
-{
-    auto p = makePipeline();
-    const FleetScenario scenario = makeFleetScenario(
-        11, p.model.baselineSeconds(), p.app.productionInputs());
-    expectReportsIdentical(
-        serveScenario(p, scenario, EngineMode::Event, true, 1),
-        serveScenario(p, scenario, EngineMode::Event, true, 4));
 }
 
 // ---------------------------------------------------------------------
@@ -221,8 +165,10 @@ TEST(EventEngineInvariants, ArbitrationEventsAreMonotone)
     // both engine modes.
     auto p = makePipeline();
     const auto inputs = p.app.productionInputs();
-    for (const bool compat : {false, true}) {
-        SCOPED_TRACE(::testing::Message() << "compat=" << compat);
+    for (const EngineMode engine : {EngineMode::Epoch, EngineMode::Event}) {
+        SCOPED_TRACE(::testing::Message()
+                     << "engine="
+                     << (engine == EngineMode::Epoch ? "epoch" : "event"));
         FleetScenario scenario = makeFleetScenario(
             21, p.model.baselineSeconds(), inputs);
         double last_time = -1.0;
@@ -237,8 +183,7 @@ TEST(EventEngineInvariants, ArbitrationEventsAreMonotone)
                 last_generation = sample.generation;
             };
         ServerOptions options = scenario.options;
-        options.engine = EngineMode::Event;
-        options.event.epoch_compat = compat;
+        options.engine = engine;
         Server server(p.app, p.table, p.model, options);
         server.serve(scenario.arrivals);
         EXPECT_GT(rounds, 0u);
@@ -254,8 +199,8 @@ TEST(EventEngineInvariants, EventModeIsBitIdenticalAcrossThreadCounts)
         const FleetScenario scenario = makeFleetScenario(
             seed, p.model.baselineSeconds(), inputs);
         expectReportsIdentical(
-            serveScenario(p, scenario, EngineMode::Event, false, 1),
-            serveScenario(p, scenario, EngineMode::Event, false, 4));
+            serveScenario(p, scenario, EngineMode::Event, 1),
+            serveScenario(p, scenario, EngineMode::Event, 4));
     }
 }
 
@@ -336,31 +281,44 @@ TEST(EventEngine, QuantumBoundsCompletionDiscoveryLatency)
     EXPECT_GT(fine, 0.0);
 }
 
+/** Assert the Server constructor rejects @p options at its boundary. */
+void
+expectRejected(const tests::Pipeline &p, const ServerOptions &options)
+{
+    try {
+        Server(p.app, p.table, p.model, options);
+        ADD_FAILURE() << "Server accepted invalid options";
+    } catch (const std::invalid_argument &error) {
+        EXPECT_EQ(std::string(error.what()).rfind("Server:", 0), 0u)
+            << error.what();
+    }
+}
+
 TEST(EventEngine, ValidatesEngineOptions)
 {
     auto p = makePipeline();
     ServerOptions options;
     options.event.sample_stride = 0;
-    EXPECT_THROW(Server(p.app, p.table, p.model, options),
-                 std::invalid_argument);
+    expectRejected(p, options);
 
     options = ServerOptions{};
     options.event.quantum_seconds = -1.0;
-    EXPECT_THROW(Server(p.app, p.table, p.model, options),
-                 std::invalid_argument);
+    expectRejected(p, options);
 
-    // Compat mode *is* the legacy schedule; a custom stride or
-    // quantum would contradict it.
-    options = ServerOptions{};
-    options.event.epoch_compat = true;
-    options.event.sample_stride = 2;
-    EXPECT_THROW(Server(p.app, p.table, p.model, options),
-                 std::invalid_argument);
-    options = ServerOptions{};
-    options.event.epoch_compat = true;
-    options.event.quantum_seconds = 0.5;
-    EXPECT_THROW(Server(p.app, p.table, p.model, options),
-                 std::invalid_argument);
+    // Non-finite serve timing: an infinite epoch would stamp NaN
+    // (0 x inf) trace times, and NaN compares false against every
+    // bound, so both fields reject anything non-finite up front.
+    const double inf = std::numeric_limits<double>::infinity();
+    const double nan = std::numeric_limits<double>::quiet_NaN();
+    for (const double bad : {inf, -inf, nan}) {
+        SCOPED_TRACE(::testing::Message() << "value " << bad);
+        options = ServerOptions{};
+        options.epoch_seconds = bad;
+        expectRejected(p, options);
+        options = ServerOptions{};
+        options.event.quantum_seconds = bad;
+        expectRejected(p, options);
+    }
 }
 
 TEST(EventEngine, IdleEpochsScheduleNoArbitration)

@@ -324,7 +324,6 @@ serveScenario(const tests::Pipeline &p, FleetScenario scenario,
 {
     ServerOptions options = scenario.options;
     options.engine = engine;
-    options.event.epoch_compat = engine == EngineMode::Event;
     options.threads = threads;
     if (through_catalog) {
         options.catalog =

@@ -3,9 +3,9 @@
  * The structured-trace subsystem (src/obs): sink fan-in determinism,
  * category/severity filtering, ring bounds, exporter well-formedness,
  * and the fleet differential — the trace byte stream out of a served
- * fleet must be identical at any thread count and across the epoch
- * and epoch-compat engines, and must carry enough decision context to
- * answer "why was job N shed?" from the file alone.
+ * fleet must be identical at any thread count on either engine, and
+ * must carry enough decision context to answer "why was job N shed?"
+ * from the file alone.
  *
  * The thread count for the parallel side comes from
  * POWERDIAL_TEST_THREADS (default 4), mirroring the calibration and
@@ -306,7 +306,7 @@ TEST(TraceSink, ParseCategories)
 
 // -------------------------------------------------------------------
 // Fleet differential: a served scenario's trace bytes must not depend
-// on the thread count or on which engine replays the epoch schedule.
+// on the thread count.
 // -------------------------------------------------------------------
 
 struct TracedServe
@@ -319,12 +319,11 @@ struct TracedServe
 
 TracedServe
 serveTraced(Pipeline &p, const FleetScenario &scenario,
-            EngineMode engine, bool epoch_compat, std::size_t threads)
+            EngineMode engine, std::size_t threads)
 {
     obs::TraceSink sink;
     ServerOptions options = scenario.options;
     options.engine = engine;
-    options.event.epoch_compat = epoch_compat;
     options.threads = threads;
     options.trace = &sink;
     Server server(p.app, p.table, p.model, options);
@@ -349,42 +348,16 @@ TEST(TraceDifferential, BytesIdenticalAcrossThreadCounts)
         SCOPED_TRACE(::testing::Message() << "seed " << seed);
         const auto scenario = makeFleetScenario(
             seed, baseline_s, p.app.productionInputs());
-        for (const bool compat : {false, true}) {
-            SCOPED_TRACE(::testing::Message()
-                         << (compat ? "event-compat" : "event"));
-            const auto serial = serveTraced(
-                p, scenario, EngineMode::Event, compat, 1);
-            const auto parallel = serveTraced(
-                p, scenario, EngineMode::Event, compat, threads);
+        for (const EngineMode engine :
+             {EngineMode::Event, EngineMode::Epoch}) {
+            SCOPED_TRACE(engine == EngineMode::Epoch ? "epoch" : "event");
+            const auto serial = serveTraced(p, scenario, engine, 1);
+            const auto parallel =
+                serveTraced(p, scenario, engine, threads);
             EXPECT_EQ(serial.chrome, parallel.chrome);
             EXPECT_EQ(serial.jsonl, parallel.jsonl);
             expectReportsIdentical(serial.report, parallel.report);
         }
-        const auto serial =
-            serveTraced(p, scenario, EngineMode::Epoch, false, 1);
-        const auto parallel = serveTraced(p, scenario,
-                                          EngineMode::Epoch, false,
-                                          threads);
-        EXPECT_EQ(serial.chrome, parallel.chrome);
-        EXPECT_EQ(serial.jsonl, parallel.jsonl);
-    }
-}
-
-TEST(TraceDifferential, EpochAndCompatEnginesEmitIdenticalTraces)
-{
-    auto p = makePipeline();
-    const double baseline_s = p.model.baselineSeconds();
-    for (std::uint64_t seed = 5; seed <= 8; ++seed) {
-        SCOPED_TRACE(::testing::Message() << "seed " << seed);
-        const auto scenario = makeFleetScenario(
-            seed, baseline_s, p.app.productionInputs());
-        const auto epoch =
-            serveTraced(p, scenario, EngineMode::Epoch, false, 1);
-        const auto compat =
-            serveTraced(p, scenario, EngineMode::Event, true, 1);
-        EXPECT_EQ(epoch.chrome, compat.chrome);
-        EXPECT_EQ(epoch.jsonl, compat.jsonl);
-        expectReportsIdentical(epoch.report, compat.report);
     }
 }
 
@@ -394,7 +367,7 @@ TEST(TraceDifferential, ExportsAreWellFormed)
     const auto scenario = makeFleetScenario(
         11, p.model.baselineSeconds(), p.app.productionInputs());
     const auto traced =
-        serveTraced(p, scenario, EngineMode::Event, false, 1);
+        serveTraced(p, scenario, EngineMode::Event, 1);
     ASSERT_FALSE(traced.records.empty());
     EXPECT_TRUE(JsonChecker::valid(traced.chrome));
 
@@ -416,7 +389,7 @@ TEST(TraceDifferential, StreamsAreMonotoneAndDrainIsSorted)
     const auto scenario = makeFleetScenario(
         12, p.model.baselineSeconds(), p.app.productionInputs());
     const auto traced =
-        serveTraced(p, scenario, EngineMode::Epoch, false, 1);
+        serveTraced(p, scenario, EngineMode::Epoch, 1);
     ASSERT_FALSE(traced.records.empty());
 
     // Global drain order: sorted by (time_s, stream, seq), no ties.
