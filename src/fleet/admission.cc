@@ -1,6 +1,7 @@
 #include "fleet/admission.h"
 
 #include <algorithm>
+#include <cmath>
 #include <stdexcept>
 #include <vector>
 
@@ -30,14 +31,19 @@ pickWithRoom(const AdmissionContext &context)
     std::size_t machine = verdict.policy_pick;
     const std::size_t depth = context.queue_depth;
     if (depth != 0 && context.cluster.activeOn(machine) >= depth) {
-        std::vector<std::size_t> room;
-        for (std::size_t i = 0; i < context.cluster.size(); ++i)
-            if (context.cluster.activeOn(i) < depth)
-                room.push_back(i);
-        if (room.empty()) {
+        // The occupancy index answers "is any machine below the
+        // bound?" without the scan: the room list is empty exactly
+        // when the least-loaded machine is at the bound.
+        if (context.cluster.minActive() >= depth) {
             verdict.shed_cause = "capacity";
             return verdict; // Cluster full: shed.
         }
+        const std::vector<std::size_t> &active =
+            context.cluster.activeCounts();
+        std::vector<std::size_t> room;
+        for (std::size_t i = 0; i < active.size(); ++i)
+            if (active[i] < depth)
+                room.push_back(i);
         machine = context.placement.pickAmong(context.cluster, room);
     }
     verdict.machine = machine;
@@ -64,9 +70,30 @@ class PredictiveAdmission final : public AdmissionPolicy
     explicit PredictiveAdmission(PredictiveAdmissionOptions options)
         : options_(options), margin_(options.initial_margin)
     {
+        // Written so that NaN, which fails every ordered comparison,
+        // fails each check too.
         if (options_.window == 0)
             throw std::invalid_argument(
                 "PredictiveAdmission: window must be >= 1");
+        for (const double margin :
+             {options_.initial_margin, options_.min_margin,
+              options_.max_margin})
+            if (!(std::isfinite(margin) && margin > 0.0))
+                throw std::invalid_argument(
+                    "PredictiveAdmission: margins must be finite and "
+                    "> 0");
+        if (options_.min_margin > options_.max_margin)
+            throw std::invalid_argument(
+                "PredictiveAdmission: min_margin exceeds max_margin");
+        if (!(std::isfinite(options_.class_headroom) &&
+              options_.class_headroom >= 0.0))
+            throw std::invalid_argument(
+                "PredictiveAdmission: class_headroom must be finite "
+                "and >= 0");
+        observed_.reserve(options_.window);
+        predicted_.reserve(options_.window);
+        sorted_observed_.reserve(options_.window);
+        sorted_predicted_.reserve(options_.window);
     }
 
     std::string name() const override { return "predictive-slo"; }
@@ -98,15 +125,22 @@ class PredictiveAdmission final : public AdmissionPolicy
     void
     noteCompletion(double observed_s, double predicted_s) override
     {
-        if (predicted_s <= 0.0 || observed_s < 0.0)
+        // Non-finite inputs are ignored: a NaN would break the sorted
+        // windows' order (the engines never produce one).
+        if (!(std::isfinite(observed_s) && std::isfinite(predicted_s)) ||
+            predicted_s <= 0.0 || observed_s < 0.0)
             return;
         if (observed_.size() < options_.window) {
             observed_.push_back(observed_s);
             predicted_.push_back(predicted_s);
         } else {
+            evict(sorted_observed_, observed_[next_]);
+            evict(sorted_predicted_, predicted_[next_]);
             observed_[next_] = observed_s;
             predicted_[next_] = predicted_s;
         }
+        insertSorted(sorted_observed_, observed_s);
+        insertSorted(sorted_predicted_, predicted_s);
         next_ = (next_ + 1) % options_.window;
         // Distribution-level calibration: the ratio of the window's
         // observed p95 to its predicted p95, not the p95 of per-job
@@ -117,20 +151,36 @@ class PredictiveAdmission final : public AdmissionPolicy
         // the window never refreshes. Comparing the two tails instead
         // measures how far the *distribution* of outcomes sits from
         // the distribution of promises, which is the miscalibration
-        // the margin is meant to correct.
-        std::vector<double> observed = observed_;
-        std::vector<double> predicted = predicted_;
-        std::sort(observed.begin(), observed.end());
-        std::sort(predicted.begin(), predicted.end());
-        const double predicted_p95 = percentileOf(predicted, 95.0);
+        // the margin is meant to correct. The sorted windows hold the
+        // same multisets as the rings, so both p95s are index reads.
+        const double predicted_p95 =
+            percentileOf(sorted_predicted_, 95.0);
         if (predicted_p95 <= 0.0)
             return;
-        margin_ = std::clamp(percentileOf(observed, 95.0) /
+        margin_ = std::clamp(percentileOf(sorted_observed_, 95.0) /
                                  predicted_p95,
                              options_.min_margin, options_.max_margin);
     }
 
   private:
+    /** Insert @p value into ascending @p sorted, keeping it sorted. */
+    static void
+    insertSorted(std::vector<double> &sorted, double value)
+    {
+        sorted.insert(
+            std::upper_bound(sorted.begin(), sorted.end(), value),
+            value);
+    }
+
+    /** Remove one element equal to @p value from ascending @p sorted
+     *  (it holds one: the ring slot being overwritten). */
+    static void
+    evict(std::vector<double> &sorted, double value)
+    {
+        sorted.erase(
+            std::lower_bound(sorted.begin(), sorted.end(), value));
+    }
+
     /**
      * Predicted completion latency of one more job on @p machine: the
      * calibrated baseline stretched by the slowdown the job would run
@@ -168,8 +218,13 @@ class PredictiveAdmission final : public AdmissionPolicy
 
     PredictiveAdmissionOptions options_;
     double margin_;
+    // The feedback window twice over: rings in completion order (to
+    // know what to evict) and the same values ascending (to read the
+    // p95s), each reserved to options_.window up front.
     std::vector<double> observed_;
     std::vector<double> predicted_;
+    std::vector<double> sorted_observed_;
+    std::vector<double> sorted_predicted_;
     std::size_t next_ = 0;
 };
 

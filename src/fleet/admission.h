@@ -131,8 +131,9 @@ class AdmissionPolicy
      * A job the policy admitted just completed: @p observed_s actual
      * latency against the @p predicted_s the policy returned at
      * admission (0 = it made no prediction). The feedback hook behind
-     * PredictiveAdmission's adaptive margin; called serially at
-     * release points, in virtual-time order, by both engines.
+     * PredictiveAdmission's adaptive margin, which ignores
+     * non-finite inputs; called serially at release points, in
+     * virtual-time order, by both engines.
      */
     virtual void noteCompletion(double observed_s, double predicted_s)
     {
@@ -155,7 +156,12 @@ using AdmissionFactory =
  */
 AdmissionFactory makeQueueDepthAdmission();
 
-/** PredictiveAdmission tuning. */
+/**
+ * PredictiveAdmission tuning. Constructing the policy throws
+ * std::invalid_argument for a zero window, a non-finite or
+ * non-positive margin, min_margin > max_margin, or a non-finite or
+ * negative class_headroom.
+ */
 struct PredictiveAdmissionOptions
 {
     /**

@@ -55,8 +55,7 @@ MetricsHub::Probe::finishOn(std::size_t worker,
 }
 
 MetricsHub::MetricsHub(std::size_t workers)
-    : shards_(workers == 0 ? 1 : workers),
-      self_probe_(*this, 0, JobRecord{})
+    : shards_(workers == 0 ? 1 : workers)
 {
 }
 
@@ -99,26 +98,6 @@ MetricsHub::drain()
                   return a.job < b.job;
               });
     return merged;
-}
-
-void
-MetricsHub::onRunStart(const core::RunStartEvent &event)
-{
-    self_probe_.onRunStart(event);
-}
-
-void
-MetricsHub::onBeat(const core::BeatEvent &event)
-{
-    self_probe_.onBeat(event);
-}
-
-void
-MetricsHub::onRunEnd(const core::ControlledRun &run)
-{
-    // Single-session use: no machine in scope, so energy stays 0.
-    self_probe_.onRunEnd(run);
-    commit(0, self_probe_.record_);
 }
 
 double

@@ -3,13 +3,14 @@
  * Aggregated metrics pipeline for the fleet serving subsystem.
  *
  * Every tenant session already streams per-beat events through the
- * core::RunObserver seam; the MetricsHub implements that observer
- * interface once, for the whole fleet, instead of each driver rolling
- * its own recorder. Tenants run concurrently on core::FanoutEngine
- * workers, so the hub keeps one shard per worker: a probe (the
- * per-tenant observer adapter) accumulates its tenant's beats locally
- * and commits one finished JobRecord into its worker's shard — each
- * shard is written by exactly one worker, so the fan-in is lock-free.
+ * core::RunObserver seam; the MetricsHub collects them once, for the
+ * whole fleet, instead of each bench or example rolling its own
+ * recorder. Each tenant's core::Session is observed by a Probe, the
+ * hub's per-tenant core::RunObserver adapter. Tenants run concurrently on
+ * core::FanoutEngine workers, so the hub keeps one shard per worker: a
+ * probe accumulates its tenant's beats locally and commits one
+ * finished JobRecord into its worker's shard — each shard is written
+ * by exactly one worker, so the fan-in is lock-free.
  * drain() merges the shards sorted by job id, which makes every
  * aggregate (fleet heart rate, total watts, per-tenant QoS loss,
  * latency percentiles) bit-identical at any thread count.
@@ -62,7 +63,7 @@ struct JobRecord
 /**
  * Lock-free fan-in of tenant-session events into per-worker shards.
  */
-class MetricsHub : public core::RunObserver
+class MetricsHub
 {
   public:
     /**
@@ -142,18 +143,10 @@ class MetricsHub : public core::RunObserver
      */
     std::vector<JobRecord> drain();
 
-    // One hub can also observe a single session directly (it is a
-    // RunObserver); events land in shard 0 as job 0. The fleet path
-    // uses probes instead.
-    void onRunStart(const core::RunStartEvent &event) override;
-    void onBeat(const core::BeatEvent &event) override;
-    void onRunEnd(const core::ControlledRun &run) override;
-
   private:
     void commit(std::size_t worker, const JobRecord &record);
 
     std::vector<std::vector<JobRecord>> shards_;
-    Probe self_probe_;
 };
 
 /**

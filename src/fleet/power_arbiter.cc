@@ -1,6 +1,7 @@
 #include "fleet/power_arbiter.h"
 
 #include <algorithm>
+#include <cmath>
 #include <limits>
 #include <stdexcept>
 
@@ -30,7 +31,12 @@ arbiterPolicyName(ArbiterPolicy policy)
 PowerArbiter::PowerArbiter(const ArbiterOptions &options)
     : options_(options)
 {
-    if (options_.feedback_gain < 0.0 || options_.feedback_gain > 1.0)
+    // Written so that NaN, which fails every ordered comparison,
+    // fails each check too.
+    if (!std::isfinite(options_.cluster_cap_watts))
+        throw std::invalid_argument(
+            "PowerArbiter: cluster cap must be finite (<= 0 = uncapped)");
+    if (!(options_.feedback_gain >= 0.0 && options_.feedback_gain <= 1.0))
         throw std::invalid_argument(
             "PowerArbiter: feedback gain must be in [0, 1]");
 }

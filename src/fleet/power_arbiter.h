@@ -45,12 +45,14 @@ const char *arbiterPolicyName(ArbiterPolicy policy);
 /** Arbitration parameters. */
 struct ArbiterOptions
 {
-    /** Cluster-wide power cap, watts. <= 0 means uncapped. */
+    /** Cluster-wide power cap, watts. <= 0 means uncapped; must be
+     *  finite (PowerArbiter's constructor rejects NaN and infinities). */
     double cluster_cap_watts = 0.0;
     ArbiterPolicy policy = ArbiterPolicy::Uniform;
     /**
      * QosFeedback only: fraction of a machine's budget that may move
-     * per epoch in response to the QoS-loss error, in [0, 1].
+     * per epoch in response to the QoS-loss error, in [0, 1] (NaN is
+     * rejected).
      */
     double feedback_gain = 0.5;
 };

@@ -15,14 +15,12 @@ class LeastLoadedPolicy final : public PlacementPolicy
   public:
     std::string name() const override { return "least-loaded"; }
 
+    /** The cluster's occupancy index already tracks the lowest-index
+     *  least-loaded machine. */
     std::size_t
     pick(const sim::Cluster &cluster) const override
     {
-        std::size_t best = 0;
-        for (std::size_t i = 1; i < cluster.size(); ++i)
-            if (cluster.activeOn(i) < cluster.activeOn(best))
-                best = i;
-        return best;
+        return cluster.leastLoaded();
     }
 
     // The base-class pickAmong is already least-loaded-among.

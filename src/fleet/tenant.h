@@ -143,11 +143,12 @@ makeTenant(const ServerOptions &options, const core::App &app,
  * resets every per-job field. The metrics probe is seeded from the
  * job's identity and offered metadata. An offer with the
  * kRoundRobinTenant sentinel resolves its input by the legacy
- * round-robin-on-job-id rule. The job's private machine is built from
- * @p host_config — the *class* configuration of the machine the job
- * was placed on (cluster.configOf(machine_index)), so a job landing on
- * a little node simulates little-node frequency, power, and speed
- * tables, not the fleet default's.
+ * round-robin-on-job-id rule. The job's private machine is reset in
+ * place (sim::Machine::reset, keeping its storage) to @p host_config —
+ * the *class* configuration of the machine the job was placed on
+ * (cluster.configOf(machine_index)), so a job landing on a little node
+ * simulates little-node frequency, power, and speed tables, not the
+ * fleet default's.
  */
 inline void
 assignJob(Tenant &t, const ServerOptions &options, MetricsHub &hub,
@@ -163,7 +164,7 @@ assignJob(Tenant &t, const ServerOptions &options, MetricsHub &hub,
     t.machine_index = machine_index;
     t.arrival_epoch = arrival_epoch;
     t.arrival_time_s = arrival_time_s;
-    t.machine = sim::Machine(host_config);
+    t.machine.reset(host_config);
     t.lease = ArbitrationLease{};
     t.applied_generation = 0;
     t.slice_deadline_s = 0.0;

@@ -37,7 +37,8 @@ Cluster::provision()
     machines_.reserve(class_of_.size());
     for (const std::size_t c : class_of_)
         machines_.emplace_back(catalog_.at(c).config);
-    active_.assign(class_of_.size(), 0);
+    words_ = (class_of_.size() + 63) / 64;
+    clearPlacement();
     heterogeneous_ = false;
     for (const std::size_t c : class_of_)
         if (c != class_of_.front())
@@ -52,15 +53,50 @@ Cluster::provision()
 void
 Cluster::place(std::size_t i)
 {
-    ++active_.at(i);
+    const std::size_t count = active_.at(i);
+    moveOccupancy(i, count, count + 1);
+    active_[i] = count + 1;
 }
 
 void
 Cluster::release(std::size_t i)
 {
-    if (active_.at(i) == 0)
+    const std::size_t count = active_.at(i);
+    if (count == 0)
         throw std::logic_error("Cluster: release on an idle machine");
-    --active_[i];
+    moveOccupancy(i, count, count - 1);
+    active_[i] = count - 1;
+}
+
+void
+Cluster::moveOccupancy(std::size_t i, std::size_t from, std::size_t to)
+{
+    if (to >= population_.size()) {
+        population_.resize(to + 1, 0);
+        occupancy_bits_.resize((to + 1) * words_, 0);
+    }
+    const std::uint64_t bit = std::uint64_t{1} << (i % 64);
+    occupancy_bits_[from * words_ + i / 64] &= ~bit;
+    occupancy_bits_[to * words_ + i / 64] |= bit;
+    --population_[from];
+    ++population_[to];
+    // Counts move by one, so the minimum moves down to a release's
+    // target, or up past a place's source once that count empties.
+    if (to < min_active_ ||
+        (from == min_active_ && population_[from] == 0))
+        min_active_ = to;
+}
+
+std::size_t
+Cluster::leastLoaded() const
+{
+    const std::uint64_t *bits =
+        occupancy_bits_.data() + min_active_ * words_;
+    for (std::size_t w = 0; w < words_; ++w)
+        if (bits[w] != 0)
+            return w * 64 +
+                static_cast<std::size_t>(__builtin_ctzll(bits[w]));
+    throw std::logic_error("Cluster: occupancy index out of step");
 }
 
 std::size_t
@@ -75,7 +111,14 @@ Cluster::totalActive() const
 void
 Cluster::clearPlacement()
 {
-    std::fill(active_.begin(), active_.end(), 0);
+    const std::size_t n = class_of_.size();
+    active_.assign(n, 0);
+    // Every machine at count 0: count 0's bitmap has bits [0, n) set.
+    occupancy_bits_.assign(words_, ~std::uint64_t{0});
+    if (n % 64 != 0)
+        occupancy_bits_.back() = (std::uint64_t{1} << (n % 64)) - 1;
+    population_.assign(1, n);
+    min_active_ = 0;
 }
 
 double

@@ -21,6 +21,7 @@
 #define POWERDIAL_SIM_CLUSTER_H
 
 #include <cstddef>
+#include <cstdint>
 #include <vector>
 
 #include "sim/machine.h"
@@ -130,6 +131,14 @@ class Cluster
     // scheduler instead places and releases jobs incrementally as they
     // arrive and complete. The cluster tracks that occupancy here so
     // placement policies and the power arbiter can read a live view.
+    //
+    // An exact occupancy index rides along: one bitmap over machines
+    // per active-instance count (bit i of count c's bitmap is set iff
+    // machine i hosts exactly c instances), each count's population,
+    // and the smallest count any machine holds. place, release and
+    // clearPlacement keep it in step with the counts, so the
+    // least-loaded machine is the first set bit of one bitmap instead
+    // of a scan over every machine.
 
     /** Record one more active instance on machine @p i. */
     void place(std::size_t i);
@@ -139,6 +148,16 @@ class Cluster
 
     /** Active instances currently placed on machine @p i. */
     std::size_t activeOn(std::size_t i) const { return active_.at(i); }
+
+    /** The fewest active instances any machine hosts. */
+    std::size_t minActive() const { return min_active_; }
+
+    /**
+     * The least-loaded machine: the lowest index among the machines
+     * hosting minActive() instances — exactly what a linear scan for
+     * the first strict minimum returns.
+     */
+    std::size_t leastLoaded() const;
 
     /** Active instances across the cluster. */
     std::size_t totalActive() const;
@@ -223,12 +242,24 @@ class Cluster
     static MachineLoad loadForCores(std::size_t cores,
                                     std::size_t instances);
 
+    /** Move machine @p i between the index's count-@p from and
+     *  count-@p to bitmaps. */
+    void moveOccupancy(std::size_t i, std::size_t from, std::size_t to);
+
     std::vector<Machine> machines_;
     MachineCatalog catalog_;
     std::vector<std::size_t> class_of_;
     bool heterogeneous_ = false;
     double reference_effective_hz_ = 0.0;
     std::vector<std::size_t> active_;
+
+    // The occupancy index (see "Dynamic placement state" above):
+    // count c's bitmap is the words_ words starting at
+    // occupancy_bits_[c * words_].
+    std::size_t words_ = 0;
+    std::vector<std::uint64_t> occupancy_bits_;
+    std::vector<std::size_t> population_; //!< Machines per count.
+    std::size_t min_active_ = 0;
 };
 
 } // namespace powerdial::sim

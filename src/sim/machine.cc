@@ -6,15 +6,30 @@
 
 namespace powerdial::sim {
 
-Machine::Machine(const Config &config)
-    : scale_(config.scale), power_(config.power), cores_(config.cores),
-      speed_factor_(config.speed_factor)
+Machine::Machine(const Config &config) : scale_(config.scale)
 {
-    if (cores_ == 0)
+    reset(config);
+}
+
+void
+Machine::reset(const Config &config)
+{
+    if (config.cores == 0)
         throw std::invalid_argument("Machine: need at least one core");
-    if (speed_factor_ <= 0.0)
+    if (config.speed_factor <= 0.0)
         throw std::invalid_argument(
             "Machine: speed factor must be > 0");
+    scale_ = config.scale;
+    power_ = PowerModel(config.power);
+    cores_ = config.cores;
+    speed_factor_ = config.speed_factor;
+    pstate_ = 0;
+    pstate_cap_ = 0;
+    share_ = 1.0;
+    utilization_ = -1.0;
+    clock_.reset();
+    energy_j_ = 0.0;
+    trace_.clear();
     refreshPower();
 }
 

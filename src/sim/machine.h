@@ -63,6 +63,16 @@ class Machine
     Machine() : Machine(Config{}) {}
     explicit Machine(const Config &config);
 
+    /**
+     * Become exactly a freshly constructed Machine(@p config) — the
+     * constructor runs this — while keeping the storage of the
+     * frequency table and power log, so a fleet tenant slot reuses
+     * one machine across jobs. Throws std::invalid_argument, leaving
+     * the machine unchanged, for zero cores or a non-positive speed
+     * factor.
+     */
+    void reset(const Config &config);
+
     /** Current virtual time in seconds. */
     double now() const { return clock_.now(); }
 
@@ -177,7 +187,7 @@ class Machine
 
     FrequencyScale scale_;
     PowerModel power_;
-    std::size_t cores_;
+    std::size_t cores_ = 0;
     double speed_factor_ = 1.0;
     std::size_t pstate_ = 0;
     std::size_t pstate_cap_ = 0;

@@ -3,7 +3,9 @@
 
 #include <algorithm>
 #include <cmath>
+#include <limits>
 #include <memory>
+#include <string>
 
 #include "fleet/metrics_hub.h"
 #include "fleet/power_arbiter.h"
@@ -333,6 +335,42 @@ TEST(PowerArbiter, RejectsBadFeedbackGain)
 {
     EXPECT_THROW(PowerArbiter({100.0, ArbiterPolicy::QosFeedback, 1.5}),
                  std::invalid_argument);
+}
+
+TEST(PowerArbiter, RejectsNonFiniteOptionsAtConstruction)
+{
+    // Each row was accepted before construction validated it: a NaN
+    // cap turned every budget into NaN and pinned every machine at
+    // its slowest P-state, and a NaN gain slipped past the range
+    // check.
+    const double nan = std::numeric_limits<double>::quiet_NaN();
+    const double inf = std::numeric_limits<double>::infinity();
+    struct Row
+    {
+        const char *what;
+        ArbiterOptions options;
+    };
+    const Row rows[] = {
+        {"NaN cap", {nan, ArbiterPolicy::Uniform, 0.5}},
+        {"infinite cap", {inf, ArbiterPolicy::QosFeedback, 0.5}},
+        {"negative infinite cap", {-inf, ArbiterPolicy::Uniform, 0.5}},
+        {"NaN gain", {400.0, ArbiterPolicy::QosFeedback, nan}},
+    };
+    for (const Row &row : rows) {
+        SCOPED_TRACE(row.what);
+        try {
+            PowerArbiter arbiter(row.options);
+            ADD_FAILURE() << "accepted";
+        } catch (const std::invalid_argument &error) {
+            EXPECT_EQ(std::string(error.what()).rfind("PowerArbiter:", 0),
+                      0u)
+                << error.what();
+        }
+    }
+    // The boundaries stay legal: a cap <= 0 means uncapped, and the
+    // gain range is closed.
+    EXPECT_NO_THROW(PowerArbiter({0.0, ArbiterPolicy::Uniform, 0.0}));
+    EXPECT_NO_THROW(PowerArbiter({-1.0, ArbiterPolicy::Uniform, 1.0}));
 }
 
 // ---------------------------------------------------------------------

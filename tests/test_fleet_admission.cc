@@ -18,14 +18,24 @@
  *      first under overload, degenerates to queue-depth behaviour for
  *      deadline-free traffic, and stays bit-identical across engines
  *      and thread counts (the margin feedback is replay-safe).
+ *   4. *Options and feedback arithmetic*: bad options are rejected at
+ *      construction, and the sorted feedback windows price exactly the
+ *      margin the old copy-and-sort algorithm did.
  */
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
+#include <limits>
+#include <stdexcept>
+#include <string>
+#include <utility>
 #include <vector>
 
+#include "fleet/metrics_hub.h"
 #include "fleet/server.h"
 #include "fleet_scenarios.h"
+#include "workload/rng.h"
 #include "workload/traffic_mix.h"
 
 namespace powerdial::fleet {
@@ -126,6 +136,48 @@ TEST(Scheduler, OverflowFollowsThePolicyCriterionNotLeastLoaded)
     const auto fallback = least.tryAdmit();
     ASSERT_TRUE(fallback.has_value());
     EXPECT_EQ(*fallback, 1u);
+}
+
+TEST(Scheduler, CapacityShedsExactlyWhenNoMachineHasRoom)
+{
+    // Every occupancy of three 2-core machines up to the bound (depth
+    // 4), under every built-in placement policy: an arrival is shed
+    // for capacity exactly when every machine is at the bound, and
+    // otherwise lands on a machine with room. The power-aware and
+    // affinity picks often name a full machine while another has
+    // room, which is the overflow path the capacity shortcut must not
+    // cut short.
+    sim::Machine::Config config;
+    config.cores = 2;
+    const std::size_t depth = 4;
+    for (const PlacementFactory &placement :
+         {makeLeastLoadedPlacement(), makePowerAwarePlacement(),
+          makeAffinityAwarePlacement()}) {
+        for (std::size_t code = 0; code < 125; ++code) {
+            const std::vector<std::size_t> counts = {
+                code % 5, code / 5 % 5, code / 25};
+            sim::Cluster cluster(3, config);
+            Scheduler scheduler(
+                cluster, SchedulerOptions{placement, depth, {}, nullptr});
+            SCOPED_TRACE(::testing::Message()
+                         << scheduler.policy().name() << " occupancy "
+                         << counts[0] << "," << counts[1] << ","
+                         << counts[2]);
+            for (std::size_t i = 0; i < counts.size(); ++i)
+                for (std::size_t k = 0; k < counts[i]; ++k)
+                    cluster.place(i);
+
+            const bool full = *std::min_element(counts.begin(),
+                                                counts.end()) >= depth;
+            const auto machine = scheduler.tryAdmit();
+            EXPECT_EQ(machine.has_value(), !full);
+            if (machine.has_value())
+                EXPECT_LT(counts[*machine], depth);
+            else
+                EXPECT_STREQ(scheduler.lastVerdict().shed_cause,
+                             "capacity");
+        }
+    }
 }
 
 // ---------------------------------------------------------------------
@@ -280,6 +332,193 @@ TEST(PredictiveAdmission, BitIdenticalAcrossThreadsAndEngines)
         ASSERT_GT(base.total_jobs, 0u);
         ASSERT_GT(base.total_shed, 0u) << "flash crowd must overload";
         expectReportsIdentical(base, serve(engine, 4));
+    }
+}
+
+// ---------------------------------------------------------------------
+// 4. Option validation and the margin feedback's arithmetic.
+// ---------------------------------------------------------------------
+
+TEST(PredictiveAdmission, RejectsBadOptionsAtConstruction)
+{
+    // Each row was accepted before construction validated it; the
+    // first made the margin clamp call std::clamp with hi < lo.
+    const double nan = std::numeric_limits<double>::quiet_NaN();
+    const double inf = std::numeric_limits<double>::infinity();
+    struct Row
+    {
+        const char *what;
+        double initial_margin, min_margin, max_margin, class_headroom;
+    };
+    const Row rows[] = {
+        {"min_margin > max_margin", 1.0, 2.0, 1.0, 0.25},
+        {"NaN initial_margin", nan, 0.5, 4.0, 0.25},
+        {"infinite initial_margin", inf, 0.5, 4.0, 0.25},
+        {"zero initial_margin", 0.0, 0.5, 4.0, 0.25},
+        {"NaN min_margin", 1.0, nan, 4.0, 0.25},
+        {"zero min_margin", 1.0, 0.0, 4.0, 0.25},
+        {"negative min_margin", 1.0, -0.5, 4.0, 0.25},
+        {"NaN max_margin", 1.0, 0.5, nan, 0.25},
+        {"infinite max_margin", 1.0, 0.5, inf, 0.25},
+        {"negative class_headroom", 1.0, 0.5, 4.0, -0.25},
+        {"NaN class_headroom", 1.0, 0.5, 4.0, nan},
+        {"infinite class_headroom", 1.0, 0.5, 4.0, inf},
+    };
+    for (const Row &row : rows) {
+        SCOPED_TRACE(row.what);
+        PredictiveAdmissionOptions options;
+        options.initial_margin = row.initial_margin;
+        options.min_margin = row.min_margin;
+        options.max_margin = row.max_margin;
+        options.class_headroom = row.class_headroom;
+        const AdmissionFactory factory = makePredictiveAdmission(options);
+        try {
+            factory();
+            ADD_FAILURE() << "accepted";
+        } catch (const std::invalid_argument &error) {
+            EXPECT_EQ(std::string(error.what())
+                          .rfind("PredictiveAdmission:", 0),
+                      0u)
+                << error.what();
+        }
+    }
+    // The boundaries stay legal: equal bounds and zero headroom.
+    PredictiveAdmissionOptions edge;
+    edge.min_margin = edge.max_margin = edge.initial_margin = 1.5;
+    edge.class_headroom = 0.0;
+    EXPECT_NO_THROW(makePredictiveAdmission(edge)());
+}
+
+/**
+ * The margin feedback as it was computed before the sorted windows:
+ * copy both rings and sort them on every completion, then read the
+ * nearest-rank p95s.
+ */
+class CopyAndSortMargin
+{
+  public:
+    explicit CopyAndSortMargin(const PredictiveAdmissionOptions &options)
+        : options_(options), margin_(options.initial_margin)
+    {
+    }
+
+    double margin() const { return margin_; }
+
+    void
+    noteCompletion(double observed_s, double predicted_s)
+    {
+        if (predicted_s <= 0.0 || observed_s < 0.0)
+            return;
+        if (observed_.size() < options_.window) {
+            observed_.push_back(observed_s);
+            predicted_.push_back(predicted_s);
+        } else {
+            observed_[next_] = observed_s;
+            predicted_[next_] = predicted_s;
+        }
+        next_ = (next_ + 1) % options_.window;
+        std::vector<double> observed = observed_;
+        std::vector<double> predicted = predicted_;
+        std::sort(observed.begin(), observed.end());
+        std::sort(predicted.begin(), predicted.end());
+        const double predicted_p95 = percentileOf(predicted, 95.0);
+        if (predicted_p95 <= 0.0)
+            return;
+        margin_ = std::clamp(percentileOf(observed, 95.0) / predicted_p95,
+                             options_.min_margin, options_.max_margin);
+    }
+
+  private:
+    PredictiveAdmissionOptions options_;
+    double margin_;
+    std::vector<double> observed_;
+    std::vector<double> predicted_;
+    std::size_t next_ = 0;
+};
+
+/** The margin @p policy would price the next arrival with. */
+double
+marginOf(AdmissionPolicy &policy)
+{
+    const sim::Cluster cluster(1, sim::Machine::Config{});
+    const auto placement = makeLeastLoadedPlacement()();
+    const AdmissionContext context{cluster, *placement, 0, nullptr,
+                                   nullptr};
+    return policy.decide(OfferedJob{0, 0, 0.0}, context).margin;
+}
+
+TEST(PredictiveAdmission, SortedWindowsReproduceCopyAndSortMargin)
+{
+    // Seeded completion streams, fed to the policy and to the old
+    // algorithm side by side; the margins must agree exactly after
+    // every completion. Values are drawn from a small grid half the
+    // time, so windows hold repeated values, and each stream runs
+    // well past the first eviction. Rejected inputs (non-positive
+    // prediction, negative observation) are mixed in too.
+    for (const std::size_t window : {1u, 2u, 5u, 64u}) {
+        for (std::uint64_t seed = 1; seed <= 4; ++seed) {
+            SCOPED_TRACE(::testing::Message()
+                         << "window=" << window << " seed=" << seed);
+            PredictiveAdmissionOptions options;
+            options.window = window;
+            const auto policy = makePredictiveAdmission(options)();
+            CopyAndSortMargin oracle(options);
+            workload::Rng rng(seed);
+            auto draw = [&rng](double lo, double hi) {
+                if (rng.below(2) == 0)
+                    return lo + (hi - lo) *
+                        static_cast<double>(rng.below(4)) / 4.0;
+                return rng.uniform(lo, hi);
+            };
+            const std::size_t completions = 6 * window + 40;
+            for (std::size_t k = 0; k < completions; ++k) {
+                double observed = draw(0.05, 3.0);
+                double predicted = draw(0.1, 1.5);
+                switch (rng.below(16)) {
+                case 0:
+                    predicted = 0.0;
+                    break;
+                case 1:
+                    observed = -observed;
+                    break;
+                default:
+                    break;
+                }
+                policy->noteCompletion(observed, predicted);
+                oracle.noteCompletion(observed, predicted);
+                ASSERT_EQ(marginOf(*policy), oracle.margin())
+                    << "completion " << k;
+            }
+        }
+    }
+}
+
+TEST(PredictiveAdmission, NonFiniteCompletionsLeaveMarginUnchanged)
+{
+    const double nan = std::numeric_limits<double>::quiet_NaN();
+    const double inf = std::numeric_limits<double>::infinity();
+    PredictiveAdmissionOptions options;
+    options.window = 5;
+    const auto policy = makePredictiveAdmission(options)();
+    CopyAndSortMargin oracle(options);
+    workload::Rng rng(3);
+    for (std::size_t k = 0; k < 40; ++k) {
+        const double observed = rng.uniform(0.05, 3.0);
+        const double predicted = rng.uniform(0.1, 1.5);
+        policy->noteCompletion(observed, predicted);
+        oracle.noteCompletion(observed, predicted);
+
+        // Ignored entirely: the margin holds, and the windows are
+        // untouched, so the next finite completion still agrees.
+        const double before = marginOf(*policy);
+        for (const auto &[bad_observed, bad_predicted] :
+             {std::pair{nan, 1.0}, std::pair{inf, 1.0},
+              std::pair{-inf, 1.0}, std::pair{1.0, nan},
+              std::pair{1.0, inf}, std::pair{nan, nan}}) {
+            policy->noteCompletion(bad_observed, bad_predicted);
+            EXPECT_EQ(marginOf(*policy), before) << "completion " << k;
+        }
+        ASSERT_EQ(before, oracle.margin()) << "completion " << k;
     }
 }
 

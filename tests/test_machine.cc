@@ -3,6 +3,7 @@
 
 #include <functional>
 #include <limits>
+#include <stdexcept>
 #include <string>
 #include <utility>
 #include <vector>
@@ -271,6 +272,90 @@ TEST(NanInputs, PerBeatEntryPointsRejectNaN)
         SCOPED_TRACE(name);
         EXPECT_THROW(call(), std::invalid_argument);
     }
+}
+
+/** Assert @p a and @p b are in the same observable state, exactly. */
+void
+expectSameMachineState(const Machine &a, const Machine &b)
+{
+    EXPECT_EQ(a.now(), b.now());
+    EXPECT_EQ(a.pstate(), b.pstate());
+    EXPECT_EQ(a.pstateCap(), b.pstateCap());
+    EXPECT_EQ(a.frequencyHz(), b.frequencyHz());
+    EXPECT_EQ(a.scale().frequencies(), b.scale().frequencies());
+    EXPECT_EQ(a.powerModel().idleWatts(), b.powerModel().idleWatts());
+    EXPECT_EQ(a.powerModel().peakWatts(), b.powerModel().peakWatts());
+    EXPECT_EQ(a.cores(), b.cores());
+    EXPECT_EQ(a.speedFactor(), b.speedFactor());
+    EXPECT_EQ(a.share(), b.share());
+    EXPECT_EQ(a.utilization(), b.utilization());
+    EXPECT_EQ(a.energyJoules(), b.energyJoules());
+    ASSERT_EQ(a.powerTrace().size(), b.powerTrace().size());
+    for (std::size_t i = 0; i < a.powerTrace().size(); ++i) {
+        EXPECT_EQ(a.powerTrace()[i].start_s, b.powerTrace()[i].start_s);
+        EXPECT_EQ(a.powerTrace()[i].end_s, b.powerTrace()[i].end_s);
+        EXPECT_EQ(a.powerTrace()[i].watts, b.powerTrace()[i].watts);
+    }
+}
+
+TEST(Machine, ResetIsIndistinguishableFromConstruction)
+{
+    // A machine driven through every setter, then reset to another
+    // class's configuration, must behave bit for bit like a machine
+    // built from that configuration — before and after more work.
+    Machine::Config little;
+    little.scale = FrequencyScale({1.8e9, 1.2e9});
+    little.power.idle_watts = 40.0;
+    little.power.peak_watts = 90.0;
+    little.power.f_min_hz = 1.2e9;
+    little.power.f_max_hz = 1.8e9;
+    little.cores = 2;
+    little.speed_factor = 0.6;
+
+    Machine reused;
+    reused.setPStateCap(2);
+    reused.setPState(4);
+    reused.setShare(0.5);
+    reused.setUtilization(0.75);
+    reused.execute(3e9);
+    reused.idleFor(0.25);
+    reused.execute(1e9);
+    ASSERT_GT(reused.powerTrace().size(), 1u);
+
+    reused.reset(little);
+    const Machine fresh(little);
+    expectSameMachineState(reused, fresh);
+
+    Machine copy = fresh;
+    for (Machine *m : {&reused, &copy}) {
+        m->setShare(0.5);
+        m->execute(2e9);
+        m->setPState(1);
+        m->idleFor(0.5);
+        m->execute(1e9);
+    }
+    expectSameMachineState(reused, copy);
+
+    // Back to the default class, too.
+    reused.reset(Machine::Config{});
+    expectSameMachineState(reused, Machine());
+}
+
+TEST(Machine, ResetRejectsBadConfigAndKeepsState)
+{
+    Machine m;
+    m.execute(1e9);
+    const double now = m.now();
+    const double energy = m.energyJoules();
+    Machine::Config no_cores;
+    no_cores.cores = 0;
+    EXPECT_THROW(m.reset(no_cores), std::invalid_argument);
+    Machine::Config no_speed;
+    no_speed.speed_factor = 0.0;
+    EXPECT_THROW(m.reset(no_speed), std::invalid_argument);
+    EXPECT_EQ(m.now(), now);
+    EXPECT_EQ(m.energyJoules(), energy);
+    EXPECT_EQ(m.cores(), Machine::Config{}.cores);
 }
 
 } // namespace
