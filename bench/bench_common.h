@@ -208,7 +208,6 @@ struct ObsOptions
      * firehose; --trace-categories=all (or beat,...) turns it on.
      */
     unsigned categories = obs::kCatAll & ~obs::kCatBeat;
-    std::size_t ring = 0; //!< --trace-ring=N keeps only the last N.
 
     bool enabled() const
     {
@@ -250,20 +249,6 @@ parseObsArg(ObsOptions &options, const char *arg)
         options.categories = *parsed;
         return true;
     }
-    if (std::strncmp(arg, "--trace-ring=", 13) == 0) {
-        const char *text = arg + 13;
-        if (*text == '\0')
-            std::exit(2);
-        for (const char *p = text; *p != '\0'; ++p)
-            if (*p < '0' || *p > '9') {
-                std::fprintf(stderr,
-                             "bad --trace-ring value '%s'\n", text);
-                std::exit(2);
-            }
-        options.ring = static_cast<std::size_t>(
-            std::strtoul(text, nullptr, 10));
-        return true;
-    }
     return false;
 }
 
@@ -274,7 +259,7 @@ obsUsage()
 {
     return "          [--trace=FILE] [--trace-jsonl=FILE] "
            "[--metrics=FILE]\n"
-           "          [--trace-categories=LIST] [--trace-ring=N]\n"
+           "          [--trace-categories=LIST]\n"
            "  trace       write a Chrome trace-event JSON "
            "(chrome://tracing, Perfetto)\n"
            "  trace-jsonl write the same records as one JSON object "
@@ -284,9 +269,7 @@ obsUsage()
            "  trace-categories  comma list of lifecycle,control,beat,"
            "admission,placement,\n"
            "              arbitration (aliases: fleet, all, none; "
-           "default all minus beat)\n"
-           "  trace-ring  flight-recorder mode: keep only the last N "
-           "records\n";
+           "default all minus beat)\n";
 }
 
 /**
@@ -301,7 +284,6 @@ makeObsSink(const ObsOptions &options)
         return std::nullopt;
     obs::TraceConfig config;
     config.categories = options.categories;
-    config.ring_capacity = options.ring;
     return std::make_optional<obs::TraceSink>(config);
 }
 

@@ -261,10 +261,10 @@ BENCHMARK(BM_Session256Beats_TraceRecorder);
 
 // ---------------------------------------------------------------------------
 // Structured trace sink (obs/trace_sink.h): the per-beat cost of the
-// fleet tracing layer in its three modes. With every category masked
-// off, each would-be event must cost one branch in TraceSink::wants —
-// the ceiling check below fails the binary if the masked-off probe
-// regresses past a pinned per-beat budget.
+// fleet tracing layer, masked off and fully on. With every category
+// masked off, each would-be event must cost one branch in
+// TraceSink::wants — the ceiling check below fails the binary if the
+// masked-off probe regresses past a pinned per-beat budget.
 // ---------------------------------------------------------------------------
 
 /** Categories all masked off: the tracing-disabled fast path. */
@@ -285,41 +285,25 @@ BM_Session256Beats_TraceProbeOff(benchmark::State &state)
 }
 BENCHMARK(BM_Session256Beats_TraceProbeOff);
 
-/** Every category on (including the per-beat firehose), unbounded
- *  shards; beginServe resets the shard per run to bound memory. */
+/** Every category on (including the per-beat firehose); each run's
+ *  records are flushed into the sink, which is then cleared to bound
+ *  memory. */
 static void
 BM_Session256Beats_TraceProbeAll(benchmark::State &state)
 {
     SessionFixture f;
     core::Session session(f.app, f.table, f.model);
     obs::TraceSink sink;
-    for (auto _ : state) {
-        sink.beginServe(1);
-        obs::TraceProbe probe(sink, obs::TraceProbe::Identity{0});
-        session.observe(probe);
-        sim::Machine machine;
-        benchmark::DoNotOptimize(session.run(1, machine));
-    }
-}
-BENCHMARK(BM_Session256Beats_TraceProbeAll);
-
-/** Flight-recorder mode: everything on, last 64 records kept. */
-static void
-BM_Session256Beats_TraceProbeRing(benchmark::State &state)
-{
-    SessionFixture f;
-    core::Session session(f.app, f.table, f.model);
-    obs::TraceConfig config;
-    config.ring_capacity = 64;
-    obs::TraceSink sink(config);
     obs::TraceProbe probe(sink, obs::TraceProbe::Identity{0});
     session.observe(probe);
     for (auto _ : state) {
         sim::Machine machine;
         benchmark::DoNotOptimize(session.run(1, machine));
+        probe.flush();
+        sink.beginServe();
     }
 }
-BENCHMARK(BM_Session256Beats_TraceProbeRing);
+BENCHMARK(BM_Session256Beats_TraceProbeAll);
 
 /** Wall-clock seconds for @p batch back-to-back 256-beat runs. */
 double

@@ -10,8 +10,9 @@
  *      power arbiter re-splits the cluster cap into per-machine DVFS
  *      caps every epoch — reaching jobs already in flight through
  *      their arbitration leases, since epochs here are half a job's
- *      duration — and the metrics hub aggregates every tenant
- *      session's observer events into fleet-wide series.
+ *      duration — and every tenant session's observer events fold
+ *      into its job's record, which the report aggregates into
+ *      fleet-wide series.
  *
  * Build & run:  ./build/examples/example_fleet_server
  */

@@ -3,8 +3,8 @@
  * The fleet serve: one per-serve state that runs either schedule.
  *
  * Server::serve builds an EventServe — the serve's cluster, scheduler,
- * arbiter, fan-out engine, metrics hub, tracer, and tenant pool — and
- * runs the schedule ServerOptions::engine selects:
+ * arbiter, fan-out engine, tracer, and tenant pool — and runs the
+ * schedule ServerOptions::engine selects:
  *
  *   - EngineMode::Epoch, the synchronous round loop: every epoch
  *     releases finished tenants, admits that epoch's arrivals, runs one
@@ -22,18 +22,23 @@
  * Both schedules share admission, arbitration and lease rewrites,
  * tenant release, the per-machine QoS-feedback fold, stats rows, and
  * the drain past the horizon. Tenant advancement runs through
- * core::FanoutEngine's fixed-order merge — the only parallel section —
- * so either report is bit-identical at any thread count.
+ * core::FanoutEngine — the only parallel section — and a slice writes
+ * only its own tenant's state. Every finished job passes through one
+ * serial point, its release or the drain past the horizon, which
+ * stores its record at its job id and hands its trace stream to the
+ * sink, so either report is bit-identical at any thread count.
  */
 #include <algorithm>
 #include <cmath>
 #include <limits>
+#include <map>
 #include <memory>
 #include <stdexcept>
 #include <utility>
 
 #include "core/fanout.h"
 #include "fleet/event_queue.h"
+#include "fleet/observability.h"
 #include "fleet/server.h"
 #include "fleet/tenant.h"
 #include "sim/virtual_clock.h"
@@ -43,6 +48,188 @@ namespace powerdial::fleet {
 namespace {
 
 using detail::Tenant;
+
+/**
+ * Provision the serve's cluster the way both engines must: from the
+ * catalog and class mix when a catalog is configured, else the legacy
+ * homogeneous fleet of `machines` copies of `machine`.
+ */
+sim::Cluster
+makeCluster(const ServerOptions &options)
+{
+    if (!options.catalog.empty())
+        return sim::Cluster(options.catalog, options.class_mix);
+    return sim::Cluster(options.machines, options.machine);
+}
+
+/**
+ * Serial admission of one batch of offered jobs, the way both engines
+ * must run it: every offer goes through Scheduler::tryAdmit in arrival
+ * order, and each decision is attributed through the tracer —
+ * per-candidate placement costs (computed against the pre-placement
+ * occupancy the policy actually ranked), then the admit (with the
+ * prospective fleet job id) or shed record. Offers the composer never
+ * numbered get a serial id from @p next_offer; numbered offers keep
+ * theirs (@p next_offer still advances, staying a pure arrival
+ * counter either way).
+ *
+ * @return The admissions, paired with their offers, in arrival order.
+ */
+std::vector<std::pair<Admission, const workload::OfferedJob *>>
+admitOffers(Scheduler &scheduler,
+            const std::vector<workload::OfferedJob> &offered,
+            std::size_t next_job, std::size_t &next_offer,
+            FleetTracer &tracer)
+{
+    std::vector<std::pair<Admission, const workload::OfferedJob *>>
+        placements;
+    placements.reserve(offered.size());
+    for (const workload::OfferedJob &job : offered) {
+        const std::size_t offer =
+            job.offer != workload::kUnnumberedOffer ? job.offer
+                                                    : next_offer;
+        ++next_offer;
+        if (tracer.wantsPlacement())
+            tracer.placement(offer, scheduler.policy().candidateCosts(
+                                        scheduler.cluster()));
+        const auto admission = scheduler.tryAdmit(job);
+        if (admission.has_value()) {
+            placements.emplace_back(*admission, &job);
+            tracer.admit(offer, job, scheduler.lastVerdict(),
+                         next_job + placements.size() - 1);
+        } else {
+            tracer.shed(offer, job, scheduler.lastVerdict());
+        }
+    }
+    return placements;
+}
+
+/**
+ * Install one arbitration round's terms in a tenant's lease — the one
+ * lease-rewrite path both engines share — and attribute the rewrite
+ * through the tracer.
+ */
+void
+writeLease(const sim::Cluster &cluster, Tenant &tenant,
+           std::size_t generation, std::size_t epoch,
+           const ArbitrationDecision &decision, FleetTracer &tracer)
+{
+    const auto load = cluster.loadOf(
+        tenant.machine_index, cluster.activeOn(tenant.machine_index));
+    tenant.lease.generation = generation;
+    tenant.lease.epoch = epoch;
+    tenant.lease.share = load.per_instance_share;
+    tenant.lease.utilization = load.utilization;
+    tenant.lease.pstate_cap = decision.pstate_cap[tenant.machine_index];
+    tenant.lease.pause_ratio =
+        decision.pause_ratio[tenant.machine_index];
+    tracer.lease(tenant.job, tenant.input, tenant.machine_index,
+                 tenant.lease);
+}
+
+/**
+ * Fold the stored job records and accumulated epoch rows into the
+ * report's aggregates: epoch means, overall QoS mean, latency
+ * percentiles, and the per-tenant / per-class / per-machine tables
+ * (sorted by id; machine rows cover the whole cluster). All four
+ * percentile paths go through the one latencyPercentiles helper. Both
+ * engines call this with report.jobs, report.epochs and the total
+ * counters already set.
+ */
+void
+finalizeReport(FleetReport &report, const sim::Cluster &cluster)
+{
+    double watts_sum = 0.0, rate_sum = 0.0;
+    for (const EpochStats &stats : report.epochs) {
+        watts_sum += stats.watts;
+        rate_sum += stats.fleet_rate;
+    }
+    if (!report.epochs.empty()) {
+        const double n = static_cast<double>(report.epochs.size());
+        report.mean_watts = watts_sum / n;
+        report.mean_fleet_rate = rate_sum / n;
+    }
+
+    std::vector<double> latencies;
+    latencies.reserve(report.jobs.size());
+    double qos_sum = 0.0;
+    std::map<std::size_t, TenantStats> tenants;
+    std::map<std::size_t, std::vector<double>> tenant_latencies;
+    std::vector<std::vector<double>> machine_latencies(cluster.size());
+    for (const JobRecord &job : report.jobs) {
+        latencies.push_back(job.latency_s);
+        qos_sum += job.qos_loss;
+        TenantStats &tenant = tenants[job.tenant];
+        tenant.tenant = job.tenant;
+        ++tenant.jobs;
+        tenant.mean_qos_loss += job.qos_loss;
+        tenant.mean_latency_s += job.latency_s;
+        tenant_latencies[job.tenant].push_back(job.latency_s);
+        if (job.machine < machine_latencies.size())
+            machine_latencies[job.machine].push_back(job.latency_s);
+    }
+    if (!report.jobs.empty())
+        report.mean_qos_loss =
+            qos_sum / static_cast<double>(report.jobs.size());
+    const LatencyPercentiles overall = latencyPercentiles(latencies);
+    report.p50_latency_s = overall.p50;
+    report.p95_latency_s = overall.p95;
+    report.p99_latency_s = overall.p99;
+    for (auto &[id, tenant] : tenants) {
+        const double job_count = static_cast<double>(tenant.jobs);
+        tenant.mean_qos_loss /= job_count;
+        tenant.mean_latency_s /= job_count;
+        const LatencyPercentiles tail =
+            latencyPercentiles(tenant_latencies[id]);
+        tenant.p50_latency_s = tail.p50;
+        tenant.p95_latency_s = tail.p95;
+        tenant.p99_latency_s = tail.p99;
+        report.tenants.push_back(tenant);
+    }
+
+    // Per-priority-class scoreboard: latency percentiles over the
+    // served jobs of each class, plus that class's shed count — every
+    // class seen in either gets a row, so a class that was shed into
+    // oblivion still shows up (jobs 0, shed > 0).
+    std::map<std::size_t, std::vector<double>> class_latencies;
+    for (const JobRecord &job : report.jobs)
+        class_latencies[job.job_class].push_back(job.latency_s);
+    for (std::size_t c = 0; c < report.shed_by_class.size(); ++c)
+        if (report.shed_by_class[c] > 0)
+            class_latencies.try_emplace(c);
+    for (auto &[c, values] : class_latencies) {
+        ClassStats row;
+        row.job_class = c;
+        row.jobs = values.size();
+        row.shed = c < report.shed_by_class.size()
+            ? report.shed_by_class[c]
+            : 0;
+        const LatencyPercentiles tail = latencyPercentiles(values);
+        row.p50_latency_s = tail.p50;
+        row.p95_latency_s = tail.p95;
+        row.p99_latency_s = tail.p99;
+        report.classes.push_back(row);
+    }
+
+    // Per-machine scoreboard: one row per cluster machine (idle
+    // machines included, with zero counts), tagged with the catalog
+    // class heterogeneous-fleet reports group by.
+    for (std::size_t i = 0; i < cluster.size(); ++i) {
+        MachineStats row;
+        row.machine = i;
+        row.machine_class = cluster.classOf(i);
+        row.jobs = machine_latencies[i].size();
+        row.shed = i < report.shed_by_machine.size()
+            ? report.shed_by_machine[i]
+            : 0;
+        const LatencyPercentiles tail =
+            latencyPercentiles(machine_latencies[i]);
+        row.p50_latency_s = tail.p50;
+        row.p95_latency_s = tail.p95;
+        row.p99_latency_s = tail.p99;
+        report.machines.push_back(row);
+    }
+}
 
 /**
  * The typed events the engine schedules. Job completions are a hybrid:
@@ -80,14 +267,13 @@ class EventServe
                const std::vector<std::vector<workload::OfferedJob>>
                    &offers)
         : options_(options), offers_(offers),
-          cluster_(detail::makeCluster(options)),
+          cluster_(makeCluster(options)),
           scheduler_(cluster_,
                      SchedulerOptions{options.placement,
                                       options.queue_depth,
                                       options.admission, &model}),
           arbiter_(options.arbiter), engine_(options.threads),
-          hub_(engine_.workers()), tracer_(options.trace),
-          pool_(options, app, table, model, hub_),
+          tracer_(options.trace), pool_(options, app, table, model),
           qos_feedback_(cluster_.size(), 0.0),
           machine_qos_(cluster_.size(), 0.0),
           machine_jobs_(cluster_.size(), 0)
@@ -104,7 +290,7 @@ class EventServe
     run()
     {
         if (options_.trace != nullptr)
-            options_.trace->beginServe(engine_.workers());
+            options_.trace->beginServe();
         if (options_.engine == EngineMode::Epoch)
             runEpochs();
         else
@@ -119,12 +305,14 @@ class EventServe
             tenant->slice_deadline_s =
                 std::numeric_limits<double>::infinity();
         runSlices();
+        for (auto &tenant : active_)
+            commitJob(*tenant);
         active_.clear();
 
         report_.total_jobs = next_job_;
         report_.shed_by_machine = scheduler_.shedByMachine();
         report_.shed_by_class = scheduler_.shedByClass();
-        detail::finalizeReport(report_, hub_.drain(), cluster_);
+        finalizeReport(report_, cluster_);
         return std::move(report_);
     }
 
@@ -180,7 +368,7 @@ class EventServe
         // finished this epoch feed their QoS loss back to the arbiter.
         double fleet_rate = 0.0;
         for (const auto &tenant : active_) {
-            const std::size_t beats = tenant->probe->record().beats;
+            const std::size_t beats = tenant->probe.record().beats;
             fleet_rate +=
                 static_cast<double>(beats - tenant->beats_reported) /
                 epoch_s_;
@@ -284,7 +472,7 @@ class EventServe
         for (auto &tenant : active_) {
             if (tenant->done) {
                 window_beats_ +=
-                    tenant->probe->record().beats - tenant->beats_reported;
+                    tenant->probe.record().beats - tenant->beats_reported;
                 noteQos(*tenant);
                 releaseTenant(std::move(tenant));
             } else {
@@ -308,7 +496,7 @@ class EventServe
             std::min(start + stride, offers_.size());
 
         for (const auto &tenant : active_) {
-            const std::size_t beats = tenant->probe->record().beats;
+            const std::size_t beats = tenant->probe.record().beats;
             window_beats_ += beats - tenant->beats_reported;
             tenant->beats_reported = beats;
         }
@@ -379,7 +567,7 @@ class EventServe
     /**
      * Serial admission of the jobs offered at epoch @p e, with shed
      * accounting into the open window, each admitted job assigned to a
-     * tenant from the pool.
+     * tenant from the pool and given a report slot at its job id.
      * @return Jobs actually admitted (appended to active_, in order).
      */
     std::size_t
@@ -387,7 +575,7 @@ class EventServe
     {
         tracer_.at(static_cast<double>(e) * epoch_s_);
         const std::size_t shed_before = scheduler_.shedCount();
-        const auto placements = detail::admitOffers(
+        const auto placements = admitOffers(
             scheduler_, offers_[e], next_job_, next_offer_, tracer_);
         window_.arrivals += placements.size();
         const std::size_t shed = scheduler_.shedCount() - shed_before;
@@ -398,6 +586,7 @@ class EventServe
             active_.push_back(pool_.acquire(
                 cluster_, admission, *offer, next_job_++, e,
                 static_cast<double>(e) * epoch_s_));
+        report_.jobs.resize(next_job_); // Filled by commitJob.
         return placements.size();
     }
 
@@ -419,24 +608,38 @@ class EventServe
         tracer_.at(t);
         tracer_.arbitration(generation_, last_decision_);
         for (auto &tenant : active_)
-            detail::writeLease(cluster_, *tenant, generation_, epoch,
-                               last_decision_, tracer_);
+            writeLease(cluster_, *tenant, generation_, epoch,
+                       last_decision_, tracer_);
     }
 
     /**
-     * Release a finished tenant: count it into the open window, feed
-     * its observed-vs-predicted latency to the admission policy, free
-     * its machine slot, and return it to the pool (its record is
-     * already committed in the hub).
+     * Release a finished tenant: commit its job, count it into the
+     * open window, feed its observed-vs-predicted latency to the
+     * admission policy, free its machine slot, and return it to the
+     * pool.
      */
     void
     releaseTenant(std::unique_ptr<Tenant> tenant)
     {
-        const JobRecord &record = tenant->probe->record();
+        const JobRecord &record = commitJob(*tenant);
         ++window_.completed;
         scheduler_.noteCompletion(record.latency_s, record.predicted_s);
         scheduler_.release(tenant->machine_index);
         pool_.release(std::move(tenant));
+    }
+
+    /**
+     * Store a finished tenant's record at its job id and hand its trace
+     * stream to the sink — before the pool can reassign the tenant.
+     */
+    const JobRecord &
+    commitJob(Tenant &tenant)
+    {
+        JobRecord &slot = report_.jobs[tenant.job];
+        slot = tenant.probe.finish(tenant.machine);
+        if (tenant.trace)
+            tenant.trace->flush();
+        return slot;
     }
 
     /** Fold a finished tenant's QoS loss into its machine's pending
@@ -444,7 +647,7 @@ class EventServe
     void
     noteQos(const Tenant &tenant)
     {
-        const double loss = tenant.probe->record().qos_loss;
+        const double loss = tenant.probe.record().qos_loss;
         machine_qos_[tenant.machine_index] += loss;
         ++machine_jobs_[tenant.machine_index];
         window_qos_sum_ += loss;
@@ -502,17 +705,15 @@ class EventServe
 
     /**
      * Advance every held tenant to its slice deadline through the
-     * fan-out engine's fixed-order merge — the only parallel section;
-     * the slice that completes a run commits its record on the worker
-     * actually running it.
+     * fan-out engine's fixed-order merge — the only parallel section.
+     * A slice writes only its own tenant's state.
      */
     void
     runSlices()
     {
-        engine_.run(active_.size(),
-                    [&](std::size_t i, std::size_t worker) {
-                        detail::runSlice(*active_[i], worker);
-                    });
+        engine_.run(active_.size(), [&](std::size_t i, std::size_t) {
+            detail::runSlice(*active_[i]);
+        });
     }
 
     const ServerOptions &options_;
@@ -522,7 +723,6 @@ class EventServe
     Scheduler scheduler_;
     PowerArbiter arbiter_;
     core::FanoutEngine engine_;
-    MetricsHub hub_;
     FleetTracer tracer_;
     detail::TenantPool pool_;
 

@@ -7,7 +7,7 @@
 namespace powerdial::fleet {
 
 void
-MetricsHub::Probe::onRunStart(const core::RunStartEvent &)
+JobProbe::onRunStart(const core::RunStartEvent &)
 {
     rate_sum_ = 0.0;
     record_.beats = 0;
@@ -15,14 +15,14 @@ MetricsHub::Probe::onRunStart(const core::RunStartEvent &)
 }
 
 void
-MetricsHub::Probe::onBeat(const core::BeatEvent &event)
+JobProbe::onBeat(const core::BeatEvent &event)
 {
     rate_sum_ += event.trace.window_rate;
     ++record_.beats;
 }
 
 void
-MetricsHub::Probe::onRunEnd(const core::ControlledRun &run)
+JobProbe::onRunEnd(const core::ControlledRun &run)
 {
     record_.latency_s = run.seconds;
     record_.qos_loss = run.mean_qos_loss_estimate;
@@ -36,68 +36,14 @@ MetricsHub::Probe::onRunEnd(const core::ControlledRun &run)
     done_ = true;
 }
 
-void
-MetricsHub::Probe::finish(const sim::Machine &machine)
-{
-    finishOn(worker_, machine);
-}
-
-void
-MetricsHub::Probe::finishOn(std::size_t worker,
-                            const sim::Machine &machine)
+JobRecord
+JobProbe::finish(const sim::Machine &machine)
 {
     if (!done_)
-        throw std::logic_error(
-            "MetricsHub::Probe: finish before the run ended");
+        throw std::logic_error("JobProbe: finish before the run ended");
     record_.energy_j = machine.energyJoules();
-    hub_->commit(worker, record_);
     done_ = false;
-}
-
-MetricsHub::MetricsHub(std::size_t workers)
-    : shards_(workers == 0 ? 1 : workers)
-{
-}
-
-MetricsHub::Probe
-MetricsHub::probe(std::size_t worker, const JobRecord &seed)
-{
-    if (worker >= shards_.size())
-        throw std::out_of_range("MetricsHub: bad worker index");
-    return Probe(*this, worker, seed);
-}
-
-void
-MetricsHub::commit(std::size_t worker, const JobRecord &record)
-{
-    if (worker >= shards_.size())
-        throw std::out_of_range("MetricsHub: bad commit worker index");
-    shards_[worker].push_back(record);
-}
-
-std::size_t
-MetricsHub::committed() const
-{
-    std::size_t total = 0;
-    for (const auto &shard : shards_)
-        total += shard.size();
-    return total;
-}
-
-std::vector<JobRecord>
-MetricsHub::drain()
-{
-    std::vector<JobRecord> merged;
-    merged.reserve(committed());
-    for (auto &shard : shards_) {
-        merged.insert(merged.end(), shard.begin(), shard.end());
-        shard.clear();
-    }
-    std::sort(merged.begin(), merged.end(),
-              [](const JobRecord &a, const JobRecord &b) {
-                  return a.job < b.job;
-              });
-    return merged;
+    return record_;
 }
 
 double

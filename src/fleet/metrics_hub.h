@@ -1,19 +1,15 @@
 /**
  * @file
- * Aggregated metrics pipeline for the fleet serving subsystem.
+ * Per-job metrics for the fleet serving subsystem.
  *
  * Every tenant session already streams per-beat events through the
- * core::RunObserver seam; the MetricsHub collects them once, for the
- * whole fleet, instead of each bench or example rolling its own
- * recorder. Each tenant's core::Session is observed by a Probe, the
- * hub's per-tenant core::RunObserver adapter. Tenants run concurrently on
- * core::FanoutEngine workers, so the hub keeps one shard per worker: a
- * probe accumulates its tenant's beats locally and commits one
- * finished JobRecord into its worker's shard — each shard is written
- * by exactly one worker, so the fan-in is lock-free.
- * drain() merges the shards sorted by job id, which makes every
+ * core::RunObserver seam; a JobProbe, attached to one tenant session,
+ * folds them into that job's JobRecord — a private record, so tenants
+ * advancing concurrently on core::FanoutEngine workers share no state.
+ * The serve takes each finished record at its serial release point and
+ * stores it at its job id (FleetReport::jobs[i].job == i), so every
  * aggregate (fleet heart rate, total watts, per-tenant QoS loss,
- * latency percentiles) bit-identical at any thread count.
+ * latency percentiles) is bit-identical at any thread count.
  */
 #ifndef POWERDIAL_FLEET_METRICS_HUB_H
 #define POWERDIAL_FLEET_METRICS_HUB_H
@@ -61,92 +57,47 @@ struct JobRecord
 };
 
 /**
- * Lock-free fan-in of tenant-session events into per-worker shards.
+ * The per-job observer: attach one probe to one tenant session, then
+ * finish() it after the run to take the job's record.
  */
-class MetricsHub
+class JobProbe final : public core::RunObserver
 {
   public:
+    JobProbe() = default;
+
+    /** A probe for the job whose identity (job, tenant, epoch,
+     *  machine) and offered metadata @p seed carries. */
+    explicit JobProbe(const JobRecord &seed) : record_(seed) {}
+
+    void onRunStart(const core::RunStartEvent &event) override;
+    void onBeat(const core::BeatEvent &event) override;
+    void onRunEnd(const core::ControlledRun &run) override;
+
     /**
-     * The per-tenant observer adapter: attach one probe to one tenant
-     * session, then finish() it after the run to commit the job's
-     * record into the probe's worker shard.
+     * The finished job's record, folding in what only the caller can
+     * see: the energy of the machine the job ran on. Call exactly
+     * once, after the session's run completed; throws
+     * std::logic_error before that.
      */
-    class Probe final : public core::RunObserver
+    JobRecord finish(const sim::Machine &machine);
+
+    /**
+     * Tag the record with the arbitration-lease terms the tenant's
+     * gate just applied (called once per lease re-read).
+     */
+    void noteLease(std::size_t generation)
     {
-      public:
-        void onRunStart(const core::RunStartEvent &event) override;
-        void onBeat(const core::BeatEvent &event) override;
-        void onRunEnd(const core::ControlledRun &run) override;
+        record_.lease_generation = generation;
+        ++record_.lease_updates;
+    }
 
-        /**
-         * Commit the finished job to the hub, folding in what only
-         * the caller can see: the machine the job ran on (for energy)
-         * and the run's QoS estimate. Call exactly once, after the
-         * session's run completed.
-         */
-        void finish(const sim::Machine &machine);
-
-        /**
-         * Like finish(), but commit into @p worker's shard instead of
-         * the probe's minting worker. A persistent tenant's epoch
-         * slices may run on a different pool worker each epoch; the
-         * slice that completes the run commits into the shard of the
-         * worker actually running it, keeping the fan-in lock-free.
-         */
-        void finishOn(std::size_t worker, const sim::Machine &machine);
-
-        /**
-         * Tag the record with the arbitration-lease terms the tenant's
-         * gate just applied (called once per lease re-read).
-         */
-        void noteLease(std::size_t generation)
-        {
-            record_.lease_generation = generation;
-            ++record_.lease_updates;
-        }
-
-        /** The record as accumulated so far (complete after finish). */
-        const JobRecord &record() const { return record_; }
-
-      private:
-        friend class MetricsHub;
-        Probe(MetricsHub &hub, std::size_t worker, JobRecord seed)
-            : hub_(&hub), worker_(worker), record_(seed)
-        {
-        }
-
-        MetricsHub *hub_;
-        std::size_t worker_;
-        JobRecord record_;
-        double rate_sum_ = 0.0;
-        bool done_ = false;
-    };
-
-    /** @param workers Shard count; one per pool worker (>= 1). */
-    explicit MetricsHub(std::size_t workers);
-
-    /**
-     * Mint the probe for one tenant job about to run on @p worker.
-     * Identity fields (job, tenant, epoch, machine) are carried in
-     * @p seed.
-     */
-    Probe probe(std::size_t worker, const JobRecord &seed);
-
-    /** Records committed so far (across all shards). */
-    std::size_t committed() const;
-
-    /**
-     * Merge and clear all shards, returning the records sorted by job
-     * id — a deterministic order regardless of which workers ran
-     * which tenants. Call from the coordinating thread only, with no
-     * tenant in flight.
-     */
-    std::vector<JobRecord> drain();
+    /** The record as accumulated so far (complete after the run). */
+    const JobRecord &record() const { return record_; }
 
   private:
-    void commit(std::size_t worker, const JobRecord &record);
-
-    std::vector<std::vector<JobRecord>> shards_;
+    JobRecord record_;
+    double rate_sum_ = 0.0;
+    bool done_ = false;
 };
 
 /**

@@ -11,11 +11,12 @@
  * duty-cycle pauses delivered through the session beat gate); every
  * admitted job runs a full closed-loop core::Session on a private
  * App::clone whose machine models its host's core share and frequency
- * cap; and the MetricsHub fans all tenants' observer events into
- * per-worker shards, feeding per-machine QoS loss back to the arbiter
- * for the next epoch.
+ * cap; and each tenant's JobProbe folds its session's observer
+ * events into the job's record, which the server stores when it
+ * releases the tenant, feeding per-machine QoS loss back to the
+ * arbiter for the next epoch.
  *
- *   arrivals ─▶ Scheduler ─▶ persistent tenant Sessions ─▶ MetricsHub
+ *   arrivals ─▶ Scheduler ─▶ persistent tenant Sessions ─▶ job records
  *                  ▲               ▲ lease re-read            │
  *                  │ shed /        │ (per-beat gate)          │ per-
  *                  │ release   ArbitrationLease               │ machine
@@ -36,9 +37,9 @@
  *
  * Determinism follows the repo's replay discipline: all placement and
  * arbitration decisions are serial; only the mutually independent
- * tenant epoch slices fan out through core::FanoutEngine, and their
- * records merge in job order — the full report is bit-identical at
- * any thread count (tests/test_fleet.cc pins this).
+ * tenant epoch slices fan out through core::FanoutEngine, and each
+ * job's record is stored at its job id — the full report is
+ * bit-identical at any thread count (tests/test_fleet.cc pins this).
  */
 #ifndef POWERDIAL_FLEET_SERVER_H
 #define POWERDIAL_FLEET_SERVER_H
@@ -267,7 +268,7 @@ struct ClassStats
 struct FleetReport
 {
     std::vector<EpochStats> epochs;
-    std::vector<JobRecord> jobs;     //!< Sorted by job id.
+    std::vector<JobRecord> jobs;     //!< Indexed by job id.
     std::vector<TenantStats> tenants;//!< Sorted by tenant id.
     std::size_t total_jobs = 0;      //!< Jobs admitted (and served).
     std::size_t total_shed = 0;      //!< Jobs shed by admission control.

@@ -9,8 +9,8 @@
  * time, stream, per-stream sequence number, job/tenant/machine/class)
  * plus named payload fields, of which each TraceKind fills the subset
  * it needs. Flat on purpose: records are sortable by value, copyable
- * into per-worker shards without allocation, and exportable to both
- * Chrome trace JSON and JSONL from one switch over the kind.
+ * between buffers without per-record allocation, and exportable to
+ * both Chrome trace JSON and JSONL from one switch over the kind.
  *
  * Timestamps are virtual-clock seconds (the simulated platform's
  * time), never host time, so a trace is a pure function of the

@@ -1,8 +1,8 @@
 #include "obs/trace_sink.h"
 
 #include <algorithm>
-#include <stdexcept>
 #include <tuple>
+#include <utility>
 
 namespace powerdial::obs {
 
@@ -39,38 +39,13 @@ parseCategories(const std::string &text)
     return mask;
 }
 
-TraceSink::TraceSink(TraceConfig config) : config_(config)
-{
-    beginServe(1);
-}
+TraceSink::TraceSink(TraceConfig config) : config_(config) {}
 
 void
-TraceSink::beginServe(std::size_t workers)
+TraceSink::beginServe()
 {
-    shards_.assign((workers == 0 ? 1 : workers) + 1, Shard{});
+    records_.clear();
     fleet_seq_ = 0;
-    dropped_ = 0;
-}
-
-void
-TraceSink::push(Shard &shard, const TraceRecord &record)
-{
-    const std::size_t cap = config_.ring_capacity;
-    if (cap != 0 && shard.records.size() >= cap) {
-        shard.records[shard.next] = record;
-        shard.next = (shard.next + 1) % cap;
-        ++dropped_;
-        return;
-    }
-    shard.records.push_back(record);
-}
-
-void
-TraceSink::emit(std::size_t worker, const TraceRecord &record)
-{
-    if (worker + 1 >= shards_.size())
-        throw std::out_of_range("TraceSink: bad worker index");
-    push(shards_[worker], record);
 }
 
 void
@@ -78,32 +53,20 @@ TraceSink::emitFleet(TraceRecord record)
 {
     record.stream = 0;
     record.seq = fleet_seq_++;
-    push(shards_.back(), record);
+    records_.push_back(record);
 }
 
-std::size_t
-TraceSink::recorded() const
+void
+TraceSink::append(const std::vector<TraceRecord> &records)
 {
-    std::size_t total = 0;
-    for (const Shard &shard : shards_)
-        total += shard.records.size();
-    return total;
+    records_.insert(records_.end(), records.begin(), records.end());
 }
 
 std::vector<TraceRecord>
 TraceSink::drain()
 {
-    std::vector<TraceRecord> merged;
-    merged.reserve(recorded());
-    for (Shard &shard : shards_) {
-        // Unwrap the ring: oldest surviving record first.
-        for (std::size_t i = shard.next; i < shard.records.size(); ++i)
-            merged.push_back(shard.records[i]);
-        for (std::size_t i = 0; i < shard.next; ++i)
-            merged.push_back(shard.records[i]);
-        shard.records.clear();
-        shard.next = 0;
-    }
+    std::vector<TraceRecord> merged = std::move(records_);
+    records_.clear();
     std::sort(merged.begin(), merged.end(),
               [](const TraceRecord &a, const TraceRecord &b) {
                   return std::tie(a.time_s, a.stream, a.seq) <
@@ -138,7 +101,7 @@ TraceProbe::onRunStart(const core::RunStartEvent &event)
     TraceRecord record =
         base(TraceKind::JobStart, Severity::Info, event.start_time_s);
     record.beats = event.units;
-    sink_->emit(worker_, record);
+    records_.push_back(record);
 }
 
 void
@@ -156,7 +119,7 @@ TraceProbe::onQuantum(const core::QuantumEvent &event)
         record.combination = event.plan.slices.front().combination;
         record.knob_gain = event.plan.slices.front().speedup;
     }
-    sink_->emit(worker_, record);
+    records_.push_back(record);
 }
 
 void
@@ -173,7 +136,7 @@ TraceProbe::onBeat(const core::BeatEvent &event)
     record.knob_gain = event.trace.knob_gain;
     record.combination = event.trace.combination;
     record.pstate = event.trace.pstate;
-    sink_->emit(worker_, record);
+    records_.push_back(record);
 }
 
 void
@@ -190,7 +153,14 @@ TraceProbe::onRunEnd(const core::ControlledRun &run)
     record.class_deficit_s = run.class_deficit_s;
     record.pause_s = run.pause_s;
     record.beats = run.beat_count;
-    sink_->emit(worker_, record);
+    records_.push_back(record);
+}
+
+void
+TraceProbe::flush()
+{
+    sink_->append(records_);
+    records_.clear();
 }
 
 } // namespace powerdial::obs

@@ -1,23 +1,22 @@
 /**
  * @file
- * Deterministic fan-in of structured trace events.
+ * Deterministic collection of structured trace events.
  *
- * The TraceSink reuses the MetricsHub shard discipline: one record
- * vector per fan-out worker, each written by exactly one worker (no
- * locks), plus one extra shard for the serial fleet plane (admission,
- * placement, arbitration, leases — all emitted from the engines'
- * serial sections). drain() concatenates the shards and sorts by
- * (time_s, stream, seq) — a total order that never mentions the
- * worker, so the drained sequence (and therefore every exporter's
- * byte stream) is identical at any thread count.
+ * The TraceSink holds one record vector, filled from the fleet's
+ * serial sections only: the fleet plane's decisions (admission,
+ * placement, arbitration, leases) through emitFleet, and each job's
+ * own stream through append, which the serve calls when it releases
+ * the job's tenant. While the tenant runs, its TraceProbe keeps the
+ * stream's records privately, so a tenant slice on a fan-out worker
+ * touches no shared state. drain() sorts by (time_s, stream, seq) — a
+ * total order that never mentions a worker or the commit order, so the
+ * drained sequence (and therefore every exporter's byte stream) is
+ * identical at any thread count.
  *
  * Cost discipline: every emission site asks wants(category, severity)
  * first — one mask-and-compare — so a category that is off costs one
  * branch per event and builds no record (bench_overhead pins the
- * ceiling). A non-zero ring_capacity turns each shard into a bounded
- * flight recorder that keeps only the newest records; ring mode is
- * for always-on crash forensics, NOT for byte-identical export
- * (which records survive depends on how many each worker saw).
+ * ceiling).
  */
 #ifndef POWERDIAL_OBS_TRACE_SINK_H
 #define POWERDIAL_OBS_TRACE_SINK_H
@@ -32,13 +31,11 @@
 
 namespace powerdial::obs {
 
-/** Sink configuration: what is recorded, and into how much memory. */
+/** Sink configuration: what is recorded. */
 struct TraceConfig
 {
     unsigned categories = kCatAll;           //!< Category bitmask.
     Severity min_severity = Severity::Debug; //!< Records below: dropped.
-    /** Per-shard flight-recorder bound; 0 = unbounded recording. */
-    std::size_t ring_capacity = 0;
 };
 
 /**
@@ -49,7 +46,7 @@ struct TraceConfig
  */
 std::optional<unsigned> parseCategories(const std::string &text);
 
-/** Lock-free, thread-count-deterministic trace event collector. */
+/** Thread-count-deterministic trace event collector. */
 class TraceSink
 {
   public:
@@ -66,58 +63,47 @@ class TraceSink
     }
 
     /**
-     * (Re)size to @p workers parallel shards plus the serial fleet
-     * shard, clearing all state — both engines call this at the top
-     * of a serve, so one sink attached to several serves in sequence
-     * holds the last serve's trace.
+     * Clear all state — the serve calls this at its top, so one sink
+     * attached to several serves in sequence holds the last serve's
+     * trace.
      */
-    void beginServe(std::size_t workers);
-
-    /** Record @p record into worker @p worker's shard. */
-    void emit(std::size_t worker, const TraceRecord &record);
+    void beginServe();
 
     /**
      * Record a serial-plane (fleet) event: stream and seq are
      * assigned by the sink (stream 0, one monotone sequence). Only
-     * the engines' serial sections may call this.
+     * the serve's serial sections may call this.
      */
     void emitFleet(TraceRecord record);
 
-    /** Records currently held (across all shards). */
-    std::size_t recorded() const;
+    /**
+     * Record one job stream's records, stream and seq already
+     * assigned (TraceProbe::flush). Only the serve's serial sections
+     * may call this.
+     */
+    void append(const std::vector<TraceRecord> &records);
 
-    /** Records overwritten by ring-mode bounds since beginServe. */
-    std::size_t dropped() const { return dropped_; }
+    /** Records currently held. */
+    std::size_t recorded() const { return records_.size(); }
 
     /**
-     * Merge and clear all shards, returning the records sorted by
-     * (time_s, stream, seq). Call from the coordinating thread only,
-     * with no tenant slice in flight.
+     * Take all records, sorted by (time_s, stream, seq). Call from the
+     * coordinating thread only, with no tenant slice in flight.
      */
     std::vector<TraceRecord> drain();
 
   private:
-    struct Shard
-    {
-        std::vector<TraceRecord> records;
-        std::size_t next = 0; //!< Ring overwrite cursor.
-    };
-
-    void push(Shard &shard, const TraceRecord &record);
-
     TraceConfig config_;
-    std::vector<Shard> shards_; //!< Last shard = serial fleet plane.
+    std::vector<TraceRecord> records_;
     std::size_t fleet_seq_ = 0;
-    std::size_t dropped_ = 0;
 };
 
 /**
  * The per-job observer adapter: one TraceProbe per tenant session
  * turns RunObserver callbacks into Control/Beat/Lifecycle records on
  * the job's own stream (job + 1), offset from machine-local to fleet
- * virtual time by the job's admission time. The engines call
- * beginSlice(worker) before every epoch slice so records land in the
- * shard of the worker actually running the slice.
+ * virtual time by the job's admission time. The probe keeps its
+ * stream's records until flush() hands them to the sink.
  */
 class TraceProbe final : public core::RunObserver
 {
@@ -139,13 +125,17 @@ class TraceProbe final : public core::RunObserver
     {
     }
 
-    /** Route subsequent records to @p worker's shard. */
-    void beginSlice(std::size_t worker) { worker_ = worker; }
-
     void onRunStart(const core::RunStartEvent &event) override;
     void onQuantum(const core::QuantumEvent &event) override;
     void onBeat(const core::BeatEvent &event) override;
     void onRunEnd(const core::ControlledRun &run) override;
+
+    /**
+     * Append the stream's records to the sink (TraceSink::append) and
+     * clear them. Call from a serial section: the serve flushes when
+     * it releases the job's tenant.
+     */
+    void flush();
 
   private:
     TraceRecord base(TraceKind kind, Severity severity,
@@ -153,7 +143,7 @@ class TraceProbe final : public core::RunObserver
 
     TraceSink *sink_;
     Identity identity_;
-    std::size_t worker_ = 0;
+    std::vector<TraceRecord> records_;
     std::size_t seq_ = 0;
     double target_rate_ = 0.0;
     double start_time_s_ = 0.0;

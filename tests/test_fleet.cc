@@ -374,54 +374,17 @@ TEST(PowerArbiter, RejectsNonFiniteOptionsAtConstruction)
 }
 
 // ---------------------------------------------------------------------
-// MetricsHub: lock-free fan-in, deterministic drain.
+// JobProbe and the latency percentiles.
 // ---------------------------------------------------------------------
 
-TEST(MetricsHub, DrainMergesShardsSortedByJobId)
+TEST(JobProbe, FinishBeforeRunEndThrows)
 {
-    MetricsHub hub(3);
-    // Commit out of order across shards, as pool workers would.
-    for (const auto &[worker, job] :
-         std::vector<std::pair<std::size_t, std::size_t>>{
-             {2, 4}, {0, 1}, {1, 3}, {0, 0}, {2, 2}}) {
-        JobRecord seed;
-        seed.job = job;
-        auto probe = hub.probe(worker, seed);
-        probe.onRunStart({});
-        probe.onRunEnd({});
-        sim::Machine machine;
-        probe.finish(machine);
-    }
-    EXPECT_EQ(hub.committed(), 5u);
-    const auto records = hub.drain();
-    ASSERT_EQ(records.size(), 5u);
-    for (std::size_t i = 0; i < records.size(); ++i)
-        EXPECT_EQ(records[i].job, i);
-    EXPECT_EQ(hub.committed(), 0u);
-}
-
-TEST(MetricsHub, FinishBeforeRunEndThrows)
-{
-    MetricsHub hub(1);
-    auto probe = hub.probe(0, JobRecord{});
+    JobProbe probe;
     sim::Machine machine;
     EXPECT_THROW(probe.finish(machine), std::logic_error);
 }
 
-TEST(MetricsHub, BadWorkerIndexThrows)
-{
-    MetricsHub hub(2);
-    EXPECT_THROW(hub.probe(2, JobRecord{}), std::out_of_range);
-    // The commit side checks too: finishOn with a worker the hub
-    // never sharded for must not write out of bounds.
-    auto probe = hub.probe(0, JobRecord{});
-    probe.onRunStart({});
-    probe.onRunEnd({});
-    sim::Machine machine;
-    EXPECT_THROW(probe.finishOn(2, machine), std::out_of_range);
-}
-
-TEST(MetricsHub, PercentileNearestRank)
+TEST(LatencyPercentiles, PercentileNearestRank)
 {
     const std::vector<double> sorted{1.0, 2.0, 3.0, 4.0, 5.0};
     EXPECT_DOUBLE_EQ(percentileOf(sorted, 50.0), 3.0);

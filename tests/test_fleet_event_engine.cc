@@ -96,28 +96,38 @@ TEST(EventEngineInvariants, ConservesJobsAcrossSeeds)
     auto p = makePipeline();
     const double baseline_s = p.model.baselineSeconds();
     const auto inputs = p.app.productionInputs();
-    for (std::uint64_t seed = 100; seed < 120; ++seed) {
-        SCOPED_TRACE(::testing::Message() << "seed=" << seed);
-        const FleetScenario scenario =
-            makeFleetScenario(seed, baseline_s, inputs);
-        const FleetReport report =
-            serveScenario(p, scenario, EngineMode::Event);
+    for (const EngineMode engine : {EngineMode::Epoch, EngineMode::Event})
+        for (std::uint64_t seed = 100; seed < 120; ++seed) {
+            SCOPED_TRACE(::testing::Message()
+                         << "seed=" << seed << " engine="
+                         << (engine == EngineMode::Epoch ? "epoch"
+                                                         : "event"));
+            const FleetScenario scenario =
+                makeFleetScenario(seed, baseline_s, inputs);
+            const FleetReport report =
+                serveScenario(p, scenario, engine);
 
-        // Admitted = completed inside the horizon + in flight at the
-        // horizon; every admitted job has exactly one record; offered
-        // = admitted + shed.
-        EXPECT_EQ(report.total_jobs,
-                  completedAcrossEpochs(report) + report.drained_jobs);
-        EXPECT_EQ(report.jobs.size(), report.total_jobs);
-        std::size_t offered = 0;
-        for (const std::size_t n : scenario.arrivals)
-            offered += n;
-        EXPECT_EQ(offered, report.total_jobs + report.total_shed);
-        const std::size_t attributed = std::accumulate(
-            report.shed_by_machine.begin(),
-            report.shed_by_machine.end(), std::size_t{0});
-        EXPECT_EQ(attributed, report.total_shed);
-    }
+            // Admitted = completed inside the horizon + in flight at
+            // the horizon; every admitted job has exactly one finished
+            // record, stored at its job id; offered = admitted + shed.
+            EXPECT_EQ(report.total_jobs,
+                      completedAcrossEpochs(report) +
+                          report.drained_jobs);
+            ASSERT_EQ(report.jobs.size(), report.total_jobs);
+            for (std::size_t i = 0; i < report.jobs.size(); ++i) {
+                EXPECT_EQ(report.jobs[i].job, i);
+                EXPECT_GT(report.jobs[i].beats, 0u) << "job " << i;
+                EXPECT_GT(report.jobs[i].energy_j, 0.0) << "job " << i;
+            }
+            std::size_t offered = 0;
+            for (const std::size_t n : scenario.arrivals)
+                offered += n;
+            EXPECT_EQ(offered, report.total_jobs + report.total_shed);
+            const std::size_t attributed = std::accumulate(
+                report.shed_by_machine.begin(),
+                report.shed_by_machine.end(), std::size_t{0});
+            EXPECT_EQ(attributed, report.total_shed);
+        }
 }
 
 TEST(EventEngineInvariants, BudgetsSumToCapAfterEveryArbitration)
@@ -374,25 +384,30 @@ struct TenantJob
 
 void
 assignTenantJob(detail::Tenant &tenant, const ServerOptions &options,
-                MetricsHub &hub, const TenantJob &job)
+                const TenantJob &job)
 {
     const workload::OfferedJob offer{job.input, 1, 0.0};
-    detail::assignJob(tenant, options, hub, job.host, job.job,
-                      job.machine, 0, job.arrival_s, offer, 0.0);
+    detail::assignJob(tenant, options, job.host, job.job, job.machine, 0,
+                      job.arrival_s, offer, 0.0);
 }
 
 /**
- * Install @p job's lease (as writeLease would), run to the end, and
- * attribute the job's beats (as a stats sample would).
+ * Install @p job's lease (as writeLease would), run to the end,
+ * attribute the job's beats (as a stats sample would), and take the
+ * job's record and trace stream (as the release would).
  */
-void
+JobRecord
 runTenantJob(detail::Tenant &tenant, const TenantJob &job)
 {
     tenant.lease = job.lease;
     tenant.slice_deadline_s = std::numeric_limits<double>::infinity();
-    detail::runSlice(tenant, 0);
+    detail::runSlice(tenant);
     EXPECT_TRUE(tenant.done);
-    tenant.beats_reported = tenant.probe->record().beats;
+    tenant.beats_reported = tenant.probe.record().beats;
+    const JobRecord record = tenant.probe.finish(tenant.machine);
+    if (tenant.trace)
+        tenant.trace->flush();
+    return record;
 }
 
 /** Assert two just-assigned tenants hold identical per-job state. */
@@ -427,7 +442,7 @@ expectSameJobState(const detail::Tenant &a, const detail::Tenant &b)
     EXPECT_EQ(a.started, b.started);
     EXPECT_EQ(a.done, b.done);
     EXPECT_EQ(a.session->active(), b.session->active());
-    tests::expectJobRecordsIdentical(a.probe->record(), b.probe->record());
+    tests::expectJobRecordsIdentical(a.probe.record(), b.probe.record());
 }
 
 /** Job @p job's trace stream from @p sink, as JSONL. */
@@ -466,35 +481,26 @@ TEST(TenantPool, RecycledTenantMatchesFreshTenant)
     b.arrival_s = 4.0;
 
     obs::TraceSink fresh_sink, reused_sink;
-    fresh_sink.beginServe(1);
-    reused_sink.beginServe(1);
     ServerOptions fresh_options;
     fresh_options.tenants = p.app.productionInputs();
     ServerOptions reused_options = fresh_options;
     fresh_options.trace = &fresh_sink;
     reused_options.trace = &reused_sink;
-    MetricsHub fresh_hub(1), reused_hub(1);
-    auto fresh = detail::makeTenant(fresh_options, p.app, p.table,
-                                    p.model, fresh_hub);
-    auto reused = detail::makeTenant(reused_options, p.app, p.table,
-                                     p.model, reused_hub);
+    auto fresh =
+        detail::makeTenant(fresh_options, p.app, p.table, p.model);
+    auto reused =
+        detail::makeTenant(reused_options, p.app, p.table, p.model);
 
-    assignTenantJob(*reused, reused_options, reused_hub, a);
-    runTenantJob(*reused, a);
-    assignTenantJob(*reused, reused_options, reused_hub, b);
-    assignTenantJob(*fresh, fresh_options, fresh_hub, b);
+    assignTenantJob(*reused, reused_options, a);
+    const JobRecord reused_a = runTenantJob(*reused, a);
+    assignTenantJob(*reused, reused_options, b);
+    assignTenantJob(*fresh, fresh_options, b);
     expectSameJobState(*reused, *fresh);
-    runTenantJob(*reused, b);
-    runTenantJob(*fresh, b);
+    const JobRecord reused_b = runTenantJob(*reused, b);
+    const JobRecord fresh_b = runTenantJob(*fresh, b);
 
-    const std::vector<JobRecord> fresh_records = fresh_hub.drain();
-    const std::vector<JobRecord> reused_records = reused_hub.drain();
-    ASSERT_EQ(fresh_records.size(), 1u);
-    ASSERT_EQ(reused_records.size(), 2u);
-    EXPECT_NE(reused_records.front().latency_s,
-              reused_records.back().latency_s);
-    tests::expectJobRecordsIdentical(reused_records.back(),
-                                     fresh_records.back());
+    EXPECT_NE(reused_a.latency_s, reused_b.latency_s);
+    tests::expectJobRecordsIdentical(reused_b, fresh_b);
     const std::string fresh_trace = traceStreamOf(fresh_sink, b.job);
     EXPECT_FALSE(fresh_trace.empty());
     EXPECT_EQ(traceStreamOf(reused_sink, b.job), fresh_trace);
@@ -582,8 +588,7 @@ TEST(TenantPool, LeaseGateHonoursARetunedPauseAtTheNextBeat)
     ServerOptions options;
     options.session.withGate(
         [](core::BeatGateContext &ctx) { ctx.pause_per_busy = 0.1; });
-    MetricsHub hub(1);
-    auto tenant = detail::makeTenant(options, p.app, p.table, p.model, hub);
+    auto tenant = detail::makeTenant(options, p.app, p.table, p.model);
     const core::BeatGate &gate = tenant->session->options().gate;
     sim::Machine machine;
     core::BeatGateContext first{0, machine};

@@ -221,14 +221,12 @@ stamped(double time_s, std::size_t stream, std::size_t seq)
 TEST(TraceSink, DrainMergesShardsByTimeStreamSeq)
 {
     obs::TraceSink sink;
-    sink.beginServe(3);
-    // Interleave records across workers out of time order; the drain
-    // order must depend only on (time_s, stream, seq).
-    sink.emit(2, stamped(3.0, 5, 0));
-    sink.emit(0, stamped(1.0, 7, 0));
-    sink.emit(1, stamped(2.0, 5, 1));
-    sink.emit(0, stamped(2.0, 5, 0));
-    sink.emit(1, stamped(1.0, 2, 0));
+    // Two job streams' batches, each out of time order, appended in
+    // neither time nor stream order; the drain order must depend only
+    // on (time_s, stream, seq).
+    sink.append({stamped(3.0, 5, 0), stamped(1.0, 7, 0),
+                 stamped(2.0, 5, 1)});
+    sink.append({stamped(2.0, 5, 0), stamped(1.0, 2, 0)});
     EXPECT_EQ(sink.recorded(), 5u);
 
     const auto records = sink.drain();
@@ -244,7 +242,6 @@ TEST(TraceSink, DrainMergesShardsByTimeStreamSeq)
 TEST(TraceSink, FleetPlaneAssignsStreamZeroAndMonotoneSeq)
 {
     obs::TraceSink sink;
-    sink.beginServe(2);
     obs::TraceRecord record;
     record.kind = obs::TraceKind::Admit;
     record.time_s = 1.0;
@@ -257,24 +254,6 @@ TEST(TraceSink, FleetPlaneAssignsStreamZeroAndMonotoneSeq)
     EXPECT_EQ(records[1].stream, 0u);
     EXPECT_EQ(records[0].seq, 0u);
     EXPECT_EQ(records[1].seq, 1u);
-}
-
-TEST(TraceSink, RingKeepsNewestAndCountsDropped)
-{
-    obs::TraceConfig config;
-    config.ring_capacity = 3;
-    obs::TraceSink sink(config);
-    sink.beginServe(1);
-    for (std::size_t i = 0; i < 7; ++i)
-        sink.emit(0, stamped(static_cast<double>(i), 1, i));
-    EXPECT_EQ(sink.recorded(), 3u);
-    EXPECT_EQ(sink.dropped(), 4u);
-    const auto records = sink.drain();
-    ASSERT_EQ(records.size(), 3u);
-    // The newest three, oldest-first after the ring unwrap + sort.
-    EXPECT_EQ(records[0].seq, 4u);
-    EXPECT_EQ(records[1].seq, 5u);
-    EXPECT_EQ(records[2].seq, 6u);
 }
 
 TEST(TraceSink, WantsFiltersByCategoryAndSeverity)
