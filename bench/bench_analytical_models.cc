@@ -12,8 +12,10 @@ using namespace powerdial::core::analytical;
 using powerdial::bench::banner;
 
 int
-main()
+main(int argc, char **argv)
 {
+    powerdial::bench::parseFlags(argc, argv, {}, "usage: %s\n");
+
     // A task of 10 s at 2.4 GHz on the paper's platform; the DVFS
     // state stretches it per the frequency ratio (CPU-bound model).
     const DvfsPowers powers{205.0, 165.0, 90.0};

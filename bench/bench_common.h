@@ -11,10 +11,12 @@
 #ifndef POWERDIAL_BENCH_COMMON_H
 #define POWERDIAL_BENCH_COMMON_H
 
+#include <cstdint>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
 #include <fstream>
+#include <functional>
 #include <memory>
 #include <optional>
 #include <string>
@@ -35,6 +37,98 @@
 
 namespace powerdial::bench {
 
+/**
+ * One command-line flag of a bench. A name ending in '=' takes a value:
+ * "--steps=" matches `--steps=N` and hands "N" to set. Any other name
+ * is a switch, matched whole and handed "". set returns false when the
+ * value is malformed.
+ */
+struct Flag
+{
+    const char *name;
+    std::function<bool(const char *value)> set;
+};
+
+/**
+ * A decimal count: digits only, at most SIZE_MAX. Rejects "-4", "abc",
+ * "4x", the empty string and an overflowing value rather than letting
+ * them misparse or saturate.
+ */
+inline std::optional<std::size_t>
+parseCount(const char *text)
+{
+    if (*text == '\0')
+        return std::nullopt;
+    std::size_t value = 0;
+    for (const char *p = text; *p != '\0'; ++p) {
+        if (*p < '0' || *p > '9')
+            return std::nullopt;
+        const auto digit = static_cast<std::size_t>(*p - '0');
+        if (value > (SIZE_MAX - digit) / 10)
+            return std::nullopt;
+        value = value * 10 + digit;
+    }
+    return value;
+}
+
+/** `NAME=N`: a count (see parseCount) of at least @p min. */
+inline Flag
+countFlag(const char *name, std::size_t &out, std::size_t min = 0)
+{
+    return {name, [&out, min](const char *value) {
+                const auto count = parseCount(value);
+                if (!count.has_value() || *count < min)
+                    return false;
+                out = *count;
+                return true;
+            }};
+}
+
+/** `NAME=TEXT`: any text, the empty string included. */
+inline Flag
+textFlag(const char *name, std::string &out)
+{
+    return {name, [&out](const char *value) {
+                out = value;
+                return true;
+            }};
+}
+
+/**
+ * Parse a bench's command line against its flag table; `-t N` is an
+ * alias of `--threads=N`. On an unknown flag or a malformed value,
+ * print @p usage (a printf format taking the program name) and then
+ * @p usage_tail to stderr, and exit with status 2, so a typo cannot
+ * silently run a multi-minute sweep with default settings.
+ */
+inline void
+parseFlags(int argc, char **argv, const std::vector<Flag> &flags,
+           const char *usage, const char *usage_tail = "")
+{
+    const auto apply = [&flags](const std::string &arg) {
+        for (const Flag &flag : flags) {
+            const std::size_t n = std::strlen(flag.name);
+            if (n > 0 && flag.name[n - 1] == '=') {
+                if (arg.compare(0, n, flag.name) == 0)
+                    return flag.set(arg.c_str() + n);
+            } else if (arg == flag.name) {
+                return flag.set("");
+            }
+        }
+        return false;
+    };
+    for (int i = 1; i < argc; ++i) {
+        std::string arg = argv[i];
+        if (arg == "-t" && i + 1 < argc)
+            arg = std::string("--threads=") + argv[++i];
+        if (!apply(arg)) {
+            std::fprintf(stderr, usage, argv[0]);
+            std::fputs(usage_tail, stderr);
+            std::exit(2);
+        }
+    }
+}
+
 /** Command-line options shared by every bench driver. */
 struct BenchOptions
 {
@@ -46,45 +140,15 @@ struct BenchOptions
     std::size_t threads = 0;
 };
 
-/**
- * Parse the shared bench flags (currently `--threads=N` / `-t N`).
- * Prints usage and exits on an unknown argument or a malformed value
- * so a typo cannot silently run a multi-minute sweep with default
- * settings.
- */
+/** Parse the paper benches' one flag, `--threads=N` / `-t N`. */
 inline BenchOptions
 parseBenchOptions(int argc, char **argv)
 {
     BenchOptions options;
-    const auto usage = [argv]() {
-        std::fprintf(stderr,
-                     "usage: %s [--threads=N | -t N]\n"
-                     "  N calibration worker threads "
-                     "(0 = all hardware contexts, 1 = serial)\n",
-                     argv[0]);
-        std::exit(2);
-    };
-    const auto parseCount = [&usage](const char *text) {
-        // Digits only: reject "-4", "abc", "4x", and empty strings
-        // rather than letting strtoul misparse them.
-        if (*text == '\0')
-            usage();
-        for (const char *p = text; *p != '\0'; ++p)
-            if (*p < '0' || *p > '9')
-                usage();
-        return static_cast<std::size_t>(
-            std::strtoul(text, nullptr, 10));
-    };
-    for (int i = 1; i < argc; ++i) {
-        const char *arg = argv[i];
-        if (std::strncmp(arg, "--threads=", 10) == 0) {
-            options.threads = parseCount(arg + 10);
-        } else if (std::strcmp(arg, "-t") == 0 && i + 1 < argc) {
-            options.threads = parseCount(argv[++i]);
-        } else {
-            usage();
-        }
-    }
+    parseFlags(argc, argv, {countFlag("--threads=", options.threads)},
+               "usage: %s [--threads=N | -t N]\n"
+               "  N calibration worker threads "
+               "(0 = all hardware contexts, 1 = serial)\n");
     return options;
 }
 
@@ -217,39 +281,30 @@ struct ObsOptions
 };
 
 /**
- * Try to consume one observability argument. Returns false when the
- * argument is not an observability flag (so the caller's own parser
- * handles it); prints and exits on a malformed value.
+ * Append the observability flags to a fleet bench's table. A malformed
+ * --trace-categories prints the valid names and exits with status 2.
  */
-inline bool
-parseObsArg(ObsOptions &options, const char *arg)
+inline void
+addObsFlags(std::vector<Flag> &flags, ObsOptions &options)
 {
-    if (std::strncmp(arg, "--trace=", 8) == 0) {
-        options.trace_path = arg + 8;
-        return true;
-    }
-    if (std::strncmp(arg, "--trace-jsonl=", 14) == 0) {
-        options.trace_jsonl_path = arg + 14;
-        return true;
-    }
-    if (std::strncmp(arg, "--metrics=", 10) == 0) {
-        options.metrics_path = arg + 10;
-        return true;
-    }
-    if (std::strncmp(arg, "--trace-categories=", 19) == 0) {
-        const auto parsed = obs::parseCategories(arg + 19);
-        if (!parsed.has_value()) {
-            std::fprintf(stderr,
-                         "bad --trace-categories value '%s' (names: "
-                         "lifecycle,control,beat,admission,placement,"
-                         "arbitration,fleet,all,none)\n",
-                         arg + 19);
-            std::exit(2);
-        }
-        options.categories = *parsed;
-        return true;
-    }
-    return false;
+    flags.push_back(textFlag("--trace=", options.trace_path));
+    flags.push_back(textFlag("--trace-jsonl=", options.trace_jsonl_path));
+    flags.push_back(textFlag("--metrics=", options.metrics_path));
+    flags.push_back({"--trace-categories=", [&options](const char *value) {
+                         const auto parsed = obs::parseCategories(value);
+                         if (!parsed.has_value()) {
+                             std::fprintf(
+                                 stderr,
+                                 "bad --trace-categories value '%s' "
+                                 "(names: lifecycle,control,beat,"
+                                 "admission,placement,arbitration,"
+                                 "fleet,all,none)\n",
+                                 value);
+                             std::exit(2);
+                         }
+                         options.categories = *parsed;
+                         return true;
+                     }});
 }
 
 /** Extend a usage string: the observability flags every fleet bench

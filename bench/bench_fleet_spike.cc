@@ -43,7 +43,6 @@
 #include <algorithm>
 #include <chrono>
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
 #include <numeric>
 #include <vector>
@@ -94,82 +93,55 @@ FleetBenchOptions
 parseFleetOptions(int argc, char **argv)
 {
     FleetBenchOptions options;
-    const auto usage = [argv]() {
-        std::fprintf(stderr,
-                     "usage: %s [--steps=N] [--threads=N | -t N]\n"
-                     "          [--epoch-frac=P] [--queue-depth=N]\n"
-                     "          [--engine=epoch|event] "
-                     "[--sample-stride=N]\n"
-                     "          [--fleet=N] [--peak-rate=N]\n"
-                     "  steps       load-trace epochs (default 96)\n"
-                     "  threads     tenant-session workers "
-                     "(0 = all hardware contexts, 1 = serial)\n"
-                     "  epoch-frac  epoch length as %% of one job's "
-                     "baseline duration (default 100;\n"
-                     "              lower => jobs span multiple epochs "
-                     "and feel lease updates mid-run)\n"
-                     "  queue-depth max in-flight jobs per machine "
-                     "(default 0 = unbounded; overload sheds)\n"
-                     "  engine      serve schedule: epoch (round loop) "
-                     "or event (discrete-event)\n"
-                     "  sample-stride  epochs per report row "
-                     "(event engine only; default 1)\n"
-                     "  fleet       scale mode: N machines serving "
-                     "synthetic microsim tenants\n"
-                     "  peak-rate   Poisson peak arrivals per epoch "
-                     "(default 12, or 1000 with --fleet)\n"
-                     "  class-mix   heterogeneous fleet from the "
-                     "big.LITTLE catalog, e.g. big:2,little:2\n"
-                     "              (overrides the machine counts; "
-                     "absent = homogeneous default)\n%s",
-                     argv[0], obsUsage());
-        std::exit(2);
+    std::vector<Flag> flags = {
+        countFlag("--steps=", options.steps, 1),
+        countFlag("--threads=", options.threads),
+        countFlag("--epoch-frac=", options.epoch_frac_pct, 1),
+        countFlag("--queue-depth=", options.queue_depth),
+        {"--engine=",
+         [&options](const char *value) {
+             if (std::strcmp(value, "epoch") == 0)
+                 options.engine = fleet::EngineMode::Epoch;
+             else if (std::strcmp(value, "event") == 0)
+                 options.engine = fleet::EngineMode::Event;
+             else
+                 return false;
+             return true;
+         }},
+        countFlag("--sample-stride=", options.sample_stride, 1),
+        countFlag("--fleet=", options.fleet),
+        countFlag("--peak-rate=", options.peak_rate),
+        textFlag("--class-mix=", options.class_mix),
     };
-    const auto parseCount = [&usage](const char *text) {
-        if (*text == '\0')
-            usage();
-        for (const char *p = text; *p != '\0'; ++p)
-            if (*p < '0' || *p > '9')
-                usage();
-        return static_cast<std::size_t>(
-            std::strtoul(text, nullptr, 10));
-    };
-    for (int i = 1; i < argc; ++i) {
-        const char *arg = argv[i];
-        if (std::strncmp(arg, "--steps=", 8) == 0) {
-            options.steps = parseCount(arg + 8);
-        } else if (std::strncmp(arg, "--threads=", 10) == 0) {
-            options.threads = parseCount(arg + 10);
-        } else if (std::strncmp(arg, "--epoch-frac=", 13) == 0) {
-            options.epoch_frac_pct = parseCount(arg + 13);
-        } else if (std::strncmp(arg, "--queue-depth=", 14) == 0) {
-            options.queue_depth = parseCount(arg + 14);
-        } else if (std::strncmp(arg, "--engine=", 9) == 0) {
-            if (std::strcmp(arg + 9, "epoch") == 0)
-                options.engine = fleet::EngineMode::Epoch;
-            else if (std::strcmp(arg + 9, "event") == 0)
-                options.engine = fleet::EngineMode::Event;
-            else
-                usage();
-        } else if (std::strncmp(arg, "--sample-stride=", 16) == 0) {
-            options.sample_stride = parseCount(arg + 16);
-        } else if (std::strncmp(arg, "--fleet=", 8) == 0) {
-            options.fleet = parseCount(arg + 8);
-        } else if (std::strncmp(arg, "--peak-rate=", 12) == 0) {
-            options.peak_rate = parseCount(arg + 12);
-        } else if (std::strncmp(arg, "--class-mix=", 12) == 0) {
-            options.class_mix = arg + 12;
-        } else if (parseObsArg(options.obs, arg)) {
-            // Consumed by the shared observability parser.
-        } else if (std::strcmp(arg, "-t") == 0 && i + 1 < argc) {
-            options.threads = parseCount(argv[++i]);
-        } else {
-            usage();
-        }
-    }
-    if (options.steps == 0 || options.epoch_frac_pct == 0 ||
-        options.sample_stride == 0)
-        usage();
+    addObsFlags(flags, options.obs);
+    parseFlags(argc, argv, flags,
+               "usage: %s [--steps=N] [--threads=N | -t N]\n"
+               "          [--epoch-frac=P] [--queue-depth=N]\n"
+               "          [--engine=epoch|event] "
+               "[--sample-stride=N]\n"
+               "          [--fleet=N] [--peak-rate=N]\n"
+               "  steps       load-trace epochs (default 96)\n"
+               "  threads     tenant-session workers "
+               "(0 = all hardware contexts, 1 = serial)\n"
+               "  epoch-frac  epoch length as %% of one job's "
+               "baseline duration (default 100;\n"
+               "              lower => jobs span multiple epochs "
+               "and feel lease updates mid-run)\n"
+               "  queue-depth max in-flight jobs per machine "
+               "(default 0 = unbounded; overload sheds)\n"
+               "  engine      serve schedule: epoch (round loop) "
+               "or event (discrete-event)\n"
+               "  sample-stride  epochs per report row "
+               "(event engine only; default 1)\n"
+               "  fleet       scale mode: N machines serving "
+               "synthetic microsim tenants\n"
+               "  peak-rate   Poisson peak arrivals per epoch "
+               "(default 12, or 1000 with --fleet)\n"
+               "  class-mix   heterogeneous fleet from the "
+               "big.LITTLE catalog, e.g. big:2,little:2\n"
+               "              (overrides the machine counts; "
+               "absent = homogeneous default)\n",
+               obsUsage());
     return options;
 }
 

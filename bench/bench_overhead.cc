@@ -20,6 +20,7 @@
 #include <chrono>
 
 #include "apps/swaptions/pricer.h"
+#include "bench_common.h"
 #include "core/actuation_strategy.h"
 #include "core/control_policy.h"
 #include "core/controller.h"
@@ -375,8 +376,9 @@ checkTracingOverheadCeiling()
 } // namespace
 
 int
-main()
+main(int argc, char **argv)
 {
+    bench::parseFlags(argc, argv, {}, "usage: %s\n");
     powerdial::microbench::RunAll();
     return checkTracingOverheadCeiling();
 }

@@ -33,7 +33,6 @@
 #include <chrono>
 #include <cmath>
 #include <cstdio>
-#include <cstring>
 #include <functional>
 #include <string>
 #include <vector>
@@ -44,6 +43,7 @@
 #include "apps/swaptions/pricer.h"
 #include "apps/videnc/dct.h"
 #include "apps/videnc/motion.h"
+#include "bench_common.h"
 #include "vendor/microbench.h"
 #include "workload/corpus.h"
 #include "workload/rng.h"
@@ -436,17 +436,11 @@ main(int argc, char **argv)
 {
     bool check = false;
     std::string json_path;
-    for (int i = 1; i < argc; ++i) {
-        if (std::strcmp(argv[i], "--check") == 0) {
-            check = true;
-        } else if (std::strncmp(argv[i], "--json=", 7) == 0) {
-            json_path = argv[i] + 7;
-        } else {
-            std::fprintf(stderr,
-                         "usage: %s [--check] [--json=FILE]\n", argv[0]);
-            return 2;
-        }
-    }
+    bench::parseFlags(
+        argc, argv,
+        {{"--check", [&check](const char *) { return check = true; }},
+         bench::textFlag("--json=", json_path)},
+        "usage: %s [--check] [--json=FILE]\n");
 
     std::vector<KernelReport> reports;
     reports.push_back(benchDct());

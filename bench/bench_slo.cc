@@ -30,8 +30,6 @@
  */
 #include <chrono>
 #include <cstdio>
-#include <cstdlib>
-#include <cstring>
 #include <string>
 #include <vector>
 
@@ -60,47 +58,23 @@ SloBenchOptions
 parseSloOptions(int argc, char **argv)
 {
     SloBenchOptions options;
-    const auto usage = [argv]() {
-        std::fprintf(stderr,
-                     "usage: %s [--steps=N] [--threads=N | -t N] "
-                     "[--class-mix=SPEC]\n"
-                     "  steps      traffic-schedule epochs "
-                     "(default 48)\n"
-                     "  threads    tenant-session workers "
-                     "(0 = all hardware contexts, 1 = serial)\n"
-                     "  class-mix  heterogeneous fleet from the "
-                     "big.LITTLE catalog, e.g. big:1,little:2\n"
-                     "             (absent = homogeneous default)\n%s",
-                     argv[0], obsUsage());
-        std::exit(2);
+    std::vector<Flag> flags = {
+        countFlag("--steps=", options.steps, 1),
+        countFlag("--threads=", options.threads),
+        textFlag("--class-mix=", options.class_mix),
     };
-    const auto parseCount = [&usage](const char *text) {
-        if (*text == '\0')
-            usage();
-        for (const char *p = text; *p != '\0'; ++p)
-            if (*p < '0' || *p > '9')
-                usage();
-        return static_cast<std::size_t>(
-            std::strtoul(text, nullptr, 10));
-    };
-    for (int i = 1; i < argc; ++i) {
-        const char *arg = argv[i];
-        if (std::strncmp(arg, "--steps=", 8) == 0) {
-            options.steps = parseCount(arg + 8);
-        } else if (std::strncmp(arg, "--threads=", 10) == 0) {
-            options.threads = parseCount(arg + 10);
-        } else if (std::strcmp(arg, "-t") == 0 && i + 1 < argc) {
-            options.threads = parseCount(argv[++i]);
-        } else if (std::strncmp(arg, "--class-mix=", 12) == 0) {
-            options.class_mix = arg + 12;
-        } else if (parseObsArg(options.obs, arg)) {
-            // Consumed by the shared observability parser.
-        } else {
-            usage();
-        }
-    }
-    if (options.steps == 0)
-        usage();
+    addObsFlags(flags, options.obs);
+    parseFlags(argc, argv, flags,
+               "usage: %s [--steps=N] [--threads=N | -t N] "
+               "[--class-mix=SPEC]\n"
+               "  steps      traffic-schedule epochs "
+               "(default 48)\n"
+               "  threads    tenant-session workers "
+               "(0 = all hardware contexts, 1 = serial)\n"
+               "  class-mix  heterogeneous fleet from the "
+               "big.LITTLE catalog, e.g. big:1,little:2\n"
+               "             (absent = homogeneous default)\n",
+               obsUsage());
     return options;
 }
 

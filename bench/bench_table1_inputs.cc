@@ -27,8 +27,9 @@ count(std::size_t n, const std::string &what)
 } // namespace
 
 int
-main()
+main(int argc, char **argv)
 {
+    parseFlags(argc, argv, {}, "usage: %s\n");
     banner("Table 1: Training and Production Inputs");
     std::printf("%-10s | %-28s | %-28s | %s\n", "benchmark",
                 "training inputs", "production inputs", "source");

@@ -23,10 +23,11 @@
  * tenant release, the per-machine QoS-feedback fold, stats rows, and
  * the drain past the horizon. Tenant advancement runs through
  * core::FanoutEngine — the only parallel section — and a slice writes
- * only its own tenant's state. Every finished job passes through one
- * serial point, its release or the drain past the horizon, which
- * stores its record at its job id and hands its trace stream to the
- * sink, so either report is bit-identical at any thread count.
+ * only its own tenant's state, including the job's record, which the
+ * slice fills from the session's result. Every finished job passes
+ * through one serial point, its release or the drain past the horizon,
+ * which stores its record at its job id and hands its trace stream to
+ * the sink, so either report is bit-identical at any thread count.
  */
 #include <algorithm>
 #include <cmath>
@@ -114,17 +115,16 @@ writeLease(const sim::Cluster &cluster, Tenant &tenant,
            std::size_t generation, std::size_t epoch,
            const ArbitrationDecision &decision, FleetTracer &tracer)
 {
-    const auto load = cluster.loadOf(
-        tenant.machine_index, cluster.activeOn(tenant.machine_index));
+    const JobRecord &job = tenant.record;
+    const auto load =
+        cluster.loadOf(job.machine, cluster.activeOn(job.machine));
     tenant.lease.generation = generation;
     tenant.lease.epoch = epoch;
     tenant.lease.share = load.per_instance_share;
     tenant.lease.utilization = load.utilization;
-    tenant.lease.pstate_cap = decision.pstate_cap[tenant.machine_index];
-    tenant.lease.pause_ratio =
-        decision.pause_ratio[tenant.machine_index];
-    tracer.lease(tenant.job, tenant.input, tenant.machine_index,
-                 tenant.lease);
+    tenant.lease.pstate_cap = decision.pstate_cap[job.machine];
+    tenant.lease.pause_ratio = decision.pause_ratio[job.machine];
+    tracer.lease(job.job, job.tenant, job.machine, tenant.lease);
 }
 
 /**
@@ -354,7 +354,7 @@ class EventServe
             // Tenant-local, in exactly this float form (the goldens
             // pin it): t(e+1) - arrival_time rounds differently.
             tenant->slice_deadline_s =
-                static_cast<double>(e - tenant->arrival_epoch + 1) *
+                static_cast<double>(e - tenant->record.epoch + 1) *
                 epoch_s_;
     }
 
@@ -368,7 +368,7 @@ class EventServe
         // finished this epoch feed their QoS loss back to the arbiter.
         double fleet_rate = 0.0;
         for (const auto &tenant : active_) {
-            const std::size_t beats = tenant->probe.record().beats;
+            const std::size_t beats = tenant->record.beats;
             fleet_rate +=
                 static_cast<double>(beats - tenant->beats_reported) /
                 epoch_s_;
@@ -472,7 +472,7 @@ class EventServe
         for (auto &tenant : active_) {
             if (tenant->done) {
                 window_beats_ +=
-                    tenant->probe.record().beats - tenant->beats_reported;
+                    tenant->record.beats - tenant->beats_reported;
                 noteQos(*tenant);
                 releaseTenant(std::move(tenant));
             } else {
@@ -496,7 +496,7 @@ class EventServe
             std::min(start + stride, offers_.size());
 
         for (const auto &tenant : active_) {
-            const std::size_t beats = tenant->probe.record().beats;
+            const std::size_t beats = tenant->record.beats;
             window_beats_ += beats - tenant->beats_reported;
             tenant->beats_reported = beats;
         }
@@ -624,19 +624,21 @@ class EventServe
         const JobRecord &record = commitJob(*tenant);
         ++window_.completed;
         scheduler_.noteCompletion(record.latency_s, record.predicted_s);
-        scheduler_.release(tenant->machine_index);
+        scheduler_.release(tenant->record.machine);
         pool_.release(std::move(tenant));
     }
 
     /**
-     * Store a finished tenant's record at its job id and hand its trace
-     * stream to the sink — before the pool can reassign the tenant.
+     * Store a finished tenant's record at its job id, with the energy
+     * of the job's machine, and hand its trace stream to the sink —
+     * before the pool can reassign the tenant.
      */
     const JobRecord &
     commitJob(Tenant &tenant)
     {
-        JobRecord &slot = report_.jobs[tenant.job];
-        slot = tenant.probe.finish(tenant.machine);
+        JobRecord &slot = report_.jobs[tenant.record.job];
+        slot = tenant.record;
+        slot.energy_j = tenant.machine.energyJoules();
         if (tenant.trace)
             tenant.trace->flush();
         return slot;
@@ -647,9 +649,9 @@ class EventServe
     void
     noteQos(const Tenant &tenant)
     {
-        const double loss = tenant.probe.record().qos_loss;
-        machine_qos_[tenant.machine_index] += loss;
-        ++machine_jobs_[tenant.machine_index];
+        const double loss = tenant.record.qos_loss;
+        machine_qos_[tenant.record.machine] += loss;
+        ++machine_jobs_[tenant.record.machine];
         window_qos_sum_ += loss;
         ++window_finished_;
     }

@@ -1,14 +1,16 @@
 /**
  * @file
- * Per-job metrics for the fleet serving subsystem.
+ * Per-job records for the fleet serving subsystem.
  *
- * Every tenant session already streams per-beat events through the
- * core::RunObserver seam; a JobProbe, attached to one tenant session,
- * folds them into that job's JobRecord — a private record, so tenants
- * advancing concurrently on core::FanoutEngine workers share no state.
- * The serve takes each finished record at its serial release point and
- * stores it at its job id (FleetReport::jobs[i].job == i), so every
- * aggregate (fleet heart rate, total watts, per-tenant QoS loss,
+ * A JobRecord is plain data. The serve seeds it with the job's
+ * identity when it assigns the job to a tenant; the tenant's lease
+ * gate tags it with each lease it applies; and the tenant's slices
+ * copy in the run's outcome from the core::ControlledRun that
+ * core::Session::advanceUntil returns. The record lives in the tenant,
+ * so tenants advancing concurrently on core::FanoutEngine workers
+ * share no state. The serve stores each finished record at its job id
+ * (FleetReport::jobs[i].job == i) at its serial release point, so
+ * every aggregate (fleet heart rate, total watts, per-tenant QoS loss,
  * latency percentiles) is bit-identical at any thread count.
  */
 #ifndef POWERDIAL_FLEET_METRICS_HUB_H
@@ -16,9 +18,6 @@
 
 #include <cstddef>
 #include <vector>
-
-#include "core/run_observer.h"
-#include "sim/machine.h"
 
 namespace powerdial::fleet {
 
@@ -35,10 +34,9 @@ struct JobRecord
      *  admitted the job (0 = no prediction was made). */
     double predicted_s = 0.0;
     double latency_s = 0.0;  //!< Virtual seconds to completion.
-    double mean_rate = 0.0;  //!< Mean sliding-window heart rate.
     double qos_loss = 0.0;   //!< Work-weighted calibrated QoS loss.
     double energy_j = 0.0;   //!< Energy of the job's machine share.
-    std::size_t beats = 0;   //!< Heartbeats the job emitted.
+    std::size_t beats = 0;   //!< Heartbeats the job emitted so far.
     // Latency breakdown (see core::ControlledRun): where latency_s
     // went — service_s + queue_share_s + class_deficit_s + pause_s
     // ~= latency_s up to FP rounding.
@@ -54,50 +52,6 @@ struct JobRecord
      */
     std::size_t lease_generation = 0;
     std::size_t lease_updates = 0;
-};
-
-/**
- * The per-job observer: attach one probe to one tenant session, then
- * finish() it after the run to take the job's record.
- */
-class JobProbe final : public core::RunObserver
-{
-  public:
-    JobProbe() = default;
-
-    /** A probe for the job whose identity (job, tenant, epoch,
-     *  machine) and offered metadata @p seed carries. */
-    explicit JobProbe(const JobRecord &seed) : record_(seed) {}
-
-    void onRunStart(const core::RunStartEvent &event) override;
-    void onBeat(const core::BeatEvent &event) override;
-    void onRunEnd(const core::ControlledRun &run) override;
-
-    /**
-     * The finished job's record, folding in what only the caller can
-     * see: the energy of the machine the job ran on. Call exactly
-     * once, after the session's run completed; throws
-     * std::logic_error before that.
-     */
-    JobRecord finish(const sim::Machine &machine);
-
-    /**
-     * Tag the record with the arbitration-lease terms the tenant's
-     * gate just applied (called once per lease re-read).
-     */
-    void noteLease(std::size_t generation)
-    {
-        record_.lease_generation = generation;
-        ++record_.lease_updates;
-    }
-
-    /** The record as accumulated so far (complete after the run). */
-    const JobRecord &record() const { return record_; }
-
-  private:
-    JobRecord record_;
-    double rate_sum_ = 0.0;
-    bool done_ = false;
 };
 
 /**

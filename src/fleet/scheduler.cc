@@ -220,12 +220,6 @@ makeAffinityAwarePlacement()
     return []() { return std::make_unique<AffinityAwarePolicy>(); };
 }
 
-Scheduler::Scheduler(sim::Cluster &cluster, PlacementFactory policy)
-    : Scheduler(cluster, SchedulerOptions{std::move(policy), 0,
-                                          nullptr, nullptr})
-{
-}
-
 Scheduler::Scheduler(sim::Cluster &cluster, SchedulerOptions options)
     : cluster_(&cluster), options_(std::move(options)),
       shed_by_machine_(cluster.size(), 0)
@@ -243,24 +237,17 @@ Scheduler::Scheduler(sim::Cluster &cluster, SchedulerOptions options)
     policy_->bindModel(options_.model);
 }
 
-AdmissionVerdict
-Scheduler::decideWith(const OfferedJob &job) const
+std::optional<Admission>
+Scheduler::tryAdmit(const OfferedJob &job)
 {
     const AdmissionContext context{
         *cluster_, *policy_, options_.queue_depth, options_.model,
         have_decision_ ? &last_decision_ : nullptr};
-    AdmissionVerdict verdict = admission_->decide(job, context);
+    const AdmissionVerdict verdict = admission_->decide(job, context);
     if (verdict.policy_pick >= cluster_->size() ||
         (verdict.machine.has_value() &&
          *verdict.machine >= cluster_->size()))
         throw std::logic_error("Scheduler: policy picked a bad machine");
-    return verdict;
-}
-
-std::optional<Admission>
-Scheduler::tryAdmit(const OfferedJob &job)
-{
-    const AdmissionVerdict verdict = decideWith(job);
     last_verdict_ = verdict;
     if (!verdict.machine.has_value()) {
         // Shed: charge the job to the host the policy chose for it
@@ -274,32 +261,6 @@ Scheduler::tryAdmit(const OfferedJob &job)
     }
     cluster_->place(*verdict.machine);
     return Admission{*verdict.machine, verdict.predicted_s};
-}
-
-std::optional<std::size_t>
-Scheduler::tryAdmit()
-{
-    const auto admission =
-        tryAdmit(OfferedJob{kRoundRobinTenant, 0, 0.0});
-    if (!admission.has_value())
-        return std::nullopt;
-    return admission->machine;
-}
-
-std::size_t
-Scheduler::admit()
-{
-    // A full cluster is a caller bug here, not a shed event: the
-    // counters only track tryAdmit()-path admission control.
-    const AdmissionVerdict verdict =
-        decideWith(OfferedJob{kRoundRobinTenant, 0, 0.0});
-    last_verdict_ = verdict;
-    if (!verdict.machine.has_value())
-        throw std::logic_error(
-            "Scheduler: admit() shed a job; use tryAdmit() with a "
-            "queue-depth bound");
-    cluster_->place(*verdict.machine);
-    return *verdict.machine;
 }
 
 void

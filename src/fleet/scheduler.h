@@ -162,10 +162,6 @@ struct Admission
 class Scheduler
 {
   public:
-    /** @param policy Null means least-loaded placement. */
-    explicit Scheduler(sim::Cluster &cluster,
-                       PlacementFactory policy = nullptr);
-
     Scheduler(sim::Cluster &cluster, SchedulerOptions options);
 
     /**
@@ -175,21 +171,6 @@ class Scheduler
      * placement pick and the job's priority class).
      */
     std::optional<Admission> tryAdmit(const OfferedJob &job);
-
-    /**
-     * Legacy count-based admission: one metadata-free job (round-robin
-     * tenant, class 0, no deadline); returns the hosting machine.
-     * Under the default QueueDepthAdmission this sheds exactly when
-     * every machine is at the queue-depth bound, as it always has.
-     */
-    std::optional<std::size_t> tryAdmit();
-
-    /**
-     * Unbounded admit (pre-admission-control API): always places.
-     * Throws std::logic_error when the admission policy would have
-     * shed the job — callers that can shed must use tryAdmit().
-     */
-    std::size_t admit();
 
     /** Record completion of a job hosted on machine @p machine. */
     void release(std::size_t machine);
@@ -238,10 +219,10 @@ class Scheduler
     const PlacementPolicy &policy() const { return *policy_; }
 
     /**
-     * The full verdict behind the most recent tryAdmit()/admit() —
+     * The full verdict behind the most recent tryAdmit(job) —
      * pricing (prediction, margin, class factor) and, for sheds, the
      * attributed cause. For decision tracing; valid until the next
-     * admission call on this scheduler.
+     * tryAdmit call on this scheduler.
      */
     const AdmissionVerdict &lastVerdict() const { return last_verdict_; }
 
@@ -254,8 +235,6 @@ class Scheduler
     const sim::Cluster &cluster() const { return *cluster_; }
 
   private:
-    AdmissionVerdict decideWith(const OfferedJob &job) const;
-
     sim::Cluster *cluster_;
     SchedulerOptions options_;
     std::unique_ptr<PlacementPolicy> policy_;

@@ -11,8 +11,8 @@
  * duty-cycle pauses delivered through the session beat gate); every
  * admitted job runs a full closed-loop core::Session on a private
  * App::clone whose machine models its host's core share and frequency
- * cap; and each tenant's JobProbe folds its session's observer
- * events into the job's record, which the server stores when it
+ * cap; and each tenant fills the job's record from its session's
+ * result (core::ControlledRun), which the server stores when it
  * releases the tenant, feeding per-machine QoS loss back to the
  * arbiter for the next epoch.
  *

@@ -5,8 +5,8 @@
  * Both schedules of the serve — epoch and event — run their jobs on
  * the pieces here: the recyclable Tenant slot and its per-serve pool,
  * the lease gate that wires a tenant's lease into its session, and the
- * slice step. They live in a header so tests can drive a tenant
- * directly.
+ * slice step that fills the job's record from the session's result.
+ * They live in a header so tests can drive a tenant directly.
  */
 #ifndef POWERDIAL_FLEET_TENANT_H
 #define POWERDIAL_FLEET_TENANT_H
@@ -25,40 +25,41 @@ namespace powerdial::fleet::detail {
 /**
  * One tenant slot. Built once per slot: a private application clone,
  * its rebound knob table, and the session that drives them, with the
- * lease gate and the metrics and trace probes attached. Reset for
- * every job by assignJob: the job's identity, its simulated machine,
- * lease, slice bookkeeping, and probes. Everything a slice writes is
- * in the slot, so slices of different tenants can run concurrently;
- * the serve takes the job's record and trace stream when it releases
- * the tenant. A finished tenant goes back to its serve's TenantPool
- * and serves a later job, so a serve clones the application once per
- * peak concurrent job, not per job.
+ * lease gate attached (and the trace probe, when the serve traces).
+ * Reset for every job by assignJob: the job's record, its simulated
+ * machine, lease, slice bookkeeping, and trace stream. Everything a
+ * slice writes is in the slot, so slices of different tenants can run
+ * concurrently; the serve takes the job's record and trace stream when
+ * it releases the tenant. A finished tenant goes back to its serve's
+ * TenantPool and serves a later job, so a serve clones the application
+ * once per peak concurrent job, not per job.
  * A tenant keeps one heap address for the whole serve — only its
  * owning pointer moves between the active list and the pool — so the
- * session's pointers into the clone, table, machine, and probes (and
- * the gate's pointer back into the tenant) stay valid across jobs.
+ * session's pointers into the clone, table, machine, and trace probe
+ * (and the gate's pointer back into the tenant) stay valid across
+ * jobs.
  */
 struct Tenant
 {
     // Per job: assignJob resets every field in this block.
-    std::size_t job = 0;
-    std::size_t input = 0;
-    std::size_t machine_index = 0;
-    std::size_t arrival_epoch = 0;
+    /**
+     * The job's identity (job id, input stream, host machine, arrival
+     * epoch, offered metadata) and, as it runs, its outcome: the lease
+     * gate tags the lease terms it applies, every slice keeps beats
+     * current, and the completing slice copies in the run's result.
+     */
+    JobRecord record;
     double arrival_time_s = 0.0; //!< Fleet virtual time at admission
                                  //!< (event engine; the epoch loop
-                                 //!< derives times from arrival_epoch).
+                                 //!< derives times from record.epoch).
     sim::Machine machine;
     ArbitrationLease lease;
-    std::size_t applied_generation = 0; //!< Gate-side: last applied.
-    double slice_deadline_s = 0.0;      //!< Tenant-local slice end.
-    std::size_t beats_reported = 0;     //!< Beats already attributed
-                                        //!< to earlier epochs' rates.
-    JobProbe probe;
+    double slice_deadline_s = 0.0;  //!< Tenant-local slice end.
+    std::size_t beats_reported = 0; //!< Beats already attributed to
+                                    //!< earlier epochs' rates.
     /** Structured trace stream of this job (present when the serve
      *  has a TraceSink attached). */
     std::optional<obs::TraceProbe> trace;
-    bool started = false;
     bool done = false;
 
     // Per slot: built once by makeTenant.
@@ -71,7 +72,8 @@ struct Tenant
  * The tenant's beat gate: the lease re-read, then the lease-driven
  * duty-cycle pause, after @p caller's gate when one is set. The
  * re-read applies changed terms within one beat of an arbiter rewrite
- * and reports the applied generation to the metrics probe; the pause
+ * and tags the job's record with the applied generation (the record's
+ * lease_generation is the gate's last-applied generation); the pause
  * reads the ratio in force at that beat, so a retuned lease already
  * paces the next beat.
  */
@@ -82,12 +84,12 @@ makeLeaseGate(Tenant &tenant, core::BeatGate caller)
     return core::composeGates(
         std::move(caller), [t](core::BeatGateContext &ctx) {
             const ArbitrationLease &lease = t->lease;
-            if (t->applied_generation != lease.generation) {
+            if (t->record.lease_generation != lease.generation) {
                 ctx.machine.setPStateCap(lease.pstate_cap);
                 ctx.machine.setShare(lease.share);
                 ctx.machine.setUtilization(lease.utilization);
-                t->applied_generation = lease.generation;
-                t->probe.noteLease(lease.generation);
+                t->record.lease_generation = lease.generation;
+                ++t->record.lease_updates;
             }
             if (lease.pause_ratio > 0.0)
                 ctx.pause_per_busy += lease.pause_ratio;
@@ -97,9 +99,10 @@ makeLeaseGate(Tenant &tenant, core::BeatGate caller)
 /**
  * Build one tenant slot the way both engines must: a clone of @p app
  * with a rebindKnobTable() copy of @p table, and a session gated by
- * makeLeaseGate (after the caller's gate) and observed by the metrics
- * probe, then by the trace probe when the serve traces. The slot
- * serves no job until assignJob.
+ * makeLeaseGate (after the caller's gate). Only a traced serve's
+ * sessions have an observer, the trace probe; an untraced session has
+ * none, so its beats build no per-beat trace. The slot serves no job
+ * until assignJob.
  */
 inline std::unique_ptr<Tenant>
 makeTenant(const ServerOptions &options, const core::App &app,
@@ -116,7 +119,6 @@ makeTenant(const ServerOptions &options, const core::App &app,
     session_options.withGate(makeLeaseGate(t, options.session.gate));
     t.session.emplace(*t.app, t.table, model,
                       std::move(session_options));
-    t.session->observe(t.probe);
     if (t.trace)
         t.session->observe(*t.trace);
     return tenant;
@@ -124,8 +126,8 @@ makeTenant(const ServerOptions &options, const core::App &app,
 
 /**
  * Assign one admitted job to tenant @p t, fresh or reused alike:
- * resets every per-job field. The metrics probe is seeded from the
- * job's identity and offered metadata; the trace probe must already be
+ * resets every per-job field. The record is seeded from the job's
+ * identity and offered metadata; the trace probe must already be
  * flushed, since it restarts empty. An offer with the
  * kRoundRobinTenant sentinel resolves its input by the legacy
  * round-robin-on-job-id rule. The job's private machine is reset in
@@ -142,53 +144,58 @@ assignJob(Tenant &t, const ServerOptions &options,
           double arrival_time_s, const workload::OfferedJob &offer,
           double predicted_s)
 {
-    t.job = job;
-    t.input = offer.tenant == kRoundRobinTenant
+    JobRecord &r = t.record;
+    r = JobRecord{};
+    r.job = job;
+    r.tenant = offer.tenant == kRoundRobinTenant
         ? options.tenants[job % options.tenants.size()]
         : offer.tenant;
-    t.machine_index = machine_index;
-    t.arrival_epoch = arrival_epoch;
+    r.epoch = arrival_epoch;
+    r.machine = machine_index;
+    r.job_class = offer.job_class;
+    r.deadline_s = offer.deadline_s;
+    r.predicted_s = predicted_s;
     t.arrival_time_s = arrival_time_s;
     t.machine.reset(host_config);
     t.lease = ArbitrationLease{};
-    t.applied_generation = 0;
     t.slice_deadline_s = 0.0;
     t.beats_reported = 0;
-
-    JobRecord seed;
-    seed.job = t.job;
-    seed.tenant = t.input;
-    seed.epoch = arrival_epoch;
-    seed.machine = t.machine_index;
-    seed.job_class = offer.job_class;
-    seed.deadline_s = offer.deadline_s;
-    seed.predicted_s = predicted_s;
-    t.probe = JobProbe(seed);
     if (t.trace)
         *t.trace = obs::TraceProbe(
             *options.trace,
-            obs::TraceProbe::Identity{t.job, t.input, t.machine_index,
-                                      offer.job_class, arrival_time_s});
-    t.started = false;
+            obs::TraceProbe::Identity{r.job, r.tenant, r.machine,
+                                      r.job_class, arrival_time_s});
     t.done = false;
 }
 
 /**
  * Advance tenant @p t to its slice deadline — the slice both schedules
- * fan out. The first slice starts the run; the slice that completes it
- * marks the tenant done.
+ * fan out. The first slice starts the run. Every slice leaves
+ * record.beats current, since both schedules read it mid-run for the
+ * window heart rate; the slice that completes the run copies the run's
+ * result into the record and marks the tenant done.
  */
 inline void
 runSlice(Tenant &t)
 {
     if (t.done)
         return; // Awaiting release.
-    if (!t.started) {
-        t.session->start(t.input, t.machine);
-        t.started = true;
+    if (!t.session->active())
+        t.session->start(t.record.tenant, t.machine);
+    const auto run = t.session->advanceUntil(t.slice_deadline_s);
+    if (!run.has_value()) {
+        t.record.beats = t.session->unitsProcessed();
+        return;
     }
-    if (t.session->advanceUntil(t.slice_deadline_s).has_value())
-        t.done = true;
+    JobRecord &r = t.record;
+    r.beats = run->beat_count;
+    r.latency_s = run->seconds;
+    r.qos_loss = run->mean_qos_loss_estimate;
+    r.service_s = run->service_s;
+    r.queue_share_s = run->queue_share_s;
+    r.class_deficit_s = run->class_deficit_s;
+    r.pause_s = run->pause_s;
+    t.done = true;
 }
 
 /**

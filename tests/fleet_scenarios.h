@@ -16,6 +16,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <optional>
 #include <utility>
 #include <vector>
 
@@ -47,6 +48,21 @@ makePipeline(const powerdial::tests::ToyApp::Config &config = {})
     return p;
 }
 
+/**
+ * Offer @p scheduler one metadata-free job (round-robin tenant,
+ * class 0, no deadline); returns its host, or std::nullopt when
+ * admission shed it.
+ */
+inline std::optional<std::size_t>
+admitJob(Scheduler &scheduler)
+{
+    const auto admission =
+        scheduler.tryAdmit(OfferedJob{kRoundRobinTenant, 0, 0.0});
+    if (!admission.has_value())
+        return std::nullopt;
+    return admission->machine;
+}
+
 /** Assert two job records are identical field for field (exact). */
 inline void
 expectJobRecordsIdentical(const JobRecord &a, const JobRecord &b)
@@ -59,7 +75,6 @@ expectJobRecordsIdentical(const JobRecord &a, const JobRecord &b)
     EXPECT_EQ(a.deadline_s, b.deadline_s);
     EXPECT_EQ(a.predicted_s, b.predicted_s);
     EXPECT_EQ(a.latency_s, b.latency_s);
-    EXPECT_EQ(a.mean_rate, b.mean_rate);
     EXPECT_EQ(a.qos_loss, b.qos_loss);
     EXPECT_EQ(a.energy_j, b.energy_j);
     EXPECT_EQ(a.beats, b.beats);

@@ -19,6 +19,7 @@ namespace powerdial::fleet {
 namespace {
 
 using powerdial::tests::ToyApp;
+using tests::admitJob;
 using tests::expectReportsIdentical;
 using tests::makePipeline;
 
@@ -33,9 +34,9 @@ TEST(Scheduler, LeastLoadedMatchesAnalyticBalance)
     // including non-divisible counts.
     for (const std::size_t jobs : {0u, 1u, 7u, 10u, 32u, 37u}) {
         sim::Cluster cluster(4, sim::Machine::Config{});
-        Scheduler scheduler(cluster);
+        Scheduler scheduler(cluster, SchedulerOptions{});
         for (std::size_t k = 0; k < jobs; ++k)
-            scheduler.admit();
+            admitJob(scheduler);
         EXPECT_EQ(cluster.activeCounts(), cluster.balance(jobs))
             << "jobs=" << jobs;
     }
@@ -44,9 +45,9 @@ TEST(Scheduler, LeastLoadedMatchesAnalyticBalance)
 TEST(Scheduler, LeastLoadedNeverOversubscribesBelowCapacity)
 {
     sim::Cluster cluster(4, sim::Machine::Config{});
-    Scheduler scheduler(cluster);
+    Scheduler scheduler(cluster, SchedulerOptions{});
     for (std::size_t k = 0; k < cluster.peakInstances(); ++k) {
-        scheduler.admit();
+        admitJob(scheduler);
         for (std::size_t i = 0; i < cluster.size(); ++i)
             EXPECT_LE(cluster.activeOn(i),
                       cluster.machine(i).cores());
@@ -56,21 +57,21 @@ TEST(Scheduler, LeastLoadedNeverOversubscribesBelowCapacity)
 TEST(Scheduler, LeastLoadedTieBreaksTowardLowestIndex)
 {
     sim::Cluster cluster(3, sim::Machine::Config{});
-    Scheduler scheduler(cluster);
-    EXPECT_EQ(scheduler.admit(), 0u);
-    EXPECT_EQ(scheduler.admit(), 1u);
-    EXPECT_EQ(scheduler.admit(), 2u);
-    EXPECT_EQ(scheduler.admit(), 0u); // All equal again.
+    Scheduler scheduler(cluster, SchedulerOptions{});
+    EXPECT_EQ(admitJob(scheduler), 0u);
+    EXPECT_EQ(admitJob(scheduler), 1u);
+    EXPECT_EQ(admitJob(scheduler), 2u);
+    EXPECT_EQ(admitJob(scheduler), 0u); // All equal again.
 }
 
 TEST(Scheduler, ReleaseReopensTheMachine)
 {
     sim::Cluster cluster(2, sim::Machine::Config{});
-    Scheduler scheduler(cluster);
-    EXPECT_EQ(scheduler.admit(), 0u);
-    EXPECT_EQ(scheduler.admit(), 1u);
+    Scheduler scheduler(cluster, SchedulerOptions{});
+    EXPECT_EQ(admitJob(scheduler), 0u);
+    EXPECT_EQ(admitJob(scheduler), 1u);
     scheduler.release(0);
-    EXPECT_EQ(scheduler.admit(), 0u);
+    EXPECT_EQ(admitJob(scheduler), 0u);
 }
 
 TEST(Scheduler, PowerAwarePacksSaturatedMachines)
@@ -80,11 +81,12 @@ TEST(Scheduler, PowerAwarePacksSaturatedMachines)
     // marginal power cost: power-aware placement packs it while
     // least-loaded would spread.
     sim::Cluster cluster(2, sim::Machine::Config{});
-    Scheduler scheduler(cluster, makePowerAwarePlacement());
+    Scheduler scheduler(
+        cluster, SchedulerOptions{makePowerAwarePlacement(), 0, {}, nullptr});
     const std::size_t cores = cluster.machine(0).cores();
     for (std::size_t k = 0; k < cores; ++k)
         cluster.place(0); // Saturate machine 0 by hand.
-    EXPECT_EQ(scheduler.admit(), 0u);
+    EXPECT_EQ(admitJob(scheduler), 0u);
     EXPECT_EQ(cluster.activeOn(0), cores + 1);
     EXPECT_EQ(cluster.activeOn(1), 0u);
 }
@@ -96,8 +98,9 @@ TEST(Scheduler, PowerAwarePrefersCappedMachines)
     const std::size_t slowest =
         cluster.machine(1).scale().states() - 1;
     cluster.machine(1).setPStateCap(slowest);
-    Scheduler scheduler(cluster, makePowerAwarePlacement());
-    EXPECT_EQ(scheduler.admit(), 1u);
+    Scheduler scheduler(
+        cluster, SchedulerOptions{makePowerAwarePlacement(), 0, {}, nullptr});
+    EXPECT_EQ(admitJob(scheduler), 1u);
 }
 
 // ---------------------------------------------------------------------
@@ -109,13 +112,13 @@ TEST(Scheduler, ShedsWhenEveryMachineIsAtTheBound)
     sim::Cluster cluster(2, sim::Machine::Config{});
     Scheduler scheduler(cluster, SchedulerOptions{nullptr, 3, {}, nullptr});
     for (std::size_t k = 0; k < 6; ++k)
-        EXPECT_TRUE(scheduler.tryAdmit().has_value()) << "k=" << k;
-    EXPECT_FALSE(scheduler.tryAdmit().has_value());
-    EXPECT_FALSE(scheduler.tryAdmit().has_value());
+        EXPECT_TRUE(admitJob(scheduler).has_value()) << "k=" << k;
+    EXPECT_FALSE(admitJob(scheduler).has_value());
+    EXPECT_FALSE(admitJob(scheduler).has_value());
     EXPECT_EQ(scheduler.shedCount(), 2u);
     // A release reopens exactly one slot.
     scheduler.release(1);
-    const auto machine = scheduler.tryAdmit();
+    const auto machine = admitJob(scheduler);
     ASSERT_TRUE(machine.has_value());
     EXPECT_EQ(*machine, 1u);
     EXPECT_EQ(scheduler.shedCount(), 2u);
@@ -134,7 +137,7 @@ TEST(Scheduler, FullPolicyPickOverflowsToMachineWithRoom)
                             {}, nullptr});
     for (std::size_t k = 0; k < cores + 1; ++k)
         cluster.place(0); // Fill machine 0 to the bound by hand.
-    const auto machine = scheduler.tryAdmit();
+    const auto machine = admitJob(scheduler);
     ASSERT_TRUE(machine.has_value());
     EXPECT_EQ(*machine, 1u);
     EXPECT_EQ(scheduler.shedCount(), 0u);
@@ -143,24 +146,11 @@ TEST(Scheduler, FullPolicyPickOverflowsToMachineWithRoom)
 TEST(Scheduler, UnboundedAdmitNeverSheds)
 {
     sim::Cluster cluster(1, sim::Machine::Config{});
-    Scheduler scheduler(cluster);
+    Scheduler scheduler(cluster, SchedulerOptions{});
     EXPECT_EQ(scheduler.queueDepth(), 0u);
     for (std::size_t k = 0; k < 4 * cluster.peakInstances(); ++k)
-        scheduler.admit();
+        EXPECT_TRUE(admitJob(scheduler).has_value()) << "k=" << k;
     EXPECT_EQ(scheduler.shedCount(), 0u);
-}
-
-TEST(Scheduler, AdmitThrowsInsteadOfSheddingSilently)
-{
-    sim::Cluster cluster(1, sim::Machine::Config{});
-    Scheduler scheduler(cluster, SchedulerOptions{nullptr, 1, {}, nullptr});
-    scheduler.admit();
-    EXPECT_THROW(scheduler.admit(), std::logic_error);
-    // The rejection surfaced as an exception, not as a shed event:
-    // the counter tracks only tryAdmit()-path admission control.
-    EXPECT_EQ(scheduler.shedCount(), 0u);
-    for (const std::size_t count : scheduler.shedByMachine())
-        EXPECT_EQ(count, 0u);
 }
 
 TEST(Scheduler, ShedsAreChargedToThePolicyPick)
@@ -170,10 +160,10 @@ TEST(Scheduler, ShedsAreChargedToThePolicyPick)
     // aimed at when it was turned away.
     sim::Cluster cluster(2, sim::Machine::Config{});
     Scheduler scheduler(cluster, SchedulerOptions{nullptr, 1, {}, nullptr});
-    EXPECT_TRUE(scheduler.tryAdmit().has_value());
-    EXPECT_TRUE(scheduler.tryAdmit().has_value());
+    EXPECT_TRUE(admitJob(scheduler).has_value());
+    EXPECT_TRUE(admitJob(scheduler).has_value());
     for (std::size_t k = 0; k < 3; ++k)
-        EXPECT_FALSE(scheduler.tryAdmit().has_value());
+        EXPECT_FALSE(admitJob(scheduler).has_value());
     EXPECT_EQ(scheduler.shedCount(), 3u);
     EXPECT_EQ(scheduler.shedByMachine(),
               (std::vector<std::size_t>{3, 0}));
@@ -193,7 +183,7 @@ TEST(Scheduler, ShedAttributionFollowsThePlacementPolicy)
     cluster.place(0);
     cluster.place(1);
     cluster.place(1); // Both machines at the bound, by hand.
-    EXPECT_FALSE(scheduler.tryAdmit().has_value());
+    EXPECT_FALSE(admitJob(scheduler).has_value());
     EXPECT_EQ(scheduler.shedByMachine(),
               (std::vector<std::size_t>{0, 1}));
 }
@@ -204,7 +194,7 @@ TEST(Scheduler, ShedAttributionSumsToShedCount)
     Scheduler scheduler(cluster, SchedulerOptions{nullptr, 2, {}, nullptr});
     std::size_t admitted = 0;
     for (std::size_t k = 0; k < 11; ++k)
-        if (scheduler.tryAdmit().has_value())
+        if (admitJob(scheduler).has_value())
             ++admitted;
     EXPECT_EQ(admitted, 6u);
     EXPECT_EQ(scheduler.shedCount(), 5u);
@@ -215,7 +205,7 @@ TEST(Scheduler, ShedAttributionSumsToShedCount)
     // A release reopens a slot; the next admit does not shed and the
     // attribution stays frozen.
     scheduler.release(2);
-    EXPECT_TRUE(scheduler.tryAdmit().has_value());
+    EXPECT_TRUE(admitJob(scheduler).has_value());
     EXPECT_EQ(scheduler.shedCount(), 5u);
 }
 
@@ -374,15 +364,8 @@ TEST(PowerArbiter, RejectsNonFiniteOptionsAtConstruction)
 }
 
 // ---------------------------------------------------------------------
-// JobProbe and the latency percentiles.
+// The latency percentiles.
 // ---------------------------------------------------------------------
-
-TEST(JobProbe, FinishBeforeRunEndThrows)
-{
-    JobProbe probe;
-    sim::Machine machine;
-    EXPECT_THROW(probe.finish(machine), std::logic_error);
-}
 
 TEST(LatencyPercentiles, PercentileNearestRank)
 {

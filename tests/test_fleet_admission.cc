@@ -41,6 +41,7 @@
 namespace powerdial::fleet {
 namespace {
 
+using tests::admitJob;
 using tests::FleetScenario;
 using tests::expectReportsIdentical;
 using tests::makeFleetScenario;
@@ -119,7 +120,7 @@ TEST(Scheduler, OverflowFollowsThePolicyCriterionNotLeastLoaded)
     cluster.place(2);
     cluster.place(2);
 
-    const auto machine = scheduler.tryAdmit();
+    const auto machine = admitJob(scheduler);
     ASSERT_TRUE(machine.has_value());
     EXPECT_EQ(*machine, 2u);
     EXPECT_EQ(scheduler.shedCount(), 0u);
@@ -133,7 +134,7 @@ TEST(Scheduler, OverflowFollowsThePolicyCriterionNotLeastLoaded)
         fresh.place(0);
     fresh.place(2);
     fresh.place(2);
-    const auto fallback = least.tryAdmit();
+    const auto fallback = admitJob(least);
     ASSERT_TRUE(fallback.has_value());
     EXPECT_EQ(*fallback, 1u);
 }
@@ -169,7 +170,7 @@ TEST(Scheduler, CapacityShedsExactlyWhenNoMachineHasRoom)
 
             const bool full = *std::min_element(counts.begin(),
                                                 counts.end()) >= depth;
-            const auto machine = scheduler.tryAdmit();
+            const auto machine = admitJob(scheduler);
             EXPECT_EQ(machine.has_value(), !full);
             if (machine.has_value())
                 EXPECT_LT(counts[*machine], depth);

@@ -18,6 +18,7 @@
 namespace powerdial::fleet {
 namespace {
 
+using tests::admitJob;
 using tests::FleetScenario;
 using tests::expectReportsIdentical;
 using tests::makeFleetScenario;
@@ -220,17 +221,22 @@ TEST(AffinityPlacement, EqualsLeastLoadedOnHomogeneousFleet)
     // then index).
     sim::Cluster cluster_ll(4, sim::Machine::Config{});
     sim::Cluster cluster_aa(4, sim::Machine::Config{});
-    Scheduler least_loaded(cluster_ll, makeLeastLoadedPlacement());
-    Scheduler affinity(cluster_aa, makeAffinityAwarePlacement());
+    Scheduler least_loaded(
+        cluster_ll,
+        SchedulerOptions{makeLeastLoadedPlacement(), 0, {}, nullptr});
+    Scheduler affinity(
+        cluster_aa,
+        SchedulerOptions{makeAffinityAwarePlacement(), 0, {}, nullptr});
     EXPECT_EQ(affinity.policy().name(), "affinity-aware");
 
     for (int round = 0; round < 12; ++round) {
-        const std::size_t a = least_loaded.admit();
-        const std::size_t b = affinity.admit();
-        EXPECT_EQ(a, b) << "admit round " << round;
+        const auto a = admitJob(least_loaded);
+        const auto b = admitJob(affinity);
+        ASSERT_TRUE(a && b);
+        EXPECT_EQ(*a, *b) << "admit round " << round;
         if (round % 3 == 2) {
-            least_loaded.release(a);
-            affinity.release(b);
+            least_loaded.release(*a);
+            affinity.release(*b);
         }
     }
 }
@@ -247,10 +253,14 @@ TEST(AffinityPlacement, PrefersTheBigClassOnAnIdleMixedFleet)
     sim::Cluster cluster_ll(catalog, {2, 1});
     sim::Cluster cluster_aa(catalog, {2, 1});
 
-    Scheduler least_loaded(cluster_ll, makeLeastLoadedPlacement());
-    Scheduler affinity(cluster_aa, makeAffinityAwarePlacement());
-    EXPECT_EQ(least_loaded.admit(), 0u); // class-blind: lowest index.
-    EXPECT_EQ(affinity.admit(), 2u);     // class-aware: the big box.
+    Scheduler least_loaded(
+        cluster_ll,
+        SchedulerOptions{makeLeastLoadedPlacement(), 0, {}, nullptr});
+    Scheduler affinity(
+        cluster_aa,
+        SchedulerOptions{makeAffinityAwarePlacement(), 0, {}, nullptr});
+    EXPECT_EQ(admitJob(least_loaded), 0u); // class-blind: lowest index.
+    EXPECT_EQ(admitJob(affinity), 2u);     // class-aware: the big box.
 }
 
 TEST(AffinityPlacement, OverflowFollowsTheSameCost)
@@ -268,12 +278,12 @@ TEST(AffinityPlacement, OverflowFollowsTheSameCost)
     options.queue_depth = 2;
     Scheduler scheduler(cluster, options);
 
-    auto first = scheduler.tryAdmit();
-    auto second = scheduler.tryAdmit();
+    auto first = admitJob(scheduler);
+    auto second = admitJob(scheduler);
     ASSERT_TRUE(first && second);
     EXPECT_EQ(*first, 2u);
     EXPECT_EQ(*second, 2u);
-    auto overflow = scheduler.tryAdmit();
+    auto overflow = admitJob(scheduler);
     ASSERT_TRUE(overflow.has_value());
     EXPECT_EQ(*overflow, 0u);
 }
