@@ -8,7 +8,9 @@
  * application — against the per-unit work of the cheapest benchmark
  * kernel, which dwarfs them; plus the per-beat cost of the Session's
  * RunObserver seam, which must be negligible when no observer is
- * attached.
+ * attached, and of the fleet's lease-gated tenant slice. The per-beat
+ * benches report their beats as items, so the harness prints ns/beat
+ * as their ns/item.
  *
  * Times everything with the harness in vendor/microbench.h, then runs
  * the tracing-disabled ceiling check below; the exit status is the
@@ -26,6 +28,7 @@
 #include "core/controller.h"
 #include "core/knob.h"
 #include "core/session.h"
+#include "fleet/tenant.h"
 #include "heartbeats/heartbeat.h"
 #include "obs/trace_sink.h"
 
@@ -40,7 +43,8 @@ BM_HeartbeatEmission(benchmark::State &state)
     double t = 0.0;
     for (auto _ : state) {
         t += 1e-3;
-        benchmark::DoNotOptimize(monitor.beat(t));
+        monitor.beat(t);
+        benchmark::DoNotOptimize(monitor.count());
     }
 }
 BENCHMARK(BM_HeartbeatEmission);
@@ -78,10 +82,12 @@ BM_StrategyPlan(benchmark::State &state)
     const auto model = benchModel();
     core::MinimalSpeedupStrategy strategy;
     strategy.begin(model, 20);
+    core::ActuationPlan plan;
     double cmd = 1.0;
     for (auto _ : state) {
         cmd = cmd > 9.0 ? 1.0 : cmd + 0.37;
-        benchmark::DoNotOptimize(strategy.plan(cmd));
+        strategy.plan(cmd, plan);
+        benchmark::DoNotOptimize(plan.slices.data());
     }
 }
 BENCHMARK(BM_StrategyPlan);
@@ -214,6 +220,13 @@ struct SessionFixture
     }
 };
 
+/** Report @p state's runs of kSessionUnits beats as items. */
+void
+countBeats(benchmark::State &state)
+{
+    state.SetItemsProcessed(state.iterations() * kSessionUnits);
+}
+
 /** No observer attached: the baseline cost of one 256-beat run. */
 static void
 BM_Session256Beats_NoObserver(benchmark::State &state)
@@ -224,8 +237,53 @@ BM_Session256Beats_NoObserver(benchmark::State &state)
         sim::Machine machine;
         benchmark::DoNotOptimize(session.run(1, machine));
     }
+    countBeats(state);
 }
 BENCHMARK(BM_Session256Beats_NoObserver);
+
+/**
+ * The beat both fleet workloads mostly run: one lease-gated tenant slot
+ * (fleet/tenant.h) serving 256-beat jobs in slices of about ten beats,
+ * its lease rewritten every third slice the way an arbitration round
+ * rewrites it (alternating two sets of terms, so every rewrite
+ * re-actuates the machine). Read its ns/beat beside
+ * BM_Session256Beats_NoObserver's: the difference is the fleet's
+ * per-beat layer — the lease gate, slicing, and record keeping.
+ */
+static void
+BM_FleetTenant256Beats_Slices10(benchmark::State &state)
+{
+    SessionFixture f;
+    fleet::ServerOptions options;
+    options.tenants = {1};
+    const sim::Machine::Config host;
+    auto tenant =
+        fleet::detail::makeTenant(options, f.app, f.table, f.model);
+    // Ten beats at the baseline knob on an uncapped host.
+    const double slice_s = 10.0 * 100.0 / host.scale.maxHz();
+    const workload::OfferedJob offer{1, 0, 0.0};
+    std::size_t job = 0;
+    std::size_t generation = 0;
+    for (auto _ : state) {
+        fleet::detail::assignJob(*tenant, options, host, job++, 0, 0, 0.0,
+                                 offer, 0.0);
+        for (std::size_t slice = 0; !tenant->done; ++slice) {
+            if (slice % 3 == 0) {
+                const bool odd = ++generation % 2 == 1;
+                fleet::ArbitrationLease &lease = tenant->lease;
+                lease.generation = generation;
+                lease.share = odd ? 0.5 : 1.0;
+                lease.utilization = odd ? 0.25 : 0.125;
+                lease.pstate_cap = odd ? 1 : 0;
+            }
+            tenant->slice_deadline_s = tenant->machine.now() + slice_s;
+            fleet::detail::runSlice(*tenant);
+        }
+        benchmark::DoNotOptimize(tenant->record.latency_s);
+    }
+    countBeats(state);
+}
+BENCHMARK(BM_FleetTenant256Beats_Slices10);
 
 /** A no-op observer: pure dispatch cost of the seam. */
 static void
@@ -242,6 +300,7 @@ BM_Session256Beats_NoopObserver(benchmark::State &state)
         sim::Machine machine;
         benchmark::DoNotOptimize(session.run(1, machine));
     }
+    countBeats(state);
 }
 BENCHMARK(BM_Session256Beats_NoopObserver);
 
@@ -257,6 +316,7 @@ BM_Session256Beats_TraceRecorder(benchmark::State &state)
         sim::Machine machine;
         benchmark::DoNotOptimize(session.run(1, machine));
     }
+    countBeats(state);
 }
 BENCHMARK(BM_Session256Beats_TraceRecorder);
 
@@ -283,6 +343,7 @@ BM_Session256Beats_TraceProbeOff(benchmark::State &state)
         sim::Machine machine;
         benchmark::DoNotOptimize(session.run(1, machine));
     }
+    countBeats(state);
 }
 BENCHMARK(BM_Session256Beats_TraceProbeOff);
 
@@ -303,6 +364,7 @@ BM_Session256Beats_TraceProbeAll(benchmark::State &state)
         probe.flush();
         sink.beginServe();
     }
+    countBeats(state);
 }
 BENCHMARK(BM_Session256Beats_TraceProbeAll);
 

@@ -32,21 +32,12 @@ std::size_t
 ActuationPlan::combinationAtBeat(std::size_t beat,
                                  std::size_t quantum_beats) const
 {
-    if (slices.empty())
-        throw std::logic_error("ActuationPlan: empty plan");
-    if (quantum_beats == 0)
-        throw std::invalid_argument("ActuationPlan: quantum must be >= 1");
-    const double pos = (static_cast<double>(beat % quantum_beats) + 0.5) /
-                       static_cast<double>(quantum_beats);
-    // Beats are laid out over the busy portion of the quantum.
-    const double busy = 1.0 - idle_fraction;
-    double acc = 0.0;
-    for (const auto &s : slices) {
-        acc += s.fraction / (busy > 0.0 ? busy : 1.0);
-        if (pos * 1.0 <= acc * 1.0 + 1e-12)
-            return s.combination;
-    }
-    return slices.back().combination;
+    KnobSchedule schedule;
+    schedule.compile(*this, quantum_beats);
+    std::size_t combination = 0;
+    for (std::size_t b = 0; b <= beat % quantum_beats; ++b)
+        combination = schedule.next();
+    return combination;
 }
 
 double
@@ -61,14 +52,49 @@ ActuationPlan::idlePerBusySecond() const
 namespace {
 
 /**
+ * The first beat of a quantum of @p quantum_beats beats whose position
+ * (b + 0.5) / quantum_beats is not <= @p bound, or quantum_beats when
+ * every beat's is: the end of a slice whose cumulative bound (with its
+ * 1e-12 tolerance) is @p bound. Positions never decrease with b, so
+ * the beats inside the bound are a prefix; the estimate from the bound
+ * only picks where the two exact walks start.
+ */
+std::size_t
+endBeat(double bound, std::size_t quantum_beats)
+{
+    const double q = static_cast<double>(quantum_beats);
+    const auto inside = [&](std::size_t b) {
+        return (static_cast<double>(b) + 0.5) / q <= bound;
+    };
+    const double guess = bound * q - 0.5;
+    std::size_t b = !(guess > 0.0) ? 0
+        : guess < q                ? static_cast<std::size_t>(guess)
+                                   : quantum_beats;
+    while (b > 0 && !inside(b - 1))
+        --b;
+    while (b < quantum_beats && inside(b))
+        ++b;
+    return b;
+}
+
+/** Empty @p out, keeping its slice storage. */
+void
+clearPlan(ActuationPlan &out)
+{
+    out.slices.clear();
+    out.idle_fraction = 0.0;
+}
+
+/**
  * The minimal-speedup solution (t_max = 0) of Equations 9-11, shared
  * by MinimalSpeedupStrategy and QosBudgetStrategy. Arithmetic is
  * identical to the pre-Session Actuator::plan (equivalence-tested).
  */
-ActuationPlan
-minimalSpeedupPlan(const ResponseModel &model, double speedup)
+void
+minimalSpeedupPlan(const ResponseModel &model, double speedup,
+                   ActuationPlan &out)
 {
-    ActuationPlan out;
+    clearPlan(out);
     const auto &base = model.baselinePoint();
     const double s_cmd = std::max(speedup, base.speedup);
 
@@ -81,12 +107,12 @@ minimalSpeedupPlan(const ResponseModel &model, double speedup)
         // rounding of the baseline.
         out.slices.push_back(
             {hi.combination, 1.0, hi.speedup, hi.qos_loss});
-        return out;
+        return;
     }
     if (s_cmd <= base.speedup) {
         out.slices.push_back(
             {base.combination, 1.0, base.speedup, base.qos_loss});
-        return out;
+        return;
     }
     const double t_min =
         (s_cmd - base.speedup) / (hi.speedup - base.speedup);
@@ -97,10 +123,31 @@ minimalSpeedupPlan(const ResponseModel &model, double speedup)
     if (t_default > 0.0)
         out.slices.push_back(
             {base.combination, t_default, base.speedup, base.qos_loss});
-    return out;
 }
 
 } // namespace
+
+void
+KnobSchedule::compile(const ActuationPlan &plan, std::size_t quantum_beats)
+{
+    if (plan.slices.empty())
+        throw std::logic_error("ActuationPlan: empty plan");
+    if (quantum_beats == 0)
+        throw std::invalid_argument("ActuationPlan: quantum must be >= 1");
+    // Beats are laid out over the busy portion of the quantum.
+    const double busy = 1.0 - plan.idle_fraction;
+    double acc = 0.0;
+    slices_.clear();
+    slices_.reserve(plan.slices.size());
+    for (const auto &s : plan.slices) {
+        acc += s.fraction / (busy > 0.0 ? busy : 1.0);
+        slices_.push_back(
+            {endBeat(acc + 1e-12, quantum_beats), s.combination});
+    }
+    idle_ratio_ = plan.idlePerBusySecond();
+    quantum_beats_ = quantum_beats;
+    restart();
+}
 
 // ---------------------------------------------------------------------------
 // MinimalSpeedupStrategy
@@ -122,12 +169,12 @@ MinimalSpeedupStrategy::begin(const ResponseModel &model,
     model_ = &model;
 }
 
-ActuationPlan
-MinimalSpeedupStrategy::plan(double speedup)
+void
+MinimalSpeedupStrategy::plan(double speedup, ActuationPlan &out)
 {
     if (model_ == nullptr)
         throw std::logic_error("MinimalSpeedupStrategy: plan before begin");
-    return minimalSpeedupPlan(*model_, speedup);
+    minimalSpeedupPlan(*model_, speedup, out);
 }
 
 // ---------------------------------------------------------------------------
@@ -150,12 +197,12 @@ RaceToIdleStrategy::begin(const ResponseModel &model,
     model_ = &model;
 }
 
-ActuationPlan
-RaceToIdleStrategy::plan(double speedup)
+void
+RaceToIdleStrategy::plan(double speedup, ActuationPlan &out)
 {
     if (model_ == nullptr)
         throw std::logic_error("RaceToIdleStrategy: plan before begin");
-    ActuationPlan out;
+    clearPlan(out);
     const auto &base = model_->baselinePoint();
     const double s_cmd = std::max(speedup, base.speedup);
 
@@ -165,7 +212,6 @@ RaceToIdleStrategy::plan(double speedup)
     out.slices.push_back(
         {fast.combination, frac, fast.speedup, fast.qos_loss});
     out.idle_fraction = 1.0 - frac;
-    return out;
 }
 
 // ---------------------------------------------------------------------------
@@ -204,8 +250,8 @@ QosBudgetStrategy::meanSpent() const
     return quanta_ > 0 ? spent_ / static_cast<double>(quanta_) : 0.0;
 }
 
-ActuationPlan
-QosBudgetStrategy::plan(double speedup)
+void
+QosBudgetStrategy::plan(double speedup, ActuationPlan &out)
 {
     if (model_ == nullptr)
         throw std::logic_error("QosBudgetStrategy: plan before begin");
@@ -215,7 +261,7 @@ QosBudgetStrategy::plan(double speedup)
         0.0,
         budget_ * static_cast<double>(quanta_ + 1) - spent_);
 
-    ActuationPlan out = minimalSpeedupPlan(*model_, speedup);
+    minimalSpeedupPlan(*model_, speedup, out);
     if (out.averageQosLoss() > allowed) {
         // Overspend: fall back to the fastest affordable mix of the
         // default setting (loss 0 by construction) with one frontier
@@ -228,8 +274,8 @@ QosBudgetStrategy::plan(double speedup)
         // command).
         const auto &base = model_->baselinePoint();
         const double s_cmd = std::max(speedup, base.speedup);
-        ActuationPlan best;
-        best.slices.push_back(
+        clearPlan(out);
+        out.slices.push_back(
             {base.combination, 1.0, base.speedup, base.qos_loss});
         double best_speedup = base.speedup;
         for (const auto &p : model_->pareto()) {
@@ -257,21 +303,18 @@ QosBudgetStrategy::plan(double speedup)
                 t * p.speedup + (1.0 - t) * base.speedup;
             if (delivered > best_speedup + 1e-12) {
                 best_speedup = delivered;
-                best.slices.clear();
+                out.slices.clear();
                 if (t > 0.0)
-                    best.slices.push_back(
+                    out.slices.push_back(
                         {p.combination, t, p.speedup, p.qos_loss});
                 if (t < 1.0)
-                    best.slices.push_back({base.combination, 1.0 - t,
-                                           base.speedup,
-                                           base.qos_loss});
+                    out.slices.push_back({base.combination, 1.0 - t,
+                                          base.speedup, base.qos_loss});
             }
         }
-        out = best;
     }
     spent_ += out.averageQosLoss();
     ++quanta_;
-    return out;
 }
 
 // ---------------------------------------------------------------------------

@@ -62,7 +62,8 @@ struct ActuationPlan
     /**
      * The knob combination to run for beat @p beat (0-based within a
      * quantum of @p quantum_beats) under this plan. Slices are laid
-     * out contiguously over the busy portion of the quantum.
+     * out contiguously over the busy portion of the quantum, exactly
+     * as a KnobSchedule compiled from this plan walks them.
      */
     std::size_t combinationAtBeat(std::size_t beat,
                                   std::size_t quantum_beats) const;
@@ -72,6 +73,71 @@ struct ActuationPlan
      * idle slack evenly over the quantum's beats).
      */
     double idlePerBusySecond() const;
+};
+
+/**
+ * An ActuationPlan compiled for beat-by-beat execution. Compiling lays
+ * the plan's slices out over the busy portion of a quantum once: slice
+ * k's cumulative bound becomes the first beat of the quantum past it.
+ * It also keeps the plan's idle ratio. Walking a quantum then costs a
+ * beat counter and a cursor. core::Session compiles each plan it
+ * installs; ActuationPlan::combinationAtBeat reads the same layout at
+ * one beat.
+ */
+class KnobSchedule
+{
+  public:
+    /**
+     * Compile @p plan for quanta of @p quantum_beats beats, reusing
+     * this schedule's storage, and stand at the first beat of a
+     * quantum. Throws std::logic_error for an empty plan and
+     * std::invalid_argument for a zero quantum.
+     */
+    void compile(const ActuationPlan &plan, std::size_t quantum_beats);
+
+    /** True once every beat of the current quantum has been taken. */
+    bool quantumDone() const { return beat_ == quantum_beats_; }
+
+    /** Start another quantum under the same plan. */
+    void
+    restart()
+    {
+        beat_ = 0;
+        cursor_ = 0;
+    }
+
+    /**
+     * Take the quantum's next beat: its combination under the compiled
+     * plan. Requires a compiled plan and a quantum not yet done.
+     */
+    std::size_t
+    next()
+    {
+        // A beat runs the first slice whose end lies past it (the last
+        // slice when none does); beats only move forward, so the
+        // cursor never moves back within a quantum.
+        while (cursor_ + 1 < slices_.size() &&
+               beat_ >= slices_[cursor_].end_beat)
+            ++cursor_;
+        ++beat_;
+        return slices_[cursor_].combination;
+    }
+
+    /** The compiled plan's ActuationPlan::idlePerBusySecond(). */
+    double idlePerBusySecond() const { return idle_ratio_; }
+
+  private:
+    struct Slice
+    {
+        std::size_t end_beat; //!< First beat of the quantum past it.
+        std::size_t combination;
+    };
+
+    std::vector<Slice> slices_;
+    std::size_t quantum_beats_ = 0;
+    std::size_t beat_ = 0;   //!< Beats of the quantum taken so far.
+    std::size_t cursor_ = 0; //!< Slice of the latest beat.
+    double idle_ratio_ = 0.0;
 };
 
 /**
@@ -96,8 +162,12 @@ class ActuationStrategy
     virtual void begin(const ResponseModel &model,
                        std::size_t quantum_beats) = 0;
 
-    /** Build the plan realising @p speedup over the next quantum. */
-    virtual ActuationPlan plan(double speedup) = 0;
+    /**
+     * Build the plan realising @p speedup over the next quantum into
+     * @p out, replacing its contents (the caller's slice storage is
+     * reused, so re-planning every quantum does not allocate).
+     */
+    virtual void plan(double speedup, ActuationPlan &out) = 0;
 };
 
 /** Factory the Session uses to mint one strategy instance per session. */
@@ -110,7 +180,7 @@ class MinimalSpeedupStrategy final : public ActuationStrategy
     std::string name() const override;
     void begin(const ResponseModel &model,
                std::size_t quantum_beats) override;
-    ActuationPlan plan(double speedup) override;
+    void plan(double speedup, ActuationPlan &out) override;
 
   private:
     const ResponseModel *model_ = nullptr;
@@ -123,7 +193,7 @@ class RaceToIdleStrategy final : public ActuationStrategy
     std::string name() const override;
     void begin(const ResponseModel &model,
                std::size_t quantum_beats) override;
-    ActuationPlan plan(double speedup) override;
+    void plan(double speedup, ActuationPlan &out) override;
 
   private:
     const ResponseModel *model_ = nullptr;
@@ -147,7 +217,7 @@ class QosBudgetStrategy final : public ActuationStrategy
     std::string name() const override;
     void begin(const ResponseModel &model,
                std::size_t quantum_beats) override;
-    ActuationPlan plan(double speedup) override;
+    void plan(double speedup, ActuationPlan &out) override;
 
     /** Mean work-weighted QoS loss spent so far this run. */
     double meanSpent() const;

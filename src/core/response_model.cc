@@ -30,6 +30,30 @@ ResponseModel::ResponseModel(std::vector<OperatingPoint> all_points,
     if (!saw_baseline)
         throw std::invalid_argument("ResponseModel: baseline point missing");
     pareto_ = paretoFrontier(admissible);
+
+    // Sorting (combination, index) pairs puts each combination's first
+    // point at the head of its run; unique keeps only that head.
+    first_point_.reserve(all_.size());
+    for (std::size_t i = 0; i < all_.size(); ++i)
+        first_point_.emplace_back(all_[i].combination, i);
+    std::sort(first_point_.begin(), first_point_.end());
+    first_point_.erase(
+        std::unique(first_point_.begin(), first_point_.end(),
+                    [](const auto &a, const auto &b) {
+                        return a.first == b.first;
+                    }),
+        first_point_.end());
+}
+
+const OperatingPoint *
+ResponseModel::pointOf(std::size_t combination) const
+{
+    const auto it = std::lower_bound(
+        first_point_.begin(), first_point_.end(), combination,
+        [](const auto &entry, std::size_t c) { return entry.first < c; });
+    return it != first_point_.end() && it->first == combination
+        ? &all_[it->second]
+        : nullptr;
 }
 
 double

@@ -11,6 +11,7 @@
 #define POWERDIAL_CORE_RESPONSE_MODEL_H
 
 #include <cstddef>
+#include <utility>
 #include <vector>
 
 #include "core/pareto.h"
@@ -39,6 +40,15 @@ class ResponseModel
 
     /** Every calibrated operating point (training means). */
     const std::vector<OperatingPoint> &allPoints() const { return all_; }
+
+    /**
+     * The calibrated point of knob combination @p combination — the
+     * first point of allPoints() with that combination — or null when
+     * it has none. A lookup in an index built with the model, so a
+     * session reads the installed combination's point without
+     * scanning allPoints().
+     */
+    const OperatingPoint *pointOf(std::size_t combination) const;
 
     /** Pareto frontier, ascending speedup. Always contains baseline. */
     const std::vector<OperatingPoint> &pareto() const { return pareto_; }
@@ -79,6 +89,8 @@ class ResponseModel
 
   private:
     std::vector<OperatingPoint> all_;
+    /** (combination, index into all_ of its first point), ascending. */
+    std::vector<std::pair<std::size_t, std::size_t>> first_point_;
     std::vector<OperatingPoint> pareto_;
     std::size_t baseline_ = 0;
     double baseline_seconds_ = 0.0;

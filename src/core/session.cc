@@ -1,6 +1,5 @@
 #include "core/session.h"
 
-#include <algorithm>
 #include <limits>
 #include <stdexcept>
 #include <utility>
@@ -121,6 +120,7 @@ Session::Session(App &app, const KnobTable &table,
     if (strategy_ == nullptr)
         throw std::invalid_argument(
             "Session: strategy factory returned null");
+    monitor_.emplace(options_.window, hb::HeartRateTarget{0.0, 0.0});
 }
 
 void
@@ -163,8 +163,8 @@ Session::start(std::size_t input, sim::Machine &machine)
                                               : model_->baselineRate();
 
     // Paper setup: min and max target are both the baseline rate.
-    state.monitor.emplace(options_.window,
-                          hb::HeartRateTarget{state.target, state.target});
+    monitor_->setTarget({state.target, state.target});
+    monitor_->reset();
 
     ControlSetup setup;
     setup.baseline_rate = model_->baselineRate();
@@ -186,9 +186,11 @@ Session::start(std::size_t input, sim::Machine &machine)
     app_->configure(app_->knobSpace().valuesOf(state.baseline));
     app_->loadInput(input);
 
-    state.plan.slices.push_back({state.baseline, 1.0,
-                                 model_->baselinePoint().speedup,
-                                 model_->baselinePoint().qos_loss});
+    plan_.slices.assign(1, {state.baseline, 1.0,
+                            model_->baselinePoint().speedup,
+                            model_->baselinePoint().qos_loss});
+    plan_.idle_fraction = 0.0;
+    schedule_.compile(plan_, options_.quantum_beats);
 
     state.start_time_s = machine.now();
     state.units = app_->unitCount();
@@ -212,15 +214,9 @@ Session::start(std::size_t input, sim::Machine &machine)
 void
 Session::lookupCombo(std::size_t combo)
 {
-    state_->combo_qos = 0.0;
-    state_->combo_speedup = 1.0;
-    for (const auto &p : model_->allPoints()) {
-        if (p.combination == combo) {
-            state_->combo_qos = p.qos_loss;
-            state_->combo_speedup = p.speedup;
-            break;
-        }
-    }
+    const OperatingPoint *point = model_->pointOf(combo);
+    state_->combo_qos = point != nullptr ? point->qos_loss : 0.0;
+    state_->combo_speedup = point != nullptr ? point->speedup : 1.0;
 }
 
 std::optional<ControlledRun>
@@ -235,10 +231,12 @@ Session::advanceUntil(double deadline_s)
         ? &*options_.governor
         : nullptr;
 
+    hb::Monitor &monitor = *monitor_;
+
     while (state.unit < state.units && machine.now() < deadline_s) {
         const std::size_t u = state.unit;
         // Main control loop: heartbeat at the top of the loop.
-        state.monitor->beat(machine.now());
+        monitor.beat(machine.now());
         if (governor != nullptr)
             governor->poll(machine);
 
@@ -256,27 +254,32 @@ Session::advanceUntil(double deadline_s)
             gate_pause_per_busy = gate_ctx.pause_per_busy;
         }
 
-        // Quantum boundary: run the policy and re-plan.
-        if (options_.knobs_enabled && u > 0 &&
-            u % options_.quantum_beats == 0) {
-            const double rate = state.monitor->windowRate();
-            if (rate > 0.0) {
-                state.commanded = policy_->update(rate);
-                state.plan = strategy_->plan(state.commanded);
-                if (!observers_.empty()) {
-                    const QuantumEvent event{u, rate, state.commanded,
-                                             state.plan,
-                                             machine.now()};
-                    for (RunObserver *observer : observers_)
-                        observer->onQuantum(event);
+        std::size_t combo = state.baseline;
+        double idle_ratio = 0.0;
+        if (options_.knobs_enabled) {
+            // Quantum boundary: run the policy and re-plan. A plan
+            // stays installed (and restarts) when the window holds no
+            // rate yet.
+            if (schedule_.quantumDone()) {
+                const double rate = monitor.windowRate();
+                if (rate > 0.0) {
+                    state.commanded = policy_->update(rate);
+                    strategy_->plan(state.commanded, plan_);
+                    if (!observers_.empty()) {
+                        const QuantumEvent event{u, rate,
+                                                 state.commanded, plan_,
+                                                 machine.now()};
+                        for (RunObserver *observer : observers_)
+                            observer->onQuantum(event);
+                    }
+                    schedule_.compile(plan_, options_.quantum_beats);
+                } else {
+                    schedule_.restart();
                 }
             }
+            combo = schedule_.next();
+            idle_ratio = schedule_.idlePerBusySecond();
         }
-
-        const std::size_t combo = options_.knobs_enabled
-            ? state.plan.combinationAtBeat(u % options_.quantum_beats,
-                                           options_.quantum_beats)
-            : state.baseline;
         if (combo != state.applied) {
             table_->apply(combo);
             state.applied = combo;
@@ -295,10 +298,7 @@ Session::advanceUntil(double deadline_s)
             const double share = machine.share();
             state.result.queue_share_s += busy * (1.0 - share);
             const double effective = busy * share;
-            const double nominal = machine.scale().maxHz();
-            const double speed_ratio = nominal > 0.0
-                ? std::min(1.0, machine.effectiveHz() / nominal)
-                : 1.0;
+            const double speed_ratio = machine.speedRatio();
             state.result.service_s += effective * speed_ratio;
             state.result.class_deficit_s +=
                 effective * (1.0 - speed_ratio);
@@ -306,9 +306,6 @@ Session::advanceUntil(double deadline_s)
 
         // Race-to-idle: insert the plan's idle slack after the work,
         // then any externally imposed duty-cycle slack from the gate.
-        const double idle_ratio = options_.knobs_enabled
-            ? state.plan.idlePerBusySecond()
-            : 0.0;
         if (idle_ratio > 0.0) {
             machine.idleFor(idle_ratio * busy);
             state.result.pause_s += idle_ratio * busy;
@@ -328,7 +325,7 @@ Session::advanceUntil(double deadline_s)
         if (!observers_.empty()) {
             BeatTrace bt;
             bt.time_s = machine.now();
-            bt.window_rate = state.monitor->windowRate();
+            bt.window_rate = monitor.windowRate();
             bt.normalized_perf = state.target > 0.0
                 ? bt.window_rate / state.target
                 : 0.0;

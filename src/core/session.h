@@ -237,7 +237,11 @@ class Session
     const ActuationStrategy &strategy() const { return *strategy_; }
 
   private:
-    /** Everything one in-flight run carries across epoch slices. */
+    /**
+     * The scalars one in-flight run carries across epoch slices. The
+     * run's storage — heartbeat window, plan, compiled schedule — lives
+     * in the session instead, and start() resets it in place.
+     */
     struct RunState
     {
         std::size_t input = 0;
@@ -246,8 +250,6 @@ class Session
         double start_time_s = 0.0;
         std::size_t units = 0;
         std::size_t unit = 0; //!< Next unit (beat) to process.
-        std::optional<hb::Monitor> monitor;
-        ActuationPlan plan;
         std::size_t baseline = 0;
         std::size_t applied = 0;
         double commanded = 1.0;
@@ -271,6 +273,9 @@ class Session
     std::vector<RunObserver *> observers_;
     std::vector<std::unique_ptr<RunObserver>> owned_observers_;
     std::optional<RunState> state_;
+    std::optional<hb::Monitor> monitor_; //!< Set up by the constructor.
+    ActuationPlan plan_;      //!< The installed plan.
+    KnobSchedule schedule_;   //!< plan_, compiled for the beat loop.
 };
 
 } // namespace powerdial::core

@@ -291,6 +291,10 @@ class EventServe
     {
         if (options_.trace != nullptr)
             options_.trace->beginServe();
+        std::size_t offered = 0;
+        for (const auto &epoch : offers_)
+            offered += epoch.size();
+        report_.jobs.reserve(offered); // Admitted jobs are a subset.
         if (options_.engine == EngineMode::Epoch)
             runEpochs();
         else

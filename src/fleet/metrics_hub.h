@@ -69,10 +69,12 @@ struct LatencyPercentiles
 };
 
 /**
- * Sort @p values in place and take the p50/p95/p99 nearest-rank
- * percentiles — the one aggregation the per-machine, per-tenant, and
- * per-class report paths all share, kept here so their tails can
- * never drift apart numerically.
+ * The p50/p95/p99 nearest-rank percentiles of @p values — exactly
+ * percentileOf over the sorted values — the one aggregation the
+ * per-machine, per-tenant, and per-class report paths all share, kept
+ * here so their tails can never drift apart numerically. Selects the
+ * three order statistics in place without a full sort, so it leaves
+ * @p values permuted but not necessarily sorted.
  */
 LatencyPercentiles latencyPercentiles(std::vector<double> &values);
 

@@ -45,14 +45,10 @@ std::size_t
 PowerArbiter::pstateCapFor(const sim::Machine &machine,
                            double budget_watts, double utilization)
 {
-    const auto &model = machine.powerModel();
     const std::size_t states = machine.scale().states();
-    for (std::size_t s = 0; s < states; ++s) {
-        const double watts =
-            model.watts(machine.scale().frequencyHz(s), utilization);
-        if (watts <= budget_watts)
+    for (std::size_t s = 0; s < states; ++s)
+        if (machine.wattsAt(s, utilization) <= budget_watts)
             return s;
-    }
     return states - 1;
 }
 
@@ -218,8 +214,7 @@ PowerArbiter::arbitrate(sim::Cluster &cluster,
         // Even the slowest state may overshoot a tight budget; meet
         // it on average by duty-cycling the machine's tenants between
         // busy and idle (the session gate inserts the pauses).
-        const double busy_watts =
-            machine.powerModel().watts(machine.frequencyHz(), util);
+        const double busy_watts = machine.wattsAt(machine.pstate(), util);
         if (busy_watts > budget) {
             const double idle_watts =
                 machine.powerModel().idleWatts();

@@ -86,13 +86,11 @@ class PowerAwarePolicy final : public PlacementPolicy
     marginalWatts(const sim::Cluster &cluster, std::size_t i)
     {
         const sim::Machine &m = cluster.machine(i);
-        const double freq = m.frequencyHz();
-        const auto &model = m.powerModel();
         const std::size_t active = cluster.activeOn(i);
-        const double before =
-            model.watts(freq, cluster.loadOf(i, active).utilization);
-        const double after =
-            model.watts(freq, cluster.loadOf(i, active + 1).utilization);
+        const double before = m.wattsAt(
+            m.pstate(), cluster.loadOf(i, active).utilization);
+        const double after = m.wattsAt(
+            m.pstate(), cluster.loadOf(i, active + 1).utilization);
         return after - before;
     }
 };

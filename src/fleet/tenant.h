@@ -66,6 +66,9 @@ struct Tenant
     std::unique_ptr<core::App> app;
     core::KnobTable table;
     std::optional<core::Session> session;
+    /** The class configuration the machine last took (see assignJob);
+     *  null until the slot's first job. */
+    const sim::Machine::Config *machine_class = nullptr;
 };
 
 /**
@@ -135,7 +138,11 @@ makeTenant(const ServerOptions &options, const core::App &app,
  * the *class* configuration of the machine the job was placed on
  * (cluster.configOf(machine_index)), so a job landing on a little node
  * simulates little-node frequency, power, and speed tables, not the
- * fleet default's.
+ * fleet default's. The slot keys the class on @p host_config's
+ * address: a job whose class configuration is the one the slot's
+ * previous job used only rewinds the machine, with no per-P-state
+ * work. @p host_config must therefore stay unchanged while the slot
+ * lives, as a cluster's catalog entries do.
  */
 inline void
 assignJob(Tenant &t, const ServerOptions &options,
@@ -156,7 +163,12 @@ assignJob(Tenant &t, const ServerOptions &options,
     r.deadline_s = offer.deadline_s;
     r.predicted_s = predicted_s;
     t.arrival_time_s = arrival_time_s;
-    t.machine.reset(host_config);
+    if (t.machine_class == &host_config) {
+        t.machine.reset();
+    } else {
+        t.machine.reset(host_config);
+        t.machine_class = &host_config;
+    }
     t.lease = ArbitrationLease{};
     t.slice_deadline_s = 0.0;
     t.beats_reported = 0;

@@ -15,50 +15,32 @@ Monitor::Monitor(std::size_t window_size, HeartRateTarget target)
     ring_.resize(window_size_);
 }
 
-const HeartbeatRecord &
-Monitor::beat(double now)
+void
+Monitor::reset()
 {
-    // Written so a NaN timestamp fails it too; the first beat compares
-    // against the initial -inf.
-    if (!(now >= latest_.timestamp))
-        throw std::invalid_argument(
-            "Monitor: time went backwards or is NaN");
-    const double prev = latest_.timestamp;
-    latest_.tag = count_;
-    latest_.timestamp = now;
-    if (count_ == 0) {
-        first_timestamp_ = now;
-    } else {
-        const double latency = now - prev;
-        latest_.latency = latency;
-        latest_.instant_rate = latency > 0.0 ? 1.0 / latency : 0.0;
-
-        // Add before subtracting the evicted latency: the running
-        // sum's rounding depends on that order.
-        window_latency_sum_ += latency;
-        if (window_count_ < window_size_) {
-            ring_[window_count_++] = latency;
-        } else {
-            window_latency_sum_ -= ring_[ring_head_];
-            ring_[ring_head_] = latency;
-            if (++ring_head_ == window_size_)
-                ring_head_ = 0;
-        }
-    }
-    latest_.window_rate = windowRate();
-    const double span = count_ == 0 ? 0.0 : now - first_timestamp_;
-    latest_.global_rate =
-        span > 0.0 ? static_cast<double>(count_) / span : 0.0;
-    ++count_;
-    return latest_;
+    count_ = 0;
+    latest_timestamp_ = -std::numeric_limits<double>::infinity();
+    latest_latency_ = 0.0;
+    first_timestamp_ = 0.0;
+    ring_head_ = 0;
+    window_count_ = 0;
+    window_latency_sum_ = 0.0;
 }
 
-const HeartbeatRecord &
+HeartbeatRecord
 Monitor::latest() const
 {
     if (count_ == 0)
         throw std::logic_error("Monitor: no heartbeats yet");
-    return latest_;
+    HeartbeatRecord record;
+    record.tag = count_ - 1;
+    record.timestamp = latest_timestamp_;
+    record.latency = latest_latency_;
+    record.instant_rate =
+        latest_latency_ > 0.0 ? 1.0 / latest_latency_ : 0.0;
+    record.window_rate = windowRate();
+    record.global_rate = globalRate();
+    return record;
 }
 
 double
@@ -74,7 +56,7 @@ Monitor::globalRate() const
 {
     if (count_ < 2)
         return 0.0;
-    const double span = latest_.timestamp - first_timestamp_;
+    const double span = latest_timestamp_ - first_timestamp_;
     return span > 0.0
         ? static_cast<double>(count_ - 1) / span
         : 0.0;

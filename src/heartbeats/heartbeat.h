@@ -20,7 +20,10 @@
 
 namespace powerdial::hb {
 
-/** One heartbeat, with the rates observable at the time it was emitted. */
+/**
+ * One heartbeat, with the rates observable at the time it was emitted
+ * (Monitor::latest derives the three rates when it is read).
+ */
 struct HeartbeatRecord
 {
     std::uint64_t tag;   //!< Sequence number, starting at 0.
@@ -56,10 +59,12 @@ struct WindowStats
 /**
  * The heartbeat registry for one application instance.
  *
- * Keeps O(window) state: the most recent record, the first beat's
- * timestamp, the beat count, and a fixed ring of the most recent
- * latencies for window-rate queries (the paper's figures use a sliding
- * mean over the last twenty beats). Emitting a beat never allocates.
+ * Keeps O(window) state: the latest beat's timestamp and latency, the
+ * first beat's timestamp, the beat count, and a fixed ring of the most
+ * recent latencies for window-rate queries (the paper's figures use a
+ * sliding mean over the last twenty beats). Emitting a beat only
+ * advances that state — it never allocates and computes no rate; the
+ * rates are derived when read.
  */
 class Monitor
 {
@@ -72,16 +77,22 @@ class Monitor
 
     /**
      * Emit a heartbeat at time @p now (seconds). Timestamps must be
-     * non-decreasing (and not NaN).
-     * @return The record for this beat (valid until the next beat).
+     * non-decreasing (and not NaN); latest() reads the new record.
      */
-    const HeartbeatRecord &beat(double now);
+    void beat(double now);
+
+    /** Forget every beat, keeping the window size, target and ring
+     *  storage: the monitor is then as freshly constructed. */
+    void reset();
 
     /** Total beats emitted. */
     std::size_t count() const { return count_; }
 
-    /** The most recent heartbeat. Throws if no beat was emitted. */
-    const HeartbeatRecord &latest() const;
+    /**
+     * The most recent heartbeat, its rates derived from the current
+     * state. Throws if no beat was emitted.
+     */
+    HeartbeatRecord latest() const;
 
     /**
      * Heart rate over the sliding window, beats/second.
@@ -108,10 +119,10 @@ class Monitor
     std::size_t window_size_;
     HeartRateTarget target_;
     std::size_t count_ = 0;
-    /** The latest record; its timestamp starts at -inf so the first
-     *  beat passes the same ordering check as every later one. */
-    HeartbeatRecord latest_{0, -std::numeric_limits<double>::infinity(),
-                            0.0, 0.0, 0.0, 0.0};
+    /** The latest beat's timestamp; -inf before the first beat, so the
+     *  first beat passes the same ordering check as every later one. */
+    double latest_timestamp_ = -std::numeric_limits<double>::infinity();
+    double latest_latency_ = 0.0; //!< 0 until the second beat.
     double first_timestamp_ = 0.0;
     /** Window latencies, oldest at ring_head_ once the ring is full. */
     std::vector<double> ring_;
@@ -119,6 +130,35 @@ class Monitor
     std::size_t window_count_ = 0;
     double window_latency_sum_ = 0.0;
 };
+
+inline void
+Monitor::beat(double now)
+{
+    // Written so a NaN timestamp fails it too; the first beat compares
+    // against the initial -inf.
+    if (!(now >= latest_timestamp_))
+        throw std::invalid_argument(
+            "Monitor: time went backwards or is NaN");
+    if (count_ == 0) {
+        first_timestamp_ = now;
+    } else {
+        const double latency = now - latest_timestamp_;
+        latest_latency_ = latency;
+        // Add before subtracting the evicted latency: the running
+        // sum's rounding depends on that order.
+        window_latency_sum_ += latency;
+        if (window_count_ < window_size_) {
+            ring_[window_count_++] = latency;
+        } else {
+            window_latency_sum_ -= ring_[ring_head_];
+            ring_[ring_head_] = latency;
+            if (++ring_head_ == window_size_)
+                ring_head_ = 0;
+        }
+    }
+    latest_timestamp_ = now;
+    ++count_;
+}
 
 } // namespace powerdial::hb
 

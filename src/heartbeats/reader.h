@@ -41,7 +41,7 @@ class Reader
     double maxTarget() const { return monitor_->target().max_rate; }
 
     /** Record of the most recent beat. Throws if no beat was emitted. */
-    const HeartbeatRecord &latest() const { return monitor_->latest(); }
+    HeartbeatRecord latest() const { return monitor_->latest(); }
 
   private:
     const Monitor *monitor_;

@@ -127,8 +127,7 @@ Cluster::dynamicWatts() const
     double total = 0.0;
     for (std::size_t i = 0; i < machines_.size(); ++i) {
         const Machine &m = machines_[i];
-        total += m.powerModel().watts(
-            m.frequencyHz(), loadOf(i, active_[i]).utilization);
+        total += m.wattsAt(m.pstate(), loadOf(i, active_[i]).utilization);
     }
     return total;
 }
@@ -195,9 +194,7 @@ Cluster::steadyStateWatts(const std::vector<std::size_t> &placement,
         const Machine &m = machines_[i];
         const std::size_t state =
             std::min(pstate, m.scale().lowestState());
-        total += m.powerModel().watts(
-            m.scale().frequencyHz(state),
-            loadOf(i, placement[i]).utilization);
+        total += m.wattsAt(state, loadOf(i, placement[i]).utilization);
     }
     return total;
 }

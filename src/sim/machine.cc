@@ -19,10 +19,20 @@ Machine::reset(const Config &config)
     if (config.speed_factor <= 0.0)
         throw std::invalid_argument(
             "Machine: speed factor must be > 0");
+    PowerModel power(config.power); // Validates before any change.
     scale_ = config.scale;
-    power_ = PowerModel(config.power);
+    power_ = power;
     cores_ = config.cores;
     speed_factor_ = config.speed_factor;
+    dyn_frac_.resize(scale_.states());
+    for (std::size_t s = 0; s < dyn_frac_.size(); ++s)
+        dyn_frac_[s] = power_.dynamicFraction(scale_.frequencyHz(s));
+    reset();
+}
+
+void
+Machine::reset()
+{
     pstate_ = 0;
     pstate_cap_ = 0;
     share_ = 1.0;
@@ -37,11 +47,12 @@ void
 Machine::refreshPower()
 {
     freq_hz_ = scale_.frequencyHz(pstate_);
+    speed_ratio_ = std::min(1.0, effectiveHz() / scale_.maxHz());
     const double util = utilization_ >= 0.0
         ? utilization_
         : 1.0 / static_cast<double>(cores_);
-    busy_watts_ = power_.watts(freq_hz_, util);
-    idle_watts_ = power_.watts(freq_hz_, 0.0);
+    busy_watts_ = power_.wattsFor(dyn_frac_[pstate_], util);
+    idle_watts_ = power_.wattsFor(dyn_frac_[pstate_], 0.0);
 }
 
 void
@@ -62,22 +73,6 @@ Machine::setPStateCap(std::size_t state)
     if (pstate_ < pstate_cap_)
         pstate_ = pstate_cap_;
     refreshPower();
-}
-
-void
-Machine::account(double dt, double watts)
-{
-    if (dt <= 0.0)
-        return;
-    const double t0 = clock_.now();
-    clock_.advance(dt);
-    energy_j_ += watts * dt;
-    if (!trace_.empty() && trace_.back().watts == watts &&
-        trace_.back().end_s == t0) {
-        trace_.back().end_s = clock_.now();
-    } else {
-        trace_.push_back({t0, clock_.now(), watts});
-    }
 }
 
 // Every input check below is written so that NaN, which fails every
@@ -101,30 +96,6 @@ Machine::setUtilization(double utilization)
     else
         throw std::invalid_argument("Machine: utilization is NaN");
     refreshPower();
-}
-
-double
-Machine::execute(double cycles)
-{
-    if (!(cycles >= 0.0))
-        throw std::invalid_argument("Machine: negative or NaN work");
-    if (cycles == 0.0)
-        return 0.0;
-    // Multiplying by a speed factor of exactly 1.0 is an IEEE
-    // identity, so the default class retires work bit-identically to
-    // the pre-heterogeneity machine.
-    const double dt = cycles / (effectiveHz() * share_);
-    account(dt, busy_watts_);
-    return dt;
-}
-
-void
-Machine::idleFor(double dt)
-{
-    if (!(dt >= 0.0))
-        throw std::invalid_argument(
-            "Machine: negative or NaN idle time");
-    account(dt, idle_watts_);
 }
 
 void

@@ -14,6 +14,7 @@
 #define POWERDIAL_SIM_MACHINE_H
 
 #include <cstddef>
+#include <stdexcept>
 #include <vector>
 
 #include "sim/frequency.h"
@@ -66,12 +67,21 @@ class Machine
     /**
      * Become exactly a freshly constructed Machine(@p config) — the
      * constructor runs this — while keeping the storage of the
-     * frequency table and power log, so a fleet tenant slot reuses
-     * one machine across jobs. Throws std::invalid_argument, leaving
-     * the machine unchanged, for zero cores or a non-positive speed
-     * factor.
+     * frequency table, the per-P-state power table and the power log.
+     * Throws std::invalid_argument, leaving the machine unchanged, for
+     * zero cores, a non-positive speed factor or invalid power
+     * parameters.
      */
     void reset(const Config &config);
+
+    /**
+     * Become exactly a freshly constructed machine of the current
+     * class: reset(config) with the configuration this machine was
+     * last built or reset from, minus the per-P-state work. A fleet
+     * tenant slot rewinds its machine this way when its next job lands
+     * on a machine of the same class.
+     */
+    void reset();
 
     /** Current virtual time in seconds. */
     double now() const { return clock_.now(); }
@@ -102,6 +112,26 @@ class Machine
     double effectiveHz() const { return frequencyHz() * speed_factor_; }
 
     /**
+     * The effective rate as a fraction of the nominal one,
+     * min(1, effectiveHz() / scale().maxHz()): how much of a unit's
+     * service time is spent below P-state-0 speed. Cached with the
+     * watts, since it changes only with the P-state.
+     */
+    double speedRatio() const { return speed_ratio_; }
+
+    /**
+     * Model power at P-state @p state and @p utilization, watts:
+     * powerModel().watts(scale().frequencyHz(state), utilization),
+     * read from a per-P-state table built when the machine takes its
+     * class. Throws std::out_of_range for a bad P-state.
+     */
+    double
+    wattsAt(std::size_t state, double utilization) const
+    {
+        return power_.wattsFor(dyn_frac_.at(state), utilization);
+    }
+
+    /**
      * Set the P-state (DVFS actuation, like cpufrequtils).
      * Takes effect for all subsequent work. Requests faster than the
      * current frequency cap (see setPStateCap) are clamped to the cap.
@@ -130,7 +160,20 @@ class Machine
      * @param cycles Work to retire, in clock cycles (>= 0, not NaN).
      * @return Virtual seconds consumed.
      */
-    double execute(double cycles);
+    double
+    execute(double cycles)
+    {
+        if (!(cycles >= 0.0))
+            throw std::invalid_argument("Machine: negative or NaN work");
+        if (cycles == 0.0)
+            return 0.0;
+        // Multiplying by a speed factor of exactly 1.0 is an IEEE
+        // identity, so the default class retires work bit-identically
+        // to the pre-heterogeneity machine.
+        const double dt = cycles / (effectiveHz() * share_);
+        account(dt, busy_watts_);
+        return dt;
+    }
 
     /**
      * Set the fraction of one context's throughput available to the
@@ -157,7 +200,14 @@ class Machine
 
     /** Sit idle for @p dt (>= 0, not NaN) virtual seconds, drawing
      *  idle power. */
-    void idleFor(double dt);
+    void
+    idleFor(double dt)
+    {
+        if (!(dt >= 0.0))
+            throw std::invalid_argument(
+                "Machine: negative or NaN idle time");
+        account(dt, idle_watts_);
+    }
 
     /** Sit idle until absolute virtual time @p t (no-op if past). */
     void idleUntil(double t);
@@ -179,10 +229,25 @@ class Machine
 
   private:
     /** Record @p dt seconds at @p watts, integrating energy. */
-    void account(double dt, double watts);
+    void
+    account(double dt, double watts)
+    {
+        if (dt <= 0.0)
+            return;
+        const double t0 = clock_.now();
+        clock_.advance(dt);
+        energy_j_ += watts * dt;
+        if (!trace_.empty() && trace_.back().watts == watts &&
+            trace_.back().end_s == t0) {
+            trace_.back().end_s = clock_.now();
+        } else {
+            trace_.push_back({t0, clock_.now(), watts});
+        }
+    }
 
-    /** Recompute the cached frequency and busy/idle power draw from
-     *  the P-state and utilisation; every setter of either calls it. */
+    /** Recompute the cached frequency, speed ratio and busy/idle power
+     *  draw from the P-state and utilisation; every setter of either
+     *  calls it. */
     void refreshPower();
 
     FrequencyScale scale_;
@@ -193,9 +258,12 @@ class Machine
     std::size_t pstate_cap_ = 0;
     double share_ = 1.0;
     double utilization_ = -1.0;
-    double freq_hz_ = 0.0;    //!< scale_.frequencyHz(pstate_).
-    double busy_watts_ = 0.0; //!< Power while executing work.
-    double idle_watts_ = 0.0; //!< Power while idle.
+    /** power_.dynamicFraction of each P-state's frequency. */
+    std::vector<double> dyn_frac_;
+    double freq_hz_ = 0.0;     //!< scale_.frequencyHz(pstate_).
+    double speed_ratio_ = 1.0; //!< See speedRatio().
+    double busy_watts_ = 0.0;  //!< Power while executing work.
+    double idle_watts_ = 0.0;  //!< Power while idle.
     VirtualClock clock_;
     double energy_j_ = 0.0;
     std::vector<PowerSegment> trace_;

@@ -26,13 +26,10 @@ PowerModel::voltage(double freq_hz) const
 }
 
 double
-PowerModel::watts(double freq_hz, double utilization) const
+PowerModel::dynamicFraction(double freq_hz) const
 {
-    const double u = std::clamp(utilization, 0.0, 1.0);
     const double v = voltage(freq_hz);
-    const double dyn_frac = (freq_hz * v * v) / dyn_norm_;
-    const double dyn_max = params_.peak_watts - params_.idle_watts;
-    return params_.idle_watts + u * dyn_frac * dyn_max;
+    return (freq_hz * v * v) / dyn_norm_;
 }
 
 } // namespace powerdial::sim

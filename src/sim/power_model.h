@@ -15,6 +15,8 @@
 #ifndef POWERDIAL_SIM_POWER_MODEL_H
 #define POWERDIAL_SIM_POWER_MODEL_H
 
+#include <algorithm>
+
 #include "sim/frequency.h"
 
 namespace powerdial::sim {
@@ -51,12 +53,36 @@ class PowerModel
     explicit PowerModel(const PowerModelParams &params);
 
     /**
-     * Full-system power in watts.
+     * Full-system power in watts:
+     * wattsFor(dynamicFraction(freq_hz), utilization).
      *
      * @param freq_hz     Current clock frequency.
      * @param utilization Fraction of compute capacity in use, in [0, 1].
      */
-    double watts(double freq_hz, double utilization) const;
+    double
+    watts(double freq_hz, double utilization) const
+    {
+        return wattsFor(dynamicFraction(freq_hz), utilization);
+    }
+
+    /**
+     * The dynamic-power fraction at @p freq_hz: f V(f)^2 over
+     * f_max V(f_max)^2. It depends on the frequency alone, so a
+     * machine computes it once per P-state (sim::Machine::wattsAt).
+     */
+    double dynamicFraction(double freq_hz) const;
+
+    /**
+     * Full-system power in watts at dynamic fraction @p dyn_frac (from
+     * dynamicFraction) and @p utilization (clamped to [0, 1]).
+     */
+    double
+    wattsFor(double dyn_frac, double utilization) const
+    {
+        const double u = std::clamp(utilization, 0.0, 1.0);
+        const double dyn_max = params_.peak_watts - params_.idle_watts;
+        return params_.idle_watts + u * dyn_frac * dyn_max;
+    }
 
     /** The idle floor in watts. */
     double idleWatts() const { return params_.idle_watts; }

@@ -10,6 +10,10 @@ poissonDeviate(Rng &rng, double lambda)
 {
     if (lambda < 0.0)
         throw std::invalid_argument("poissonDeviate: negative mean");
+    // A NaN mean would fail every test below and draw 0; an infinite
+    // one would reach the size_t cast below out of range.
+    if (!std::isfinite(lambda))
+        throw std::invalid_argument("poissonDeviate: mean is not finite");
     // Knuth's method needs exp(-lambda) > 0; past ~708, exp
     // underflows to 0 and every draw would silently saturate near
     // 708 instead of following Poisson(lambda). At such means the
@@ -22,6 +26,10 @@ poissonDeviate(Rng &rng, double lambda)
     if (lambda > 700.0) {
         const double draw =
             std::round(rng.gaussian(lambda, std::sqrt(lambda)));
+        // 2^64: the first double a size_t cannot hold.
+        if (!(draw < 18446744073709551616.0))
+            throw std::invalid_argument(
+                "poissonDeviate: mean too large for a size_t count");
         return draw > 0.0 ? static_cast<std::size_t>(draw) : 0;
     }
     if (lambda == 0.0)

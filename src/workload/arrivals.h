@@ -62,6 +62,8 @@ std::size_t poissonArrivalAt(const PoissonArrivalParams &params,
  * up to lambda = 700, the rounded normal approximation N(lambda,
  * lambda) above it (where Knuth's exp(-lambda) underflows and the
  * approximation error is far below the distribution's own spread).
+ * Throws std::invalid_argument for a negative, NaN or infinite mean,
+ * and for a mean whose normal draw does not fit a size_t (>= 2^64).
  */
 std::size_t poissonDeviate(Rng &rng, double lambda);
 

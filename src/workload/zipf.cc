@@ -10,8 +10,9 @@ ZipfSampler::ZipfSampler(std::size_t n, double s) : s_(s)
 {
     if (n == 0)
         throw std::invalid_argument("ZipfSampler: empty support");
-    if (s < 0.0)
-        throw std::invalid_argument("ZipfSampler: negative skew");
+    // Written so NaN fails too: it would send every draw to rank 0.
+    if (!(s >= 0.0))
+        throw std::invalid_argument("ZipfSampler: negative or NaN skew");
     cdf_.resize(n);
     double acc = 0.0;
     for (std::size_t k = 0; k < n; ++k) {

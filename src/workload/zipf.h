@@ -27,8 +27,8 @@ class ZipfSampler
   public:
     /**
      * @param n Number of ranks (> 0).
-     * @param s Skew exponent (>= 0; 1.0 is classic Zipf, 0 degrades
-     *          to the uniform distribution over the n ranks).
+     * @param s Skew exponent (>= 0, not NaN; 1.0 is classic Zipf, 0
+     *          degrades to the uniform distribution over the n ranks).
      */
     ZipfSampler(std::size_t n, double s);
 

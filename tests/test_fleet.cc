@@ -5,6 +5,7 @@
 #include <cmath>
 #include <limits>
 #include <memory>
+#include <random>
 #include <string>
 
 #include "fleet/metrics_hub.h"
@@ -374,6 +375,31 @@ TEST(LatencyPercentiles, PercentileNearestRank)
     EXPECT_DOUBLE_EQ(percentileOf(sorted, 95.0), 5.0);
     EXPECT_DOUBLE_EQ(percentileOf(sorted, 0.0), 1.0);
     EXPECT_DOUBLE_EQ(percentileOf({}, 50.0), 0.0);
+}
+
+TEST(LatencyPercentiles, SelectionMatchesSortedPercentiles)
+{
+    // latencyPercentiles selects its three order statistics without
+    // sorting; they must be percentileOf over the fully sorted values,
+    // for every size from empty up and with heavy duplication.
+    std::mt19937_64 rng(17);
+    for (std::size_t n = 0; n < 300; ++n) {
+        SCOPED_TRACE(::testing::Message() << "n " << n);
+        std::uniform_int_distribution<int> level(0, 1 + n / 3);
+        std::vector<double> values(n);
+        for (double &v : values)
+            v = 0.125 * level(rng) +
+                (n % 2 == 0 ? 0.0 : 1e-3 * level(rng));
+        std::vector<double> sorted = values;
+        std::sort(sorted.begin(), sorted.end());
+        const LatencyPercentiles got = latencyPercentiles(values);
+        EXPECT_EQ(got.p50, percentileOf(sorted, 50.0));
+        EXPECT_EQ(got.p95, percentileOf(sorted, 95.0));
+        EXPECT_EQ(got.p99, percentileOf(sorted, 99.0));
+        // A permutation of the input: nothing lost or invented.
+        std::sort(values.begin(), values.end());
+        EXPECT_EQ(values, sorted);
+    }
 }
 
 // ---------------------------------------------------------------------

@@ -387,7 +387,9 @@ struct TenantJob
     std::size_t job = 0;
     std::size_t input = 0;
     std::size_t machine = 0;
-    sim::Machine::Config host;
+    /** The host's class configuration: a catalog entry, as the pool
+     *  passes cluster.configOf(machine). */
+    const sim::Machine::Config *host = nullptr;
     ArbitrationLease lease;
     double arrival_s = 0.0;
 };
@@ -397,8 +399,8 @@ assignTenantJob(detail::Tenant &tenant, const ServerOptions &options,
                 const TenantJob &job)
 {
     const workload::OfferedJob offer{job.input, 1, 0.0};
-    detail::assignJob(tenant, options, job.host, job.job, job.machine, 0,
-                      job.arrival_s, offer, 0.0);
+    detail::assignJob(tenant, options, *job.host, job.job, job.machine,
+                      0, job.arrival_s, offer, 0.0);
 }
 
 /**
@@ -474,14 +476,14 @@ TEST(TenantPool, RecycledTenantMatchesFreshTenant)
     a.job = 4;
     a.input = 2;
     a.machine = 1;
-    a.host = catalog.at(1).config;
+    a.host = &catalog.at(1).config;
     a.lease = ArbitrationLease{5, 0, 0.5, 0.75, 2, 0.6};
     a.arrival_s = 1.5;
     TenantJob b;
     b.job = 9;
     b.input = 3;
     b.machine = 0;
-    b.host = catalog.at(0).config;
+    b.host = &catalog.at(0).config;
     b.lease = ArbitrationLease{5, 1, 1.0, 0.25, 1, 0.2};
     b.arrival_s = 4.0;
 
@@ -509,6 +511,24 @@ TEST(TenantPool, RecycledTenantMatchesFreshTenant)
     const std::string fresh_trace = traceStreamOf(fresh_sink, b.job);
     EXPECT_FALSE(fresh_trace.empty());
     EXPECT_EQ(traceStreamOf(reused_sink, b.job), fresh_trace);
+
+    // Job C lands on B's class through the same catalog entry, so the
+    // reused slot only rewinds its machine instead of rebuilding the
+    // class tables; it must still match a fresh slot.
+    TenantJob c = b;
+    c.job = 12;
+    c.input = 2;
+    c.lease = ArbitrationLease{6, 2, 0.5, 0.5, 3, 0.1};
+    c.arrival_s = 6.5;
+    auto fresh_c =
+        detail::makeTenant(fresh_options, p.app, p.table, p.model);
+    assignTenantJob(*reused, reused_options, c);
+    assignTenantJob(*fresh_c, fresh_options, c);
+    expectSameJobState(*reused, *fresh_c);
+    tests::expectJobRecordsIdentical(runTenantJob(*reused, c),
+                                     runTenantJob(*fresh_c, c));
+    EXPECT_EQ(traceStreamOf(reused_sink, c.job),
+              traceStreamOf(fresh_sink, c.job));
 }
 
 /** Clone bookkeeping shared by a prototype and all its clones. */

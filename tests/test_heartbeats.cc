@@ -16,7 +16,8 @@ namespace {
 TEST(Monitor, FirstBeatHasNoLatency)
 {
     Monitor monitor(20, {1.0, 1.0});
-    const auto &rec = monitor.beat(5.0);
+    monitor.beat(5.0);
+    const HeartbeatRecord rec = monitor.latest();
     EXPECT_EQ(rec.tag, 0u);
     EXPECT_DOUBLE_EQ(rec.latency, 0.0);
     EXPECT_DOUBLE_EQ(rec.instant_rate, 0.0);
@@ -25,9 +26,10 @@ TEST(Monitor, FirstBeatHasNoLatency)
 TEST(Monitor, TagsIncrement)
 {
     Monitor monitor(20, {1.0, 1.0});
-    for (int i = 0; i < 5; ++i)
-        EXPECT_EQ(monitor.beat(static_cast<double>(i)).tag,
-                  static_cast<std::uint64_t>(i));
+    for (int i = 0; i < 5; ++i) {
+        monitor.beat(static_cast<double>(i));
+        EXPECT_EQ(monitor.latest().tag, static_cast<std::uint64_t>(i));
+    }
     EXPECT_EQ(monitor.count(), 5u);
 }
 
@@ -35,7 +37,8 @@ TEST(Monitor, InstantRateIsInverseLatency)
 {
     Monitor monitor(20, {1.0, 1.0});
     monitor.beat(0.0);
-    const auto &rec = monitor.beat(0.25);
+    monitor.beat(0.25);
+    const HeartbeatRecord rec = monitor.latest();
     EXPECT_DOUBLE_EQ(rec.latency, 0.25);
     EXPECT_DOUBLE_EQ(rec.instant_rate, 4.0);
 }
@@ -118,7 +121,8 @@ TEST(Monitor, RecordedRatesMatchQueryAtBeatTime)
     double t = 0.0;
     for (int i = 0; i < 6; ++i) {
         t += 0.5;
-        const auto &rec = monitor.beat(t);
+        monitor.beat(t);
+        const HeartbeatRecord rec = monitor.latest();
         EXPECT_DOUBLE_EQ(rec.window_rate, monitor.windowRate());
         EXPECT_DOUBLE_EQ(rec.global_rate, monitor.globalRate());
     }
@@ -141,7 +145,9 @@ TEST(Reader, ExposesMonitorState)
 
 /**
  * The unbounded-log monitor the ring replaced (a full record log plus
- * a deque of window latencies), kept as the bit-exactness oracle.
+ * a deque of window latencies), which also computes every record's
+ * rates eagerly at its beat; kept as the bit-exactness oracle for the
+ * ring and for rates derived on read.
  */
 class DequeMonitor
 {
@@ -221,41 +227,73 @@ class DequeMonitor
     double sum_ = 0.0;
 };
 
+/** Assert @p ring reads exactly what the eager @p oracle recorded. */
+void
+expectSameMonitor(const Monitor &ring, const DequeMonitor &oracle,
+                  const HeartbeatRecord &expected)
+{
+    const HeartbeatRecord got = ring.latest();
+    EXPECT_EQ(got.tag, expected.tag);
+    EXPECT_EQ(got.timestamp, expected.timestamp);
+    EXPECT_EQ(got.latency, expected.latency);
+    EXPECT_EQ(got.instant_rate, expected.instant_rate);
+    EXPECT_EQ(got.window_rate, expected.window_rate);
+    EXPECT_EQ(got.global_rate, expected.global_rate);
+    EXPECT_EQ(ring.windowRate(), oracle.windowRate());
+    EXPECT_EQ(ring.globalRate(), oracle.globalRate());
+    const WindowStats a = ring.windowStats();
+    const WindowStats b = oracle.windowStats();
+    EXPECT_EQ(a.min_latency, b.min_latency);
+    EXPECT_EQ(a.max_latency, b.max_latency);
+    EXPECT_EQ(a.mean_latency, b.mean_latency);
+    EXPECT_EQ(a.stddev_latency, b.stddev_latency);
+}
+
+/** Assert @p monitor holds no beat, as freshly constructed. */
+void
+expectNoBeats(const Monitor &monitor)
+{
+    EXPECT_EQ(monitor.count(), 0u);
+    EXPECT_THROW(monitor.latest(), std::logic_error);
+    EXPECT_EQ(monitor.windowRate(), 0.0);
+    EXPECT_EQ(monitor.globalRate(), 0.0);
+    const WindowStats stats = monitor.windowStats();
+    EXPECT_EQ(stats.min_latency, 0.0);
+    EXPECT_EQ(stats.mean_latency, 0.0);
+}
+
 TEST(Monitor, RingMatchesUnboundedLogBitForBit)
 {
     // Seeded streams mixing zero-latency repeats with latencies over
     // nine decades from t = 0, so latencies and the running window sum
     // round (steadier streams telescope exactly and would hide an
-    // add/subtract reordering).
+    // add/subtract reordering). Each record is read after its beat, so
+    // the rates the ring derives on read face the oracle's eager ones.
+    // A second stream runs on the same ring after reset(), against a
+    // fresh oracle, and must match just as exactly.
     for (const std::size_t window : {1u, 2u, 3u, 20u}) {
         std::mt19937_64 rng(1234 + window);
         std::uniform_real_distribution<double> exponent(-6.0, 3.0);
         std::bernoulli_distribution repeat(0.2);
         Monitor ring(window, {1.0, 1.0});
-        DequeMonitor oracle(window);
-        double t = 0.0;
-        for (std::size_t i = 0; i < 400; ++i) {
-            SCOPED_TRACE(::testing::Message()
-                         << "window " << window << " beat " << i);
-            if (i > 0 && !repeat(rng))
-                t += std::pow(10.0, exponent(rng));
-            const HeartbeatRecord expected = oracle.beat(t);
-            const HeartbeatRecord &got = ring.beat(t);
-            EXPECT_EQ(got.tag, expected.tag);
-            EXPECT_EQ(got.timestamp, expected.timestamp);
-            EXPECT_EQ(got.latency, expected.latency);
-            EXPECT_EQ(got.instant_rate, expected.instant_rate);
-            EXPECT_EQ(got.window_rate, expected.window_rate);
-            EXPECT_EQ(got.global_rate, expected.global_rate);
-            EXPECT_EQ(ring.count(), i + 1);
-            EXPECT_EQ(ring.windowRate(), oracle.windowRate());
-            EXPECT_EQ(ring.globalRate(), oracle.globalRate());
-            const WindowStats a = ring.windowStats();
-            const WindowStats b = oracle.windowStats();
-            EXPECT_EQ(a.min_latency, b.min_latency);
-            EXPECT_EQ(a.max_latency, b.max_latency);
-            EXPECT_EQ(a.mean_latency, b.mean_latency);
-            EXPECT_EQ(a.stddev_latency, b.stddev_latency);
+        for (const double start : {0.0, 7.5}) {
+            SCOPED_TRACE(::testing::Message() << "stream from " << start);
+            expectNoBeats(ring);
+            DequeMonitor oracle(window);
+            double t = start;
+            for (std::size_t i = 0; i < 400; ++i) {
+                SCOPED_TRACE(::testing::Message()
+                             << "window " << window << " beat " << i);
+                if (i > 0 && !repeat(rng))
+                    t += std::pow(10.0, exponent(rng));
+                const HeartbeatRecord expected = oracle.beat(t);
+                ring.beat(t);
+                EXPECT_EQ(ring.count(), i + 1);
+                expectSameMonitor(ring, oracle, expected);
+            }
+            // Rewinds before the next stream, which may start earlier
+            // than this one ended.
+            ring.reset();
         }
     }
 }

@@ -6,6 +6,9 @@
  */
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cmath>
+#include <limits>
 #include <numeric>
 
 #include "fleet/admission.h"
@@ -207,6 +210,86 @@ TEST(HeteroArbiter, QosFeedbackConservesTheCap)
     EXPECT_NEAR(sum, options.cluster_cap_watts, 1e-9 * sum);
     for (const double b : decision.budget_watts)
         EXPECT_GT(b, 0.0);
+}
+
+/** PowerArbiter::pstateCapFor as it read the power model before
+ *  machines tabulated it, verbatim. */
+std::size_t
+referenceCapFor(const sim::Machine &machine, double budget_watts,
+                double utilization)
+{
+    const auto &model = machine.powerModel();
+    const std::size_t states = machine.scale().states();
+    for (std::size_t s = 0; s < states; ++s) {
+        const double watts =
+            model.watts(machine.scale().frequencyHz(s), utilization);
+        if (watts <= budget_watts)
+            return s;
+    }
+    return states - 1;
+}
+
+TEST(HeteroArbiter, CapsPausesAndFleetPowerMatchThePowerModel)
+{
+    // The arbiter and the cluster read each machine's per-P-state
+    // table; every cap, pause ratio and fleet power sum must be exactly
+    // what PowerModel::watts gives, for every catalog class.
+    const auto catalog = sim::MachineCatalog::bigLittle();
+    const double nan = std::numeric_limits<double>::quiet_NaN();
+    const double inf = std::numeric_limits<double>::infinity();
+    for (std::size_t c = 0; c < catalog.size(); ++c) {
+        const sim::Machine machine(catalog.at(c).config);
+        const auto &model = machine.powerModel();
+        for (const double u : {-0.5, 0.0, 0.25, 0.5, 1.0, 1.5, nan}) {
+            for (std::size_t s = 0; s < machine.scale().states(); ++s) {
+                // Budgets on, just below and just above each draw.
+                const double w =
+                    model.watts(machine.scale().frequencyHz(s), u);
+                for (const double budget :
+                     {w, std::nextafter(w, -inf), std::nextafter(w, inf),
+                      model.idleWatts() - 1.0, model.peakWatts() + 1.0}) {
+                    SCOPED_TRACE(::testing::Message()
+                                 << "class " << c << " u " << u
+                                 << " budget " << budget);
+                    EXPECT_EQ(
+                        PowerArbiter::pstateCapFor(machine, budget, u),
+                        referenceCapFor(machine, budget, u));
+                }
+            }
+        }
+    }
+
+    sim::Cluster cluster(catalog, {2, 2});
+    for (const std::size_t i : {0u, 0u, 0u, 1u, 2u, 2u, 2u, 2u, 2u})
+        cluster.place(i);
+    for (const double cap : {150.0, 280.0, 320.0, 400.0, 600.0}) {
+        SCOPED_TRACE(::testing::Message() << "cap " << cap);
+        PowerArbiter arbiter(
+            {cap, ArbiterPolicy::UtilizationProportional, 0.5});
+        const auto decision = arbiter.arbitrate(cluster, {});
+        double fleet_watts = 0.0;
+        for (std::size_t i = 0; i < cluster.size(); ++i) {
+            const sim::Machine &m = cluster.machine(i);
+            const double budget = decision.budget_watts[i];
+            const double util =
+                cluster.loadOf(i, cluster.activeOn(i)).utilization;
+            const std::size_t state = referenceCapFor(m, budget, util);
+            EXPECT_EQ(decision.pstate_cap[i], state);
+            const double busy =
+                m.powerModel().watts(m.scale().frequencyHz(state), util);
+            const double idle = m.powerModel().idleWatts();
+            const double ratio = busy > budget
+                ? std::clamp(budget > idle
+                                 ? (busy - budget) / (budget - idle)
+                                 : 10.0,
+                             0.0, 10.0)
+                : 0.0;
+            EXPECT_EQ(decision.pause_ratio[i], ratio);
+            fleet_watts +=
+                m.powerModel().watts(m.frequencyHz(), util);
+        }
+        EXPECT_EQ(cluster.dynamicWatts(), fleet_watts);
+    }
 }
 
 // ---------------------------------------------------------------------

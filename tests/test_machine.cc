@@ -1,6 +1,8 @@
 /** @file Unit tests for sim::Machine. */
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cmath>
 #include <functional>
 #include <limits>
 #include <stdexcept>
@@ -10,6 +12,7 @@
 
 #include "heartbeats/heartbeat.h"
 #include "sim/machine.h"
+#include "sim/machine_catalog.h"
 #include "sim/virtual_clock.h"
 
 namespace powerdial::sim {
@@ -282,6 +285,7 @@ expectSameMachineState(const Machine &a, const Machine &b)
     EXPECT_EQ(a.pstate(), b.pstate());
     EXPECT_EQ(a.pstateCap(), b.pstateCap());
     EXPECT_EQ(a.frequencyHz(), b.frequencyHz());
+    EXPECT_EQ(a.speedRatio(), b.speedRatio());
     EXPECT_EQ(a.scale().frequencies(), b.scale().frequencies());
     EXPECT_EQ(a.powerModel().idleWatts(), b.powerModel().idleWatts());
     EXPECT_EQ(a.powerModel().peakWatts(), b.powerModel().peakWatts());
@@ -356,6 +360,145 @@ TEST(Machine, ResetRejectsBadConfigAndKeepsState)
     EXPECT_EQ(m.now(), now);
     EXPECT_EQ(m.energyJoules(), energy);
     EXPECT_EQ(m.cores(), Machine::Config{}.cores);
+}
+
+// ---------------------------------------------------------------------
+// The per-P-state power table against the power model it tabulates.
+// ---------------------------------------------------------------------
+
+/** Equal bit for bit, or both NaN. */
+bool
+sameValue(double a, double b)
+{
+    return std::isnan(a) ? std::isnan(b) : a == b;
+}
+
+/** The configurations of every built-in catalog class, plus a
+ *  two-state class unlike either. */
+std::vector<Machine::Config>
+catalogClasses()
+{
+    std::vector<Machine::Config> classes;
+    const MachineCatalog catalog = MachineCatalog::bigLittle();
+    for (const MachineClass &c : catalog.classes())
+        classes.push_back(c.config);
+    Machine::Config tiny;
+    tiny.scale = FrequencyScale({1.8e9, 1.2e9});
+    tiny.power.idle_watts = 40.0;
+    tiny.power.peak_watts = 90.0;
+    tiny.power.f_min_hz = 1.2e9;
+    tiny.power.f_max_hz = 1.8e9;
+    tiny.cores = 2;
+    tiny.speed_factor = 0.6;
+    classes.push_back(tiny);
+    return classes;
+}
+
+/** PowerModel::watts as it evaluated before machines tabulated its
+ *  dynamic fraction, verbatim: the expression and evaluation order
+ *  every power read must keep. */
+double
+referenceWatts(const PowerModel &model, double freq_hz, double utilization)
+{
+    const PowerModelParams &params = model.params();
+    const double dyn_norm = params.f_max_hz * params.v_max * params.v_max;
+    const double u = std::clamp(utilization, 0.0, 1.0);
+    const double v = model.voltage(freq_hz);
+    const double dyn_frac = (freq_hz * v * v) / dyn_norm;
+    const double dyn_max = params.peak_watts - params.idle_watts;
+    return params.idle_watts + u * dyn_frac * dyn_max;
+}
+
+/** Assert wattsAt(s, u) and PowerModel::watts(frequencyHz(s), u) are
+ *  the reference draw at every P-state, for utilisations in, below
+ *  and above [0, 1] and NaN. */
+void
+expectTableMatchesModel(const Machine &m)
+{
+    // Non-dyadic utilisations round in every product, so a changed
+    // evaluation order shows; the others cover the clamp and NaN.
+    const double nan = std::numeric_limits<double>::quiet_NaN();
+    for (std::size_t s = 0; s < m.scale().states(); ++s) {
+        for (const double u : {-0.5, 0.0, 0.125, 0.3, 1.0 / 3.0, 0.7,
+                               0.123456789, 1.0, 1.7, nan}) {
+            SCOPED_TRACE(::testing::Message()
+                         << "P-state " << s << " utilization " << u);
+            const double hz = m.scale().frequencyHz(s);
+            const double expected =
+                referenceWatts(m.powerModel(), hz, u);
+            EXPECT_TRUE(sameValue(m.wattsAt(s, u), expected));
+            EXPECT_TRUE(
+                sameValue(m.powerModel().watts(hz, u), expected));
+        }
+    }
+    EXPECT_THROW(m.wattsAt(m.scale().states(), 0.5), std::out_of_range);
+}
+
+TEST(Machine, PowerTableMatchesThePowerModelForEveryClass)
+{
+    const std::vector<Machine::Config> classes = catalogClasses();
+    Machine reused(classes.back());
+    for (std::size_t c = 0; c < classes.size(); ++c) {
+        SCOPED_TRACE(::testing::Message() << "class " << c);
+        expectTableMatchesModel(Machine(classes[c]));
+        // A reset from another class rebuilds the table in place.
+        reused.reset(classes[c]);
+        expectTableMatchesModel(reused);
+        expectSameMachineState(reused, Machine(classes[c]));
+
+        // The cached busy and idle draw and speed ratio at every
+        // P-state and utilisation setting (negative restores the
+        // one-core default; above 1 clamps).
+        for (std::size_t s = 0; s < classes[c].scale.states(); ++s) {
+            for (const double u : {-0.5, 0.0, 0.125, 1.0, 1.7}) {
+                SCOPED_TRACE(::testing::Message()
+                             << "P-state " << s << " utilization " << u);
+                Machine m(classes[c]);
+                m.setPState(s);
+                m.setUtilization(u);
+                const double util = m.utilization() >= 0.0
+                    ? m.utilization()
+                    : 1.0 / static_cast<double>(m.cores());
+                m.execute(1e9);
+                EXPECT_EQ(m.powerTrace().back().watts,
+                          referenceWatts(m.powerModel(), m.frequencyHz(),
+                                         util));
+                m.idleFor(0.5);
+                EXPECT_EQ(m.powerTrace().back().watts,
+                          referenceWatts(m.powerModel(), m.frequencyHz(),
+                                         0.0));
+                EXPECT_EQ(m.speedRatio(),
+                          std::min(1.0, m.effectiveHz() /
+                                            m.scale().maxHz()));
+            }
+        }
+    }
+}
+
+TEST(Machine, ResetWithoutConfigRewindsTheSameClass)
+{
+    // The fleet's same-class rewind: a machine driven through every
+    // setter, then reset(), is a fresh machine of its class.
+    const std::vector<Machine::Config> classes = catalogClasses();
+    Machine reused(classes[0]);
+    reused.reset(classes[1]);
+    reused.setPStateCap(1);
+    reused.setPState(3);
+    reused.setShare(0.5);
+    reused.setUtilization(0.75);
+    reused.execute(3e9);
+    reused.idleFor(0.25);
+    reused.reset();
+    const Machine fresh(classes[1]);
+    expectSameMachineState(reused, fresh);
+    expectTableMatchesModel(reused);
+    Machine copy = fresh;
+    for (Machine *m : {&reused, &copy}) {
+        m->setPState(2);
+        m->execute(2e9);
+        m->idleFor(0.5);
+    }
+    expectSameMachineState(reused, copy);
 }
 
 } // namespace

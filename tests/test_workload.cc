@@ -1,6 +1,8 @@
 /** @file Unit tests for the workload generators. */
 #include <algorithm>
 #include <cmath>
+#include <functional>
+#include <limits>
 #include <set>
 #include <thread>
 
@@ -123,6 +125,10 @@ TEST(Zipf, Validation)
 {
     EXPECT_THROW(ZipfSampler(0, 1.0), std::invalid_argument);
     EXPECT_THROW(ZipfSampler(10, -0.5), std::invalid_argument);
+    // A NaN skew would send every draw to rank 0.
+    EXPECT_THROW(
+        ZipfSampler(10, std::numeric_limits<double>::quiet_NaN()),
+        std::invalid_argument);
     ZipfSampler z(10, 1.0);
     EXPECT_THROW(z.pmf(10), std::out_of_range);
 }
@@ -602,6 +608,50 @@ TEST(PoissonArrivals, DeviateEdgeCases)
                  std::invalid_argument);
 }
 
+TEST(PoissonArrivals, RejectsMeansNoCountCanHold)
+{
+    // No count can stand for any of these: a NaN mean fails every
+    // comparison (and would draw 0), and +inf or a mean whose normal
+    // draw reaches 2^64 would meet an out-of-range size_t cast.
+    const double inf = std::numeric_limits<double>::infinity();
+    for (const double lambda :
+         {std::numeric_limits<double>::quiet_NaN(), inf, -inf, 1e300,
+          3e19}) {
+        SCOPED_TRACE(::testing::Message() << "lambda " << lambda);
+        Rng rng(7);
+        EXPECT_THROW(poissonDeviate(rng, lambda), std::invalid_argument);
+    }
+    // Finite means whose draws fit still draw.
+    Rng rng(7);
+    EXPECT_GT(poissonDeviate(rng, 1e18), 0u);
+}
+
+TEST(PoissonArrivals, RejectsNonFiniteRatesAndLevels)
+{
+    const double nan = std::numeric_limits<double>::quiet_NaN();
+    const double inf = std::numeric_limits<double>::infinity();
+    struct Case
+    {
+        const char *name;
+        PoissonArrivalParams params;
+        double level;
+    };
+    const Case cases[] = {
+        {"NaN peak rate", {nan, 1}, 0.5},
+        {"infinite peak rate", {inf, 1}, 0.5},
+        {"infinite peak rate at level 0", {inf, 1}, 0.0},
+        {"NaN trace level", {8.0, 1}, nan},
+        {"infinite trace level", {8.0, 1}, inf},
+    };
+    for (const Case &c : cases) {
+        SCOPED_TRACE(c.name);
+        EXPECT_THROW(poissonArrivalAt(c.params, 3, c.level),
+                     std::invalid_argument);
+        EXPECT_THROW(makePoissonArrivals({0.25, c.level}, c.params),
+                     std::invalid_argument);
+    }
+}
+
 TEST(PoissonArrivals, LargeMeansUseTheNormalApproximation)
 {
     // Past ~708 exp(-lambda) underflows and Knuth's method would
@@ -665,6 +715,39 @@ TEST(TrafficMix, FlashCrowdsSuperimposeWithoutClamping)
     // is provisioned for, undistorted by a clamp.
     EXPECT_GT(*std::max_element(mix.levels.begin(), mix.levels.end()),
               1.0);
+}
+
+TEST(TrafficMix, RejectsNonFiniteParameters)
+{
+    // Each reaches the arrival draw (or the tenant sampler) as NaN or
+    // infinity, which would otherwise draw zero arrivals or rank 0.
+    const double nan = std::numeric_limits<double>::quiet_NaN();
+    const double inf = std::numeric_limits<double>::infinity();
+    struct Case
+    {
+        const char *name;
+        std::function<void(TrafficMixParams &)> set;
+    };
+    const Case cases[] = {
+        {"NaN flash-crowd boost",
+         [&](TrafficMixParams &p) { p.flash_crowds = {{2, 3, nan}}; }},
+        {"infinite flash-crowd boost",
+         [&](TrafficMixParams &p) { p.flash_crowds = {{2, 3, inf}}; }},
+        {"NaN peak rate", [&](TrafficMixParams &p) { p.peak_rate = nan; }},
+        {"NaN base level",
+         [&](TrafficMixParams &p) { p.trace.base_utilization = nan; }},
+        {"NaN Zipf skew", [&](TrafficMixParams &p) { p.zipf_skew = nan; }},
+    };
+    const std::vector<TenantProfile> profiles = {{0, 0, 9.0},
+                                                 {1, 1, 6.0}};
+    ASSERT_NO_THROW(makeTrafficMix(flatMixParams(), profiles));
+    for (const Case &c : cases) {
+        SCOPED_TRACE(c.name);
+        TrafficMixParams params = flatMixParams();
+        c.set(params);
+        EXPECT_THROW(makeTrafficMix(params, profiles),
+                     std::invalid_argument);
+    }
 }
 
 TEST(TrafficMix, DeterministicAndAccountedFor)
