@@ -8,7 +8,8 @@
  * application — against the per-unit work of the cheapest benchmark
  * kernel, which dwarfs them; plus the per-beat cost of the Session's
  * RunObserver seam, which must be negligible when no observer is
- * attached, and of the fleet's lease-gated tenant slice. The per-beat
+ * attached, and of the fleet's lease-gated tenant slice, on one slot
+ * and round robin over 1024. The per-beat
  * benches report their beats as items, so the harness prints ns/beat
  * as their ns/item.
  *
@@ -20,6 +21,8 @@
 
 #include <algorithm>
 #include <chrono>
+#include <memory>
+#include <vector>
 
 #include "apps/swaptions/pricer.h"
 #include "bench_common.h"
@@ -284,6 +287,66 @@ BM_FleetTenant256Beats_Slices10(benchmark::State &state)
     countBeats(state);
 }
 BENCHMARK(BM_FleetTenant256Beats_Slices10);
+
+/**
+ * The same lease-gated slices across 1024 tenant slots visited round
+ * robin, one ten-beat slice per visit, the way a serve's slice section
+ * walks a large fleet: a slot whose job has finished takes the next
+ * job, and each slot's lease is rewritten every third visit, one of
+ * its two sets of terms with a duty-cycle pause, so beats alternate
+ * busy and idle draw as they do under a power cap. One slot stays
+ * cache-resident however much state a beat touches; 1024 do not, so
+ * read this bench's ns/beat beside BM_FleetTenant256Beats_Slices10's
+ * for the cost of each slot's working set (its session, machine and
+ * record).
+ */
+static void
+BM_FleetTenants1024RoundRobin_Slices10(benchmark::State &state)
+{
+    constexpr std::size_t kSlots = 1024;
+    SessionFixture f;
+    fleet::ServerOptions options;
+    options.tenants = {1};
+    const sim::Machine::Config host;
+    const double slice_s = 10.0 * 100.0 / host.scale.maxHz();
+    const workload::OfferedJob offer{1, 0, 0.0};
+    std::size_t job = 0;
+    std::size_t generation = 0;
+    std::vector<std::unique_ptr<fleet::detail::Tenant>> slots;
+    std::vector<std::size_t> visits(kSlots, 0);
+    for (std::size_t i = 0; i < kSlots; ++i) {
+        slots.push_back(
+            fleet::detail::makeTenant(options, f.app, f.table, f.model));
+        fleet::detail::assignJob(*slots.back(), options, host, job++, 0, 0,
+                                 0.0, offer, 0.0);
+    }
+    std::size_t beats = 0;
+    std::size_t next = 0;
+    for (auto _ : state) {
+        fleet::detail::Tenant &tenant = *slots[next];
+        if (tenant.done) {
+            fleet::detail::assignJob(tenant, options, host, job++, 0, 0,
+                                     0.0, offer, 0.0);
+            visits[next] = 0;
+        }
+        if (visits[next]++ % 3 == 0) {
+            const bool odd = ++generation % 2 == 1;
+            fleet::ArbitrationLease &lease = tenant.lease;
+            lease.generation = generation;
+            lease.share = odd ? 0.5 : 1.0;
+            lease.utilization = odd ? 0.25 : 0.125;
+            lease.pstate_cap = odd ? 1 : 0;
+            lease.pause_ratio = odd ? 0.25 : 0.0;
+        }
+        const std::size_t before = tenant.record.beats;
+        tenant.slice_deadline_s = tenant.machine.now() + slice_s;
+        fleet::detail::runSlice(tenant);
+        beats += tenant.record.beats - before;
+        next = (next + 1) % kSlots;
+    }
+    state.SetItemsProcessed(beats);
+}
+BENCHMARK(BM_FleetTenants1024RoundRobin_Slices10);
 
 /** A no-op observer: pure dispatch cost of the seam. */
 static void

@@ -171,7 +171,8 @@ benchDct()
  * (work_ops counts every pixel a full SAD visits). Per pixel the
  * naive kernel performs ~11 FLOPs (4-tap bilinear: 4 mul + 3 add,
  * plus difference, abs, accumulate) and touches 5 bytes (1 current +
- * 4 reference uint8 loads).
+ * 4 reference uint8 loads). The optimized side searches planes padded
+ * once at setup, as the encoder pads each reference once.
  */
 KernelReport
 benchMotion()
@@ -191,6 +192,13 @@ benchMotion()
         p.subpel_rounds = 6;
         p.refs = 2;
         return p;
+    }();
+    static const apps::videnc::PaddedPlane cur(clip[0], 0);
+    static const std::vector<apps::videnc::PaddedPlane> padded_refs = [] {
+        std::vector<apps::videnc::PaddedPlane> out;
+        for (const auto &ref : refs)
+            out.emplace_back(ref, apps::videnc::searchBorder(params));
+        return out;
     }();
     static constexpr int kPositions[][2] = {
         {0, 0}, {32, 32}, {64, 48}, {112, 80}};
@@ -217,7 +225,86 @@ benchMotion()
         for (std::size_t i = 0; i < batch; ++i) {
             const auto &pos = kPositions[i % kNumPositions];
             DoNotOptimize(apps::videnc::searchMotion(
-                clip[0], pos[0], pos[1], refs, params));
+                cur, pos[0], pos[1], padded_refs, params));
+        }
+    };
+    measurePair(ref, opt, report.ref_ns, report.opt_ns);
+    return report;
+}
+
+/**
+ * Motion at the border: op = one macroblock motion search on the
+ * calibrate workload's 32x32 frames, cycling through all four
+ * macroblocks and the calibrate knob grid (subme 1/3/5/7 as 0/2/4/6
+ * sub-pel rounds, merange 1/4/16, ref 1/3; 3 reference frames). On a
+ * frame this small most candidates reach past the frame edge, so this
+ * times the border path the 128x96 fixture above mostly skips. Cost
+ * model per pixel as above. The optimized side pads each reference
+ * once per knob setting, at setup.
+ */
+KernelReport
+benchMotionBorder()
+{
+    using apps::videnc::PaddedPlane;
+    using apps::videnc::SearchParams;
+    static const std::vector<workload::Frame> clip = [] {
+        workload::VideoParams params;
+        params.width = 32;
+        params.height = 32;
+        params.frames = 4;
+        return workload::VideoSource(params).frames();
+    }();
+    static const std::vector<workload::Frame> refs(clip.begin() + 1,
+                                                   clip.end());
+    static const std::vector<SearchParams> grid = [] {
+        std::vector<SearchParams> out;
+        for (const int subpel : {0, 2, 4, 6})
+            for (const int merange : {1, 4, 16})
+                for (const int nrefs : {1, 3})
+                    out.push_back({merange, subpel, nrefs});
+        return out;
+    }();
+    static const PaddedPlane cur(clip[0], 0);
+    // padded_refs[g]: the references padded for grid[g].
+    static const std::vector<std::vector<PaddedPlane>> padded_refs = [] {
+        std::vector<std::vector<PaddedPlane>> out;
+        for (const SearchParams &params : grid) {
+            out.emplace_back();
+            for (const auto &ref : refs)
+                out.back().emplace_back(ref,
+                                        apps::videnc::searchBorder(params));
+        }
+        return out;
+    }();
+    // One op per (knob setting, macroblock) pair.
+    static const std::size_t kOps = grid.size() * 4;
+
+    double pixels_per_op = 0.0;
+    for (std::size_t i = 0; i < kOps; ++i)
+        pixels_per_op += static_cast<double>(
+            apps::videnc::reference::searchMotion(
+                clip[0], 16 * static_cast<int>(i % 2),
+                16 * static_cast<int>(i / 2 % 2), refs, grid[i / 4])
+                .work_ops);
+    pixels_per_op /= static_cast<double>(kOps);
+
+    KernelReport report{"videnc_motion_border", pixels_per_op * 11.0,
+                        pixels_per_op * 5.0, 0.20};
+    const BatchFn ref = [](std::size_t batch) {
+        for (std::size_t i = 0; i < batch; ++i) {
+            const std::size_t op = i % kOps;
+            DoNotOptimize(apps::videnc::reference::searchMotion(
+                clip[0], 16 * static_cast<int>(op % 2),
+                16 * static_cast<int>(op / 2 % 2), refs, grid[op / 4]));
+        }
+    };
+    const BatchFn opt = [](std::size_t batch) {
+        for (std::size_t i = 0; i < batch; ++i) {
+            const std::size_t op = i % kOps;
+            DoNotOptimize(apps::videnc::searchMotion(
+                cur, 16 * static_cast<int>(op % 2),
+                16 * static_cast<int>(op / 2 % 2), padded_refs[op / 4],
+                grid[op / 4]));
         }
     };
     measurePair(ref, opt, report.ref_ns, report.opt_ns);
@@ -445,6 +532,7 @@ main(int argc, char **argv)
     std::vector<KernelReport> reports;
     reports.push_back(benchDct());
     reports.push_back(benchMotion());
+    reports.push_back(benchMotionBorder());
     reports.push_back(benchResample());
     reports.push_back(benchSearchScore());
     reports.push_back(benchSwaptions());

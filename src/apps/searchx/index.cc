@@ -15,17 +15,25 @@ InvertedIndex::InvertedIndex(const std::vector<workload::Document> &docs)
         for (const auto word : doc.words)
             ++tf[word][doc.id];
     index_.reserve(tf.size());
+    std::uint32_t max_tf = 0;
     for (auto &[word, counts] : tf) {
-        std::vector<Posting> postings;
-        postings.reserve(counts.size());
-        for (const auto &[doc, count] : counts)
-            postings.push_back({doc, count});
-        std::sort(postings.begin(), postings.end(),
+        Term term;
+        term.postings.reserve(counts.size());
+        for (const auto &[doc, count] : counts) {
+            term.postings.push_back({doc, count});
+            max_tf = std::max(max_tf, count);
+        }
+        std::sort(term.postings.begin(), term.postings.end(),
                   [](const Posting &a, const Posting &b) {
                       return a.doc < b.doc;
                   });
-        index_.emplace(word, std::move(postings));
+        term.idf = std::log(static_cast<double>(doc_count_ + 1) /
+                            static_cast<double>(term.postings.size()));
+        index_.emplace(word, std::move(term));
     }
+    tf_weight_.resize(static_cast<std::size_t>(max_tf) + 1);
+    for (std::uint32_t t = 0; t <= max_tf; ++t)
+        tf_weight_[t] = 1.0 + std::log(1.0 + t);
     qos::DocId max_doc = 0;
     for (const auto &doc : docs)
         max_doc = std::max(max_doc, doc.id);
@@ -37,7 +45,7 @@ const std::vector<Posting> &
 InvertedIndex::postings(workload::WordId word) const
 {
     const auto it = index_.find(word);
-    return it == index_.end() ? empty_ : it->second;
+    return it == index_.end() ? empty_ : it->second.postings;
 }
 
 QueryOutcome
@@ -56,26 +64,25 @@ InvertedIndex::search(const workload::Query &query,
     // (terms in query order, postings in doc order), so each final
     // score is bit-identical.
     touched_.clear();
-    for (const auto term : query.terms) {
-        const auto &plist = postings(term);
-        if (plist.empty())
+    for (const auto word : query.terms) {
+        const auto it = index_.find(word);
+        if (it == index_.end())
             continue;
-        const double idf =
-            std::log(static_cast<double>(doc_count_ + 1) /
-                     static_cast<double>(plist.size()));
-        for (const auto &posting : plist) {
+        const double idf = it->second.idf;
+        for (const auto &posting : it->second.postings) {
             double &score = score_of_[posting.doc];
             if (score == 0.0)
                 touched_.push_back(posting.doc);
-            score += (1.0 + std::log(1.0 + posting.tf)) * idf;
-            out.work_ops += 6; // Accumulate one posting.
+            score += tf_weight_[posting.tf] * idf;
         }
+        out.work_ops += 6 * it->second.postings.size(); // 6 per posting.
     }
 
-    // Bounded selection of the top max_results (heap of size m, the
-    // work swish++'s max-results flag bounds). The comparator is a
-    // strict total order (distinct docs always order), so the selected
-    // prefix is independent of the candidate traversal order.
+    // Bounded selection of the top max_results (the work swish++'s
+    // max-results flag bounds; work_ops keeps the heap-of-size-m
+    // cost model). The comparator is a strict total order (distinct
+    // docs always order), so the top m and their order are the same
+    // whatever the candidate traversal order or selection algorithm.
     ranked_.clear();
     ranked_.reserve(touched_.size());
     for (const auto doc : touched_) {
@@ -87,12 +94,14 @@ InvertedIndex::search(const workload::Query &query,
         std::max(1.0, std::log2(static_cast<double>(m + 1)));
     out.work_ops +=
         static_cast<std::uint64_t>(ranked_.size() * logm);
-    std::partial_sort(ranked_.begin(), ranked_.begin() + m, ranked_.end(),
-                      [](const SearchResult &a, const SearchResult &b) {
-                          if (a.score != b.score)
-                              return a.score > b.score;
-                          return a.doc < b.doc; // Deterministic ties.
-                      });
+    const auto better = [](const SearchResult &a, const SearchResult &b) {
+        if (a.score != b.score)
+            return a.score > b.score;
+        return a.doc < b.doc; // Deterministic ties.
+    };
+    const auto top = ranked_.begin() + static_cast<std::ptrdiff_t>(m);
+    std::nth_element(ranked_.begin(), top, ranked_.end(), better);
+    std::sort(ranked_.begin(), top, better);
 
     // Result serialisation (snippet extraction, formatting, I/O) —
     // linear in the returned count.

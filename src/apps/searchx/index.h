@@ -63,13 +63,17 @@ class InvertedIndex
      * Scoring accumulates into a dense per-document scratch array
      * retained across queries (every tf-idf contribution is strictly
      * positive, so "score == 0" doubles as the touched mark), replacing
-     * the previous per-query hash map. Results and work_ops are
-     * bit-identical: per-document accumulation order is unchanged and
-     * the ranking comparator is a strict total order, so the ranked
-     * prefix never depended on hash traversal order. The scratch makes
-     * search() not safe to call concurrently on one instance; every
-     * engine in this repo clones the app per worker (FanoutEngine), so
-     * no caller does.
+     * the previous per-query hash map. Each term's idf and every
+     * 1 + log(1 + tf) factor are computed once, at build, by the very
+     * expressions the per-posting loop used to evaluate, and the top
+     * max_results are selected (nth_element) before only they are
+     * sorted. Results and work_ops are bit-identical: per-document
+     * accumulation order is unchanged and the ranking comparator is a
+     * strict total order, so the ranked prefix is the same whatever
+     * the candidate order or the selection algorithm. The scratch
+     * makes search() not safe to call concurrently on one instance;
+     * every engine in this repo clones the app per worker
+     * (FanoutEngine), so no caller does.
      */
     QueryOutcome search(const workload::Query &query,
                         std::size_t max_results) const;
@@ -78,9 +82,18 @@ class InvertedIndex
     static constexpr std::uint64_t kSerializeOpsPerResult = 60;
 
   private:
-    std::unordered_map<workload::WordId, std::vector<Posting>> index_;
+    /** A term's postings, in document order, and its idf. */
+    struct Term
+    {
+        std::vector<Posting> postings;
+        double idf = 0.0;
+    };
+
+    std::unordered_map<workload::WordId, Term> index_;
     std::vector<Posting> empty_;
     std::size_t doc_count_ = 0;
+    /** tf_weight_[tf] = 1 + log(1 + tf) for every tf in the corpus. */
+    std::vector<double> tf_weight_;
     // Query-scoring scratch (see search()). score_of_ is zero outside
     // a search() call; touched_/ranked_ keep their capacity warm.
     mutable std::vector<double> score_of_;

@@ -22,6 +22,8 @@ void
 Encoder::reset()
 {
     refs_.clear();
+    padded_refs_.clear();
+    border_ = 0;
 }
 
 FrameStats
@@ -31,8 +33,16 @@ Encoder::encodeFrame(const workload::Frame &frame,
     FrameStats stats;
     workload::Frame recon = frame; // Shape only; pixels overwritten.
 
-    const std::vector<workload::Frame> refs(refs_.begin(), refs_.end());
-    const bool intra = refs.empty();
+    // Widen the reference border only when this frame's search reaches
+    // further than any since the reset.
+    if (searchBorder(effort) > border_) {
+        border_ = searchBorder(effort);
+        for (std::size_t i = 0; i < refs_.size(); ++i)
+            padded_refs_[i].assign(refs_[i], border_);
+    }
+    const bool intra = refs_.empty();
+    if (!intra)
+        cur_.assign(frame, 0);
 
     // One prediction buffer for the whole frame; every macroblock
     // overwrites all 256 entries (flat DC for intra, predictBlockInto
@@ -46,9 +56,10 @@ Encoder::encodeFrame(const workload::Frame &frame,
                 std::fill(pred.begin(), pred.end(), 128.0);
             } else {
                 const MotionResult mr =
-                    searchMotion(frame, bx, by, refs, effort);
+                    searchMotion(cur_, bx, by, padded_refs_, effort);
                 stats.work_ops += mr.work_ops;
-                predictBlockInto(refs[mr.reference], bx, by, mr.mv, pred);
+                predictBlockInto(padded_refs_[mr.reference], bx, by, mr.mv,
+                                 pred);
                 stats.bits += 12; // MV + reference signalling estimate.
             }
 
@@ -101,6 +112,15 @@ Encoder::encodeFrame(const workload::Frame &frame,
     refs_.push_front(std::move(recon));
     while (refs_.size() > config_.max_refs)
         refs_.pop_back();
+    if (!refs_.empty()) {
+        // Pad the new reference once, into the storage of the plane
+        // that just left the list (or a new one while the list grows).
+        if (padded_refs_.size() < refs_.size())
+            padded_refs_.emplace_back();
+        std::rotate(padded_refs_.begin(), padded_refs_.end() - 1,
+                    padded_refs_.end());
+        padded_refs_.front().assign(refs_.front(), border_);
+    }
     return stats;
 }
 

@@ -8,6 +8,11 @@
  * and quantise the residual as four 8x8 DCT blocks, estimate the coded
  * bits, reconstruct, and track PSNR. Frame 0 is coded intra against a
  * flat predictor.
+ *
+ * The motion search reads padded planes (see PaddedPlane): the encoder
+ * pads each reconstructed reference once, when it enters the reference
+ * list, with the border the widest search so far needs, and re-pads
+ * the list only when a search needs a wider one.
  */
 #ifndef POWERDIAL_APPS_VIDENC_ENCODER_H
 #define POWERDIAL_APPS_VIDENC_ENCODER_H
@@ -58,6 +63,13 @@ class Encoder
   private:
     EncoderConfig config_;
     std::deque<workload::Frame> refs_;
+    /** refs_ padded for the motion search, same order. */
+    std::vector<PaddedPlane> padded_refs_;
+    /** The reference border: searchBorder of the widest search since
+     *  the last reset. */
+    int border_ = 0;
+    /** The frame being encoded, padded to whole macroblocks. */
+    PaddedPlane cur_;
 };
 
 } // namespace powerdial::apps::videnc

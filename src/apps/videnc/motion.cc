@@ -1,194 +1,174 @@
 #include "apps/videnc/motion.h"
 
 #include <algorithm>
-#include <cmath>
+#include <cstdlib>
 #include <limits>
 #include <stdexcept>
 
 namespace powerdial::apps::videnc {
 namespace {
 
+/** Bilinear weights are k / kWeightScale: the product of the two
+ *  axes' quarter-pel weights. */
+constexpr int kWeightScale = kSubpelScale * kSubpelScale;
+
+/** Round @p v (>= 0) up to a whole number of macroblocks. */
 int
-clampi(int v, int lo, int hi)
+alignToMacroblock(int v)
 {
-    return std::max(lo, std::min(hi, v));
-}
-
-/** Integer-pel plane access with border clamping. */
-double
-pixelAt(const workload::Frame &ref, int x, int y)
-{
-    x = clampi(x, 0, ref.width - 1);
-    y = clampi(y, 0, ref.height - 1);
-    return static_cast<double>(ref.at(x, y));
-}
-
-/** True when the w x h window at (x0, y0) lies entirely inside @p f. */
-bool
-windowInside(const workload::Frame &f, int x0, int y0, int w, int h)
-{
-    return x0 >= 0 && y0 >= 0 && x0 + w <= f.width && y0 + h <= f.height;
+    return (v + kMacroblock - 1) / kMacroblock * kMacroblock;
 }
 
 /**
- * The four bilinear weights of a quarter-pel phase (fxq, fyq), each
- * computed with exactly the products reference::blockSad evaluates per
- * pixel — (1-fx)*(1-fy), fx*(1-fy), (1-fx)*fy, fx*fy — so hoisting
- * them out of the pixel loop changes no floating-point operation.
+ * The integer bilinear weights of a quarter-pel phase (fxq, fyq): the
+ * reference's (1-fx)(1-fy), fx(1-fy), (1-fx)fy, fx*fy, each scaled by
+ * kWeightScale.
  */
 struct BilinearWeights
 {
-    double w00, w10, w01, w11;
+    int k00, k10, k01, k11;
 
     BilinearWeights(int fxq, int fyq)
+        : k00((kSubpelScale - fxq) * (kSubpelScale - fyq)),
+          k10(fxq * (kSubpelScale - fyq)),
+          k01((kSubpelScale - fxq) * fyq), k11(fxq * fyq)
     {
-        const double fx = static_cast<double>(fxq) / kSubpelScale;
-        const double fy = static_cast<double>(fyq) / kSubpelScale;
-        w00 = (1.0 - fx) * (1.0 - fy);
-        w10 = fx * (1.0 - fy);
-        w01 = (1.0 - fx) * fy;
-        w11 = fx * fy;
     }
 };
 
-} // namespace
-
-double
-samplePlane(const workload::Frame &ref, int qx, int qy)
+/** Stored width and height of a window at quarter-pel vector @p mv:
+ *  a fractional phase reads one more column and row. */
+int
+windowSpan(MotionVector mv)
 {
-    const int ix = qx >> 2;
-    const int iy = qy >> 2;
-    const double fx = static_cast<double>(qx & 3) / kSubpelScale;
-    const double fy = static_cast<double>(qy & 3) / kSubpelScale;
-    const double p00 = pixelAt(ref, ix, iy);
-    const double p10 = pixelAt(ref, ix + 1, iy);
-    const double p01 = pixelAt(ref, ix, iy + 1);
-    const double p11 = pixelAt(ref, ix + 1, iy + 1);
-    return (1.0 - fx) * (1.0 - fy) * p00 + fx * (1.0 - fy) * p10 +
-           (1.0 - fx) * fy * p01 + fx * fy * p11;
+    return (mv.x & 3) == 0 && (mv.y & 3) == 0 ? kMacroblock
+                                               : kMacroblock + 1;
 }
 
+/** blockSadBounded without the window checks; every caller has made
+ *  them. motion.h's file comment says why the result is exact. */
 std::uint64_t
-blockSadBounded(const workload::Frame &cur, int bx, int by,
-                const workload::Frame &ref, MotionVector mv,
-                std::uint64_t limit)
+sadKernel(const PaddedPlane &cur, int bx, int by, const PaddedPlane &ref,
+          MotionVector mv, std::uint64_t limit)
 {
     // (bx+x)*4 + mv.x has integer part bx + x + (mv.x >> 2) and
     // constant quarter-pel phase mv.x & 3 (likewise for y), so the
     // reference's per-pixel >>2 / &3 decomposition is hoisted here.
-    const int ix0 = bx + (mv.x >> 2);
-    const int iy0 = by + (mv.y >> 2);
+    const std::uint8_t *c = cur.at(bx, by);
+    const std::uint8_t *r0 = ref.at(bx + (mv.x >> 2), by + (mv.y >> 2));
+    const std::ptrdiff_t cs = cur.stride();
+    const std::ptrdiff_t rs = ref.stride();
     const int fxq = mv.x & 3;
     const int fyq = mv.y & 3;
-    const bool cur_in = windowInside(cur, bx, by, kMacroblock, kMacroblock);
 
     if (fxq == 0 && fyq == 0) {
-        // Integer-pel: bilinear interpolation degenerates to p00 and
-        // every |c - r| is a small integer, so the reference's double
-        // accumulator is exact and equal to this integer sum.
+        // Integer-pel: the interpolation degenerates to p00.
         std::uint64_t sad = 0;
-        if (cur_in && windowInside(ref, ix0, iy0, kMacroblock, kMacroblock)) {
-            for (int y = 0; y < kMacroblock; ++y) {
-                const std::uint8_t *c =
-                    &cur.pixels[static_cast<std::size_t>(by + y) *
-                                    static_cast<std::size_t>(cur.width) +
-                                static_cast<std::size_t>(bx)];
-                const std::uint8_t *r =
-                    &ref.pixels[static_cast<std::size_t>(iy0 + y) *
-                                    static_cast<std::size_t>(ref.width) +
-                                static_cast<std::size_t>(ix0)];
-                unsigned row = 0;
-                for (int x = 0; x < kMacroblock; ++x)
-                    row += static_cast<unsigned>(
-                        std::abs(static_cast<int>(c[x]) -
-                                 static_cast<int>(r[x])));
-                sad += row;
-                if (sad >= limit)
-                    return sad;
-            }
-        } else {
-            for (int y = 0; y < kMacroblock; ++y) {
-                unsigned row = 0;
-                for (int x = 0; x < kMacroblock; ++x) {
-                    const int c = static_cast<int>(
-                        pixelAt(cur, bx + x, by + y));
-                    const int r = static_cast<int>(
-                        pixelAt(ref, ix0 + x, iy0 + y));
-                    row += static_cast<unsigned>(std::abs(c - r));
-                }
-                sad += row;
-                if (sad >= limit)
-                    return sad;
-            }
+        for (int y = 0; y < kMacroblock; ++y, c += cs, r0 += rs) {
+            unsigned row = 0;
+            for (int x = 0; x < kMacroblock; ++x)
+                row += static_cast<unsigned>(
+                    std::abs(static_cast<int>(c[x]) -
+                             static_cast<int>(r0[x])));
+            sad += row;
+            if (sad >= limit)
+                return sad;
         }
         return sad;
     }
 
-    // Fractional phase: the four bilinear weights are constant across
-    // the block; each pixel's interpolation below performs the same
-    // multiplies and additions, in the same order, as samplePlane.
+    // Fractional phase: S = sum |16 c - (k00 p00 + k10 p10 + k01 p01 +
+    // k11 p11)|; the reference's double SAD is S / 16 exactly.
     const BilinearWeights w(fxq, fyq);
-    double sad = 0.0;
-    if (cur_in &&
-        windowInside(ref, ix0, iy0, kMacroblock + 1, kMacroblock + 1)) {
-        for (int y = 0; y < kMacroblock; ++y) {
-            const std::uint8_t *c =
-                &cur.pixels[static_cast<std::size_t>(by + y) *
-                                static_cast<std::size_t>(cur.width) +
-                            static_cast<std::size_t>(bx)];
-            const std::uint8_t *r0 =
-                &ref.pixels[static_cast<std::size_t>(iy0 + y) *
-                                static_cast<std::size_t>(ref.width) +
-                            static_cast<std::size_t>(ix0)];
-            const std::uint8_t *r1 = r0 + ref.width;
-            for (int x = 0; x < kMacroblock; ++x) {
-                const double p00 = static_cast<double>(r0[x]);
-                const double p10 = static_cast<double>(r0[x + 1]);
-                const double p01 = static_cast<double>(r1[x]);
-                const double p11 = static_cast<double>(r1[x + 1]);
-                const double pr = w.w00 * p00 + w.w10 * p10 +
-                                  w.w01 * p01 + w.w11 * p11;
-                sad += std::abs(static_cast<double>(c[x]) - pr);
-            }
-            if (static_cast<std::uint64_t>(sad) >= limit)
-                return static_cast<std::uint64_t>(sad);
+    std::uint64_t sad16 = 0;
+    for (int y = 0; y < kMacroblock; ++y, c += cs, r0 += rs) {
+        const std::uint8_t *r1 = r0 + rs;
+        unsigned row = 0;
+        for (int x = 0; x < kMacroblock; ++x) {
+            const int pr = w.k00 * r0[x] + w.k10 * r0[x + 1] +
+                           w.k01 * r1[x] + w.k11 * r1[x + 1];
+            row += static_cast<unsigned>(
+                std::abs(kWeightScale * static_cast<int>(c[x]) - pr));
         }
-    } else {
-        for (int y = 0; y < kMacroblock; ++y) {
-            for (int x = 0; x < kMacroblock; ++x) {
-                const double p00 = pixelAt(ref, ix0 + x, iy0 + y);
-                const double p10 = pixelAt(ref, ix0 + x + 1, iy0 + y);
-                const double p01 = pixelAt(ref, ix0 + x, iy0 + y + 1);
-                const double p11 = pixelAt(ref, ix0 + x + 1, iy0 + y + 1);
-                const double pr = w.w00 * p00 + w.w10 * p10 +
-                                  w.w01 * p01 + w.w11 * p11;
-                const double c = pixelAt(cur, bx + x, by + y);
-                sad += std::abs(c - pr);
-            }
-            if (static_cast<std::uint64_t>(sad) >= limit)
-                return static_cast<std::uint64_t>(sad);
-        }
+        sad16 += row;
+        if (sad16 / kWeightScale >= limit)
+            return sad16 / kWeightScale;
     }
-    return static_cast<std::uint64_t>(sad);
+    return sad16 / kWeightScale;
+}
+
+} // namespace
+
+void
+PaddedPlane::assign(const workload::Frame &frame, int border)
+{
+    if (frame.width <= 0 || frame.height <= 0 ||
+        frame.pixels.size() != static_cast<std::size_t>(frame.width) *
+                                   static_cast<std::size_t>(frame.height))
+        throw std::invalid_argument("PaddedPlane: empty or malformed frame");
+    if (border < 0)
+        throw std::invalid_argument("PaddedPlane: negative border");
+    const int width = frame.width;
+    const int height = frame.height;
+    border_ = border;
+    stride_ = alignToMacroblock(width) + 2 * border;
+    rows_ = alignToMacroblock(height) + 2 * border;
+    pixels_.resize(static_cast<std::size_t>(stride_) *
+                   static_cast<std::size_t>(rows_));
+    for (int y = -border; y < rows_ - border; ++y) {
+        const std::uint8_t *src =
+            &frame.pixels[static_cast<std::size_t>(
+                              std::clamp(y, 0, height - 1)) *
+                          static_cast<std::size_t>(width)];
+        std::uint8_t *dst =
+            &pixels_[static_cast<std::size_t>(y + border) *
+                     static_cast<std::size_t>(stride_)];
+        std::fill(dst, dst + border, src[0]);
+        std::copy(src, src + width, dst + border);
+        std::fill(dst + border + width, dst + stride_, src[width - 1]);
+    }
 }
 
 std::uint64_t
-blockSad(const workload::Frame &cur, int bx, int by,
-         const workload::Frame &ref, MotionVector mv)
+blockSadBounded(const PaddedPlane &cur, int bx, int by,
+                const PaddedPlane &ref, MotionVector mv,
+                std::uint64_t limit)
+{
+    const int span = windowSpan(mv);
+    if (!cur.holds(bx, by, kMacroblock, kMacroblock) ||
+        !ref.holds(bx + (mv.x >> 2), by + (mv.y >> 2), span, span))
+        throw std::out_of_range("blockSad: window outside the plane");
+    return sadKernel(cur, bx, by, ref, mv, limit);
+}
+
+std::uint64_t
+blockSad(const PaddedPlane &cur, int bx, int by, const PaddedPlane &ref,
+         MotionVector mv)
 {
     return blockSadBounded(cur, bx, by, ref, mv,
                            std::numeric_limits<std::uint64_t>::max());
 }
 
+int
+searchBorder(const SearchParams &params)
+{
+    const int subpel_reach =
+        params.subpel_rounds > 0 ? params.subpel_rounds + 1 : 0;
+    return std::max(params.merange, 0) +
+           (subpel_reach + kSubpelScale - 1) / kSubpelScale + 1;
+}
+
 MotionResult
-searchMotion(const workload::Frame &cur, int bx, int by,
-             const std::vector<workload::Frame> &references,
+searchMotion(const PaddedPlane &cur, int bx, int by,
+             const std::vector<PaddedPlane> &references,
              const SearchParams &params)
 {
     if (references.empty())
         throw std::invalid_argument("searchMotion: no reference frames");
     if (params.merange < 1 || params.refs < 1)
         throw std::invalid_argument("searchMotion: bad search params");
+    if (!cur.holds(bx, by, kMacroblock, kMacroblock))
+        throw std::out_of_range("searchMotion: macroblock outside the plane");
 
     constexpr std::uint64_t kSadOps = kMacroblock * kMacroblock;
 
@@ -196,10 +176,18 @@ searchMotion(const workload::Frame &cur, int bx, int by,
     best.sad = std::numeric_limits<std::uint64_t>::max();
     std::uint64_t work = 0;
 
+    // Every candidate window, with its filter taps, lies within
+    // searchBorder(params) pixels of the macroblock, so one check per
+    // reference clears every unchecked kernel call below.
+    const int reach = searchBorder(params);
     const int nrefs =
         std::min<int>(params.refs, static_cast<int>(references.size()));
     for (int r = 0; r < nrefs; ++r) {
         const auto &ref = references[static_cast<std::size_t>(r)];
+        if (!ref.holds(bx - reach, by - reach, kMacroblock + 2 * reach,
+                       kMacroblock + 2 * reach))
+            throw std::invalid_argument(
+                "searchMotion: reference border too narrow for the search");
 
         // Integer-pel diamond search from (0, 0), radius <= merange.
         // Candidates are scored with the bounded SAD: a candidate that
@@ -209,7 +197,9 @@ searchMotion(const workload::Frame &cur, int bx, int by,
         // work_ops stays the full-SAD pixel count: it is the cost model
         // the knob calibrations are built on, not a time measurement.
         MotionVector center{0, 0};
-        std::uint64_t center_sad = blockSad(cur, bx, by, ref, center);
+        std::uint64_t center_sad =
+            sadKernel(cur, bx, by, ref, center,
+                      std::numeric_limits<std::uint64_t>::max());
         work += kSadOps;
         int step = 1;
         int travelled = 0;
@@ -228,8 +218,8 @@ searchMotion(const workload::Frame &cur, int bx, int by,
                         params.merange * kSubpelScale) {
                     continue;
                 }
-                const std::uint64_t sad = blockSadBounded(
-                    cur, bx, by, ref, cand, improved_sad);
+                const std::uint64_t sad =
+                    sadKernel(cur, bx, by, ref, cand, improved_sad);
                 work += kSadOps;
                 if (sad < improved_sad) {
                     improved_sad = sad;
@@ -254,8 +244,8 @@ searchMotion(const workload::Frame &cur, int bx, int by,
             for (int d = 0; d < 8; ++d) {
                 const MotionVector cand{center.x + dx8[d] * delta,
                                         center.y + dy8[d] * delta};
-                const std::uint64_t sad = blockSadBounded(
-                    cur, bx, by, ref, cand, improved_sad);
+                const std::uint64_t sad =
+                    sadKernel(cur, bx, by, ref, cand, improved_sad);
                 work += kSadOps;
                 if (sad < improved_sad) {
                     improved_sad = sad;
@@ -281,70 +271,37 @@ searchMotion(const workload::Frame &cur, int bx, int by,
 }
 
 void
-predictBlockInto(const workload::Frame &ref, int bx, int by,
-                 MotionVector mv, std::vector<double> &pred)
+predictBlockInto(const PaddedPlane &ref, int bx, int by, MotionVector mv,
+                 std::vector<double> &pred)
 {
-    pred.resize(kMacroblock * kMacroblock);
     const int ix0 = bx + (mv.x >> 2);
     const int iy0 = by + (mv.y >> 2);
-    const int fxq = mv.x & 3;
-    const int fyq = mv.y & 3;
-
-    if (fxq == 0 && fyq == 0) {
-        if (windowInside(ref, ix0, iy0, kMacroblock, kMacroblock)) {
-            for (int y = 0; y < kMacroblock; ++y) {
-                const std::uint8_t *r =
-                    &ref.pixels[static_cast<std::size_t>(iy0 + y) *
-                                    static_cast<std::size_t>(ref.width) +
-                                static_cast<std::size_t>(ix0)];
-                double *p =
-                    &pred[static_cast<std::size_t>(y) * kMacroblock];
-                for (int x = 0; x < kMacroblock; ++x)
-                    p[x] = static_cast<double>(r[x]);
-            }
-        } else {
-            for (int y = 0; y < kMacroblock; ++y)
-                for (int x = 0; x < kMacroblock; ++x)
-                    pred[static_cast<std::size_t>(y) * kMacroblock + x] =
-                        pixelAt(ref, ix0 + x, iy0 + y);
-        }
+    const int span = windowSpan(mv);
+    if (!ref.holds(ix0, iy0, span, span))
+        throw std::out_of_range("predictBlock: window outside the plane");
+    pred.resize(kMacroblock * kMacroblock);
+    const std::uint8_t *r0 = ref.at(ix0, iy0);
+    const std::ptrdiff_t rs = ref.stride();
+    double *p = pred.data();
+    if (span == kMacroblock) {
+        for (int y = 0; y < kMacroblock; ++y, r0 += rs, p += kMacroblock)
+            for (int x = 0; x < kMacroblock; ++x)
+                p[x] = static_cast<double>(r0[x]);
         return;
     }
-
-    const BilinearWeights w(fxq, fyq);
-    if (windowInside(ref, ix0, iy0, kMacroblock + 1, kMacroblock + 1)) {
-        for (int y = 0; y < kMacroblock; ++y) {
-            const std::uint8_t *r0 =
-                &ref.pixels[static_cast<std::size_t>(iy0 + y) *
-                                static_cast<std::size_t>(ref.width) +
-                            static_cast<std::size_t>(ix0)];
-            const std::uint8_t *r1 = r0 + ref.width;
-            double *p = &pred[static_cast<std::size_t>(y) * kMacroblock];
-            for (int x = 0; x < kMacroblock; ++x) {
-                const double p00 = static_cast<double>(r0[x]);
-                const double p10 = static_cast<double>(r0[x + 1]);
-                const double p01 = static_cast<double>(r1[x]);
-                const double p11 = static_cast<double>(r1[x + 1]);
-                p[x] = w.w00 * p00 + w.w10 * p10 + w.w01 * p01 +
-                       w.w11 * p11;
-            }
-        }
-    } else {
-        for (int y = 0; y < kMacroblock; ++y) {
-            for (int x = 0; x < kMacroblock; ++x) {
-                const double p00 = pixelAt(ref, ix0 + x, iy0 + y);
-                const double p10 = pixelAt(ref, ix0 + x + 1, iy0 + y);
-                const double p01 = pixelAt(ref, ix0 + x, iy0 + y + 1);
-                const double p11 = pixelAt(ref, ix0 + x + 1, iy0 + y + 1);
-                pred[static_cast<std::size_t>(y) * kMacroblock + x] =
-                    w.w00 * p00 + w.w10 * p10 + w.w01 * p01 + w.w11 * p11;
-            }
-        }
+    // P / 16 with P below 2^12: exact, and the reference's double.
+    const BilinearWeights w(mv.x & 3, mv.y & 3);
+    for (int y = 0; y < kMacroblock; ++y, r0 += rs, p += kMacroblock) {
+        const std::uint8_t *r1 = r0 + rs;
+        for (int x = 0; x < kMacroblock; ++x)
+            p[x] = static_cast<double>(w.k00 * r0[x] + w.k10 * r0[x + 1] +
+                                       w.k01 * r1[x] + w.k11 * r1[x + 1]) /
+                   kWeightScale;
     }
 }
 
 std::vector<double>
-predictBlock(const workload::Frame &ref, int bx, int by, MotionVector mv)
+predictBlock(const PaddedPlane &ref, int bx, int by, MotionVector mv)
 {
     std::vector<double> pred;
     predictBlockInto(ref, bx, by, mv, pred);

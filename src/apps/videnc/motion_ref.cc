@@ -1,10 +1,12 @@
 /**
  * @file
- * Retained naive motion kernels — the pre-optimization SAD, diamond
- * search, and motion-compensated prediction, kept verbatim as the
- * bit-exactness oracle for the optimized kernels in motion.cc
- * (differential sweep in tests/test_kernel_equivalence.cc) and as the
- * "before" column of bench_roofline.
+ * Retained naive motion kernels — the pre-optimization sampling, SAD,
+ * diamond search, and motion-compensated prediction, which clamp every
+ * coordinate to the frame and interpolate in double precision, kept
+ * verbatim as the bit-exactness oracle for the optimized padded-plane
+ * kernels in motion.cc (differential sweep in
+ * tests/test_kernel_equivalence.cc) and as the "before" column of
+ * bench_roofline.
  */
 #include "apps/videnc/motion.h"
 
@@ -32,6 +34,21 @@ pixelAt(const workload::Frame &ref, int x, int y)
 }
 
 } // namespace
+
+double
+samplePlane(const workload::Frame &ref, int qx, int qy)
+{
+    const int ix = qx >> 2;
+    const int iy = qy >> 2;
+    const double fx = static_cast<double>(qx & 3) / kSubpelScale;
+    const double fy = static_cast<double>(qy & 3) / kSubpelScale;
+    const double p00 = pixelAt(ref, ix, iy);
+    const double p10 = pixelAt(ref, ix + 1, iy);
+    const double p01 = pixelAt(ref, ix, iy + 1);
+    const double p11 = pixelAt(ref, ix + 1, iy + 1);
+    return (1.0 - fx) * (1.0 - fy) * p00 + fx * (1.0 - fy) * p10 +
+           (1.0 - fx) * fy * p01 + fx * fy * p11;
+}
 
 std::uint64_t
 blockSad(const workload::Frame &cur, int bx, int by,

@@ -183,7 +183,9 @@ Session::start(std::size_t input, sim::Machine &machine)
 
     // Start at the baseline (highest QoS) setting, like the paper.
     state.baseline = model_->baselineCombination();
-    app_->configure(app_->knobSpace().valuesOf(state.baseline));
+    if (baseline_params_.empty())
+        baseline_params_ = app_->knobSpace().valuesOf(state.baseline);
+    app_->configure(baseline_params_);
     app_->loadInput(input);
 
     plan_.slices.assign(1, {state.baseline, 1.0,

@@ -276,6 +276,11 @@ class Session
     std::optional<hb::Monitor> monitor_; //!< Set up by the constructor.
     ActuationPlan plan_;      //!< The installed plan.
     KnobSchedule schedule_;   //!< plan_, compiled for the beat loop.
+    /** The app's parameter values at the model's baseline combination,
+     *  where every run starts; looked up by the first start(), since
+     *  the app and model are fixed for the session's life. Empty until
+     *  then (a knob space has at least one parameter). */
+    std::vector<double> baseline_params_;
 };
 
 } // namespace powerdial::core

@@ -31,13 +31,16 @@ class EnergyMeter
 {
   public:
     /**
-     * @param interval_s Sampling interval in virtual seconds (paper: 1 s).
+     * @param interval_s Sampling interval in virtual seconds (paper: 1 s);
+     *                   must be finite and > 0.
      */
     explicit EnergyMeter(double interval_s = 1.0);
 
     /**
      * Sample machine power from virtual time @p t0 to @p t1.
      * Each sample is the mean power over one interval-wide bin.
+     * Throws std::logic_error when @p machine does not record its
+     * power trace.
      */
     std::vector<PowerSample> sample(const Machine &machine, double t0,
                                     double t1) const;

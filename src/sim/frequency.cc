@@ -8,15 +8,19 @@ namespace powerdial::sim {
 FrequencyScale::FrequencyScale(std::vector<double> freqs_hz)
     : freqs_hz_(std::move(freqs_hz))
 {
+    // Each check is written so that NaN, which fails every ordered
+    // comparison, fails it too.
     if (freqs_hz_.empty())
         throw std::invalid_argument("FrequencyScale: empty frequency list");
+    if (!std::isfinite(freqs_hz_.front()))
+        throw std::invalid_argument("FrequencyScale: non-finite frequency");
     for (std::size_t i = 0; i + 1 < freqs_hz_.size(); ++i) {
-        if (freqs_hz_[i] <= freqs_hz_[i + 1]) {
+        if (!(freqs_hz_[i] > freqs_hz_[i + 1])) {
             throw std::invalid_argument(
                 "FrequencyScale: frequencies must be strictly decreasing");
         }
     }
-    if (freqs_hz_.back() <= 0.0)
+    if (!(freqs_hz_.back() > 0.0))
         throw std::invalid_argument("FrequencyScale: non-positive frequency");
 }
 

@@ -27,8 +27,8 @@ class FrequencyScale
     /**
      * Build a scale from explicit frequencies in Hz.
      *
-     * @param freqs_hz Frequencies, highest first. Must be non-empty and
-     *                 strictly decreasing.
+     * @param freqs_hz Frequencies, highest first. Must be non-empty,
+     *                 finite, positive and strictly decreasing.
      */
     explicit FrequencyScale(std::vector<double> freqs_hz);
 

@@ -16,9 +16,9 @@ Machine::reset(const Config &config)
 {
     if (config.cores == 0)
         throw std::invalid_argument("Machine: need at least one core");
-    if (config.speed_factor <= 0.0)
+    if (!(std::isfinite(config.speed_factor) && config.speed_factor > 0.0))
         throw std::invalid_argument(
-            "Machine: speed factor must be > 0");
+            "Machine: speed factor must be finite and > 0");
     PowerModel power(config.power); // Validates before any change.
     scale_ = config.scale;
     power_ = power;
@@ -105,9 +105,30 @@ Machine::idleUntil(double t)
         idleFor(t - clock_.now());
 }
 
+void
+Machine::setPowerTraceRecording(bool on)
+{
+    if (on && !recording_ && clock_.now() > 0.0)
+        throw std::logic_error(
+            "Machine: power trace recording can only start before any "
+            "time has passed");
+    recording_ = on;
+    if (!on)
+        trace_ = {};
+}
+
+void
+Machine::requireRecording() const
+{
+    if (!recording_)
+        throw std::logic_error(
+            "Machine: the power trace is not being recorded");
+}
+
 double
 Machine::meanWatts(double t0, double t1) const
 {
+    requireRecording();
     if (t1 <= t0)
         return 0.0;
     double joules = 0.0;

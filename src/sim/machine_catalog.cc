@@ -1,6 +1,7 @@
 #include "sim/machine_catalog.h"
 
 #include <algorithm>
+#include <cmath>
 #include <stdexcept>
 #include <utility>
 
@@ -20,9 +21,11 @@ MachineCatalog::MachineCatalog(std::vector<MachineClass> classes)
         if (c.config.cores == 0)
             throw std::invalid_argument(
                 "MachineCatalog: class needs at least one core");
-        if (c.config.speed_factor <= 0.0)
+        if (!(std::isfinite(c.config.speed_factor) &&
+              c.config.speed_factor > 0.0))
             throw std::invalid_argument(
-                "MachineCatalog: class speed factor must be > 0");
+                "MachineCatalog: class speed factor must be finite and "
+                "> 0");
         for (std::size_t j = 0; j < i; ++j)
             if (classes_[j].name == c.name)
                 throw std::invalid_argument(

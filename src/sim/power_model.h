@@ -50,6 +50,8 @@ class PowerModel
 {
   public:
     PowerModel() : PowerModel(PowerModelParams{}) {}
+    /** Throws std::invalid_argument unless 0 <= idle < peak,
+     *  0 < f_min < f_max and 0 < v_min <= v_max, all finite. */
     explicit PowerModel(const PowerModelParams &params);
 
     /**

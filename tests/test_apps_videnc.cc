@@ -1,4 +1,5 @@
 /** @file Tests for the video-encoder benchmark. */
+#include <algorithm>
 #include <cmath>
 
 #include <gtest/gtest.h>
@@ -104,10 +105,46 @@ flatFrame(int w, int h, std::uint8_t luma)
     return f;
 }
 
+/** searchMotion over unpadded frames, each reference padded for
+ *  @p effort as the encoder pads it. */
+MotionResult
+search(const workload::Frame &cur, int bx, int by,
+       const std::vector<workload::Frame> &refs, const SearchParams &effort)
+{
+    std::vector<PaddedPlane> padded;
+    for (const auto &ref : refs)
+        padded.emplace_back(ref, searchBorder(effort));
+    return searchMotion(PaddedPlane(cur, 0), bx, by, padded, effort);
+}
+
 TEST(Motion, SadZeroForIdenticalFrames)
 {
-    const auto f = flatFrame(32, 32, 80);
+    const PaddedPlane f(flatFrame(32, 32, 80), 0);
     EXPECT_EQ(blockSad(f, 0, 0, f, {0, 0}), 0u);
+}
+
+TEST(Motion, PaddedPlaneReplicatesTheEdges)
+{
+    // A 20x18 frame: the stored area is its 32x32 macroblock-aligned
+    // extension plus a 3-pixel border, every pixel a clamped read.
+    workload::Frame f = flatFrame(20, 18, 0);
+    for (int y = 0; y < f.height; ++y)
+        for (int x = 0; x < f.width; ++x)
+            f.pixels[static_cast<std::size_t>(y) * 20 + x] =
+                static_cast<std::uint8_t>(7 * x + 11 * y);
+    const PaddedPlane plane(f, 3);
+    EXPECT_EQ(plane.border(), 3);
+    EXPECT_EQ(plane.stride(), 32 + 2 * 3);
+    EXPECT_TRUE(plane.holds(-3, -3, 38, 38));
+    EXPECT_FALSE(plane.holds(-4, 0, 16, 16));
+    EXPECT_FALSE(plane.holds(0, 0, 36, 16));
+    for (int y = -3; y < 35; ++y)
+        for (int x = -3; x < 35; ++x)
+            ASSERT_EQ(*plane.at(x, y),
+                      f.at(std::clamp(x, 0, 19), std::clamp(y, 0, 17)))
+                << "x=" << x << " y=" << y;
+    EXPECT_THROW(PaddedPlane(f, -1), std::invalid_argument);
+    EXPECT_THROW(PaddedPlane(workload::Frame{}, 0), std::invalid_argument);
 }
 
 TEST(Motion, FindsKnownIntegerTranslation)
@@ -128,7 +165,7 @@ TEST(Motion, FindsKnownIntegerTranslation)
     effort.merange = 8;
     effort.subpel_rounds = 0;
     effort.refs = 1;
-    const auto result = searchMotion(cur, 16, 16, {ref}, effort);
+    const auto result = search(cur, 16, 16, {ref}, effort);
     EXPECT_EQ(result.mv.x, -4 * kSubpelScale);
     EXPECT_EQ(result.mv.y, -2 * kSubpelScale);
 }
@@ -142,8 +179,8 @@ TEST(Motion, MoreEffortMoreWork)
     const auto clip = workload::VideoSource(vp).frames();
     SearchParams cheap{1, 0, 1};
     SearchParams costly{16, 6, 1};
-    const auto a = searchMotion(clip[1], 16, 16, {clip[0]}, cheap);
-    const auto b = searchMotion(clip[1], 16, 16, {clip[0]}, costly);
+    const auto a = search(clip[1], 16, 16, {clip[0]}, cheap);
+    const auto b = search(clip[1], 16, 16, {clip[0]}, costly);
     EXPECT_GT(b.work_ops, a.work_ops);
     EXPECT_LE(b.sad, a.sad); // More effort never worsens the match.
 }
@@ -161,11 +198,9 @@ TEST(Motion, SubPelRefinementImprovesSad)
     for (int by = 0; by < 48; by += 16) {
         for (int bx = 0; bx < 64; bx += 16) {
             sad_int +=
-                searchMotion(clip[2], bx, by, {clip[1]}, integer_only)
-                    .sad;
+                search(clip[2], bx, by, {clip[1]}, integer_only).sad;
             sad_sub +=
-                searchMotion(clip[2], bx, by, {clip[1]}, with_subpel)
-                    .sad;
+                search(clip[2], bx, by, {clip[1]}, with_subpel).sad;
         }
     }
     EXPECT_LT(sad_sub, sad_int);
@@ -174,12 +209,23 @@ TEST(Motion, SubPelRefinementImprovesSad)
 TEST(Motion, Validation)
 {
     const auto f = flatFrame(32, 32, 80);
+    const PaddedPlane cur(f, 0);
     SearchParams effort;
-    EXPECT_THROW(searchMotion(f, 0, 0, {}, effort),
+    EXPECT_THROW(searchMotion(cur, 0, 0, {}, effort),
                  std::invalid_argument);
+    // A reference one pixel narrower than the search needs.
+    EXPECT_THROW(searchMotion(cur, 0, 0,
+                              {PaddedPlane(f, searchBorder(effort) - 1)},
+                              effort),
+                 std::invalid_argument);
+    EXPECT_THROW(searchMotion(cur, 32, 0,
+                              {PaddedPlane(f, searchBorder(effort))},
+                              effort),
+                 std::out_of_range);
+    EXPECT_THROW(blockSad(cur, 0, 0, cur, {-1, 0}), std::out_of_range);
+    EXPECT_THROW(predictBlock(cur, 16, 16, {1, 0}), std::out_of_range);
     effort.merange = 0;
-    EXPECT_THROW(searchMotion(f, 0, 0, {f}, effort),
-                 std::invalid_argument);
+    EXPECT_THROW(search(f, 0, 0, {f}, effort), std::invalid_argument);
 }
 
 TEST(Encoder, IntraFrameProducesBitsAndPsnr)

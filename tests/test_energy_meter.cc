@@ -1,6 +1,8 @@
 /** @file Unit tests for sim::EnergyMeter. */
 #include <gtest/gtest.h>
 
+#include <limits>
+
 #include "sim/energy_meter.h"
 
 namespace powerdial::sim {
@@ -56,6 +58,16 @@ TEST(EnergyMeter, RejectsNonPositiveInterval)
 {
     EXPECT_THROW(EnergyMeter{0.0}, std::invalid_argument);
     EXPECT_THROW(EnergyMeter{-1.0}, std::invalid_argument);
+}
+
+TEST(EnergyMeter, RejectsNonFiniteInterval)
+{
+    // Both rows pass an `interval <= 0` check.
+    for (const double interval : {std::numeric_limits<double>::quiet_NaN(),
+                                  std::numeric_limits<double>::infinity()}) {
+        SCOPED_TRACE(interval);
+        EXPECT_THROW(EnergyMeter{interval}, std::invalid_argument);
+    }
 }
 
 TEST(EnergyMeter, WindowedSampling)

@@ -431,8 +431,9 @@ expectSameJobState(const detail::Tenant &a, const detail::Tenant &b)
     EXPECT_EQ(a.arrival_time_s, b.arrival_time_s);
     EXPECT_EQ(a.machine.now(), b.machine.now());
     EXPECT_EQ(a.machine.energyJoules(), b.machine.energyJoules());
-    EXPECT_EQ(a.machine.powerTrace().size(),
-              b.machine.powerTrace().size());
+    // Tenant machines keep only their energy total.
+    EXPECT_FALSE(a.machine.recordsPowerTrace());
+    EXPECT_FALSE(b.machine.recordsPowerTrace());
     EXPECT_EQ(a.machine.pstate(), b.machine.pstate());
     EXPECT_EQ(a.machine.pstateCap(), b.machine.pstateCap());
     EXPECT_EQ(a.machine.frequencyHz(), b.machine.frequencyHz());

@@ -1,6 +1,9 @@
 /** @file Unit tests for sim::FrequencyScale. */
 #include <gtest/gtest.h>
 
+#include <limits>
+#include <vector>
+
 #include "sim/frequency.h"
 
 namespace powerdial::sim {
@@ -47,6 +50,26 @@ TEST(FrequencyScale, RejectsNonDecreasingList)
 TEST(FrequencyScale, RejectsNonPositiveFrequency)
 {
     EXPECT_THROW(FrequencyScale({1e9, 0.0}), std::invalid_argument);
+}
+
+TEST(FrequencyScale, RejectsNonFiniteFrequencies)
+{
+    // Every row passes a `f[i] <= f[i + 1]` / `back() <= 0` check,
+    // which NaN and infinity slip past.
+    const double nan = std::numeric_limits<double>::quiet_NaN();
+    const double inf = std::numeric_limits<double>::infinity();
+    const std::vector<std::vector<double>> rows = {
+        {nan},
+        {inf},
+        {nan, 1.0e9},
+        {2.0e9, nan},
+        {2.0e9, nan, 1.0e9},
+        {inf, 1.0e9},
+    };
+    for (const auto &freqs : rows) {
+        SCOPED_TRACE(::testing::PrintToString(freqs));
+        EXPECT_THROW(FrequencyScale{freqs}, std::invalid_argument);
+    }
 }
 
 TEST(FrequencyScale, FrequencyHzBoundsChecked)

@@ -53,6 +53,19 @@ TEST(MachineCatalog, Validation)
     EXPECT_THROW(catalog.indexOf("absent"), std::invalid_argument);
 }
 
+TEST(MachineCatalog, RejectsNonFiniteSpeedFactor)
+{
+    // Both rows pass a `speed_factor <= 0` check.
+    for (const double speed : {std::numeric_limits<double>::quiet_NaN(),
+                               std::numeric_limits<double>::infinity()}) {
+        SCOPED_TRACE(speed);
+        sim::Machine::Config config;
+        config.speed_factor = speed;
+        EXPECT_THROW(sim::MachineCatalog({{"a", config}}),
+                     std::invalid_argument);
+    }
+}
+
 TEST(MachineCatalog, BigLittleShape)
 {
     const auto catalog = sim::MachineCatalog::bigLittle();

@@ -11,9 +11,11 @@
 #include <vector>
 
 #include "heartbeats/heartbeat.h"
+#include "sim/energy_meter.h"
 #include "sim/machine.h"
 #include "sim/machine_catalog.h"
 #include "sim/virtual_clock.h"
+#include "workload/rng.h"
 
 namespace powerdial::sim {
 namespace {
@@ -294,6 +296,9 @@ expectSameMachineState(const Machine &a, const Machine &b)
     EXPECT_EQ(a.share(), b.share());
     EXPECT_EQ(a.utilization(), b.utilization());
     EXPECT_EQ(a.energyJoules(), b.energyJoules());
+    ASSERT_EQ(a.recordsPowerTrace(), b.recordsPowerTrace());
+    if (!a.recordsPowerTrace())
+        return;
     ASSERT_EQ(a.powerTrace().size(), b.powerTrace().size());
     for (std::size_t i = 0; i < a.powerTrace().size(); ++i) {
         EXPECT_EQ(a.powerTrace()[i].start_s, b.powerTrace()[i].start_s);
@@ -360,6 +365,26 @@ TEST(Machine, ResetRejectsBadConfigAndKeepsState)
     EXPECT_EQ(m.now(), now);
     EXPECT_EQ(m.energyJoules(), energy);
     EXPECT_EQ(m.cores(), Machine::Config{}.cores);
+}
+
+TEST(Machine, RejectsNonFiniteSpeedFactor)
+{
+    // Both rows pass a `speed_factor <= 0` check. Construction and
+    // reset(config) reject them alike; a rejected reset changes
+    // nothing.
+    for (const double speed : {std::numeric_limits<double>::quiet_NaN(),
+                               std::numeric_limits<double>::infinity()}) {
+        SCOPED_TRACE(speed);
+        Machine::Config config;
+        config.speed_factor = speed;
+        EXPECT_THROW(Machine{config}, std::invalid_argument);
+        Machine m;
+        m.execute(1e9);
+        const double energy = m.energyJoules();
+        EXPECT_THROW(m.reset(config), std::invalid_argument);
+        EXPECT_EQ(m.speedFactor(), 1.0);
+        EXPECT_EQ(m.energyJoules(), energy);
+    }
 }
 
 // ---------------------------------------------------------------------
@@ -499,6 +524,112 @@ TEST(Machine, ResetWithoutConfigRewindsTheSameClass)
         m->idleFor(0.5);
     }
     expectSameMachineState(reused, copy);
+}
+
+// ---------------------------------------------------------------------
+// Energy-only machines: no power trace, every other figure exact.
+// ---------------------------------------------------------------------
+
+/** Assert the figures a machine reports without its power trace are
+ *  bit-identical: energy, clock, P-state, frequency and watts. */
+void
+expectSameEnergyState(const Machine &a, const Machine &b)
+{
+    EXPECT_EQ(a.energyJoules(), b.energyJoules());
+    EXPECT_EQ(a.now(), b.now());
+    EXPECT_EQ(a.pstate(), b.pstate());
+    EXPECT_EQ(a.pstateCap(), b.pstateCap());
+    EXPECT_EQ(a.frequencyHz(), b.frequencyHz());
+    EXPECT_EQ(a.speedRatio(), b.speedRatio());
+    EXPECT_EQ(a.speedFactor(), b.speedFactor());
+    EXPECT_EQ(a.share(), b.share());
+    EXPECT_EQ(a.utilization(), b.utilization());
+    for (const double u : {0.0, 0.3, 1.0})
+        EXPECT_EQ(a.wattsAt(a.pstate(), u), b.wattsAt(b.pstate(), u));
+}
+
+TEST(Machine, UnrecordedMachineMatchesRecordedBitForBit)
+{
+    // Seeded sequences of execute, idle, setter and reset calls,
+    // including resets to another class, applied to a recording and a
+    // non-recording machine alike.
+    const std::vector<Machine::Config> classes = catalogClasses();
+    for (std::uint64_t seed = 1; seed <= 8; ++seed) {
+        SCOPED_TRACE(::testing::Message() << "seed " << seed);
+        workload::Rng rng(seed);
+        Machine recorded(classes[0]);
+        Machine unrecorded(classes[0]);
+        unrecorded.setPowerTraceRecording(false);
+        std::size_t cls = 0;
+        for (int step = 0; step < 400; ++step) {
+            const auto op = static_cast<int>(rng.uniform(0.0, 9.0));
+            const double x = rng.uniform();
+            const std::size_t states = classes[cls].scale.states();
+            const auto state = static_cast<std::size_t>(
+                rng.uniform(0.0, static_cast<double>(states)));
+            for (Machine *m : {&recorded, &unrecorded}) {
+                switch (op) {
+                case 0:
+                case 1: m->execute(x * 3e9); break;
+                case 2: m->idleFor(x * 0.5); break;
+                case 3: m->idleUntil(m->now() + x - 0.25); break;
+                case 4: m->setPState(state); break;
+                case 5: m->setPStateCap(state); break;
+                case 6: m->setShare(0.05 + 0.95 * x); break;
+                case 7: m->setUtilization(1.4 * x - 0.2); break;
+                default:
+                    if (x < 0.5)
+                        m->reset();
+                    else
+                        m->reset(classes[(cls + 1) % classes.size()]);
+                    break;
+                }
+            }
+            if (op == 8 && x >= 0.5)
+                cls = (cls + 1) % classes.size();
+            expectSameEnergyState(recorded, unrecorded);
+            ASSERT_FALSE(unrecorded.recordsPowerTrace());
+        }
+        EXPECT_TRUE(recorded.recordsPowerTrace());
+    }
+}
+
+TEST(Machine, UnrecordedMachineRefusesPowerReads)
+{
+    Machine m;
+    m.setPowerTraceRecording(false);
+    m.execute(1e9);
+    m.idleFor(0.5);
+    EXPECT_THROW(m.powerTrace(), std::logic_error);
+    EXPECT_THROW(m.meanWatts(), std::logic_error);
+    EXPECT_THROW(m.meanWatts(0.0, 0.25), std::logic_error);
+    EXPECT_THROW(m.meanWatts(1.0, 1.0), std::logic_error);
+    EXPECT_THROW(EnergyMeter(1.0).sample(m), std::logic_error);
+    // A log that started now would misreport the history.
+    EXPECT_THROW(m.setPowerTraceRecording(true), std::logic_error);
+    EXPECT_FALSE(m.recordsPowerTrace());
+
+    // Both resets keep the switch.
+    m.reset();
+    EXPECT_FALSE(m.recordsPowerTrace());
+    m.reset(catalogClasses()[1]);
+    EXPECT_FALSE(m.recordsPowerTrace());
+    EXPECT_THROW(m.powerTrace(), std::logic_error);
+
+    // Before any time has passed, recording may start again, and the
+    // log is then the one a fresh machine keeps.
+    m.setPowerTraceRecording(true);
+    Machine fresh(catalogClasses()[1]);
+    for (Machine *x : {&m, &fresh}) {
+        x->execute(2e9);
+        x->idleFor(0.5);
+    }
+    expectSameMachineState(m, fresh);
+    EXPECT_EQ(m.meanWatts(), fresh.meanWatts());
+
+    // Turning recording off drops the log.
+    m.setPowerTraceRecording(false);
+    EXPECT_THROW(m.powerTrace(), std::logic_error);
 }
 
 } // namespace

@@ -1,6 +1,12 @@
 /** @file Unit and property tests for sim::PowerModel. */
 #include <gtest/gtest.h>
 
+#include <functional>
+#include <limits>
+#include <string>
+#include <utility>
+#include <vector>
+
 #include "sim/power_model.h"
 
 namespace powerdial::sim {
@@ -63,6 +69,32 @@ TEST(PowerModel, RejectsBadParameters)
     PowerModelParams bad3;
     bad3.v_min = 0.0;
     EXPECT_THROW(PowerModel{bad3}, std::invalid_argument);
+}
+
+TEST(PowerModel, RejectsNonFiniteParameters)
+{
+    // Every row is accepted by a check written as `x <= 0` or
+    // `peak <= idle`, which NaN and infinity slip past.
+    const double nan = std::numeric_limits<double>::quiet_NaN();
+    const double inf = std::numeric_limits<double>::infinity();
+    using Edit = std::function<void(PowerModelParams &)>;
+    const std::vector<std::pair<std::string, Edit>> rows = {
+        {"idle NaN", [nan](PowerModelParams &p) { p.idle_watts = nan; }},
+        {"peak NaN", [nan](PowerModelParams &p) { p.peak_watts = nan; }},
+        {"peak inf", [inf](PowerModelParams &p) { p.peak_watts = inf; }},
+        {"v_min NaN", [nan](PowerModelParams &p) { p.v_min = nan; }},
+        {"v_max NaN", [nan](PowerModelParams &p) { p.v_max = nan; }},
+        {"v_max inf", [inf](PowerModelParams &p) { p.v_max = inf; }},
+        {"f_min NaN", [nan](PowerModelParams &p) { p.f_min_hz = nan; }},
+        {"f_max NaN", [nan](PowerModelParams &p) { p.f_max_hz = nan; }},
+        {"f_max inf", [inf](PowerModelParams &p) { p.f_max_hz = inf; }},
+    };
+    for (const auto &[name, edit] : rows) {
+        SCOPED_TRACE(name);
+        PowerModelParams params;
+        edit(params);
+        EXPECT_THROW(PowerModel{params}, std::invalid_argument);
+    }
 }
 
 /** Property: power is monotone in utilisation at every frequency. */

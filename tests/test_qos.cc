@@ -1,11 +1,15 @@
 /** @file Unit tests for the QoS metrics (distortion, PSNR, retrieval). */
+#include <algorithm>
 #include <cmath>
+#include <unordered_set>
+#include <vector>
 
 #include <gtest/gtest.h>
 
 #include "qos/distortion.h"
 #include "qos/psnr.h"
 #include "qos/retrieval.h"
+#include "workload/rng.h"
 
 namespace powerdial::qos {
 namespace {
@@ -159,6 +163,73 @@ TEST(Retrieval, EmptyCases)
 {
     EXPECT_DOUBLE_EQ(score({}, {1, 2}).f_measure, 0.0);
     EXPECT_DOUBLE_EQ(score({1, 2}, {}).f_measure, 0.0);
+}
+
+/** score as it was written with a per-call hash set, verbatim. */
+RetrievalScore
+hashSetScore(const std::vector<DocId> &returned,
+             const std::vector<DocId> &relevant, std::size_t cutoff)
+{
+    RetrievalScore s;
+    if (relevant.empty())
+        return s;
+
+    std::unordered_set<DocId> rel(relevant.begin(), relevant.end());
+    const std::size_t n =
+        cutoff == 0 ? returned.size() : std::min(cutoff, returned.size());
+    if (n == 0)
+        return s;
+
+    std::size_t hits = 0;
+    for (std::size_t i = 0; i < n; ++i)
+        if (rel.count(returned[i]))
+            ++hits;
+
+    s.precision = static_cast<double>(hits) / static_cast<double>(n);
+    const std::size_t denom =
+        cutoff == 0 ? rel.size() : std::min(cutoff, rel.size());
+    s.recall = static_cast<double>(hits) / static_cast<double>(denom);
+    s.f_measure = fMeasure(s.precision, s.recall);
+    return s;
+}
+
+TEST(Retrieval, MatchesHashSetScoringOnAnyRelevanceList)
+{
+    // Sorted unique relevance lists (what searchx passes) take the
+    // binary search directly; unsorted and duplicated ones must score
+    // exactly as the hash set did, through a sorted copy.
+    workload::Rng rng(0x5C0E);
+    for (int trial = 0; trial < 300; ++trial) {
+        const auto draw = [&rng](std::size_t count) {
+            std::vector<DocId> docs(count);
+            for (auto &d : docs)
+                d = static_cast<DocId>(rng.uniform(0.0, 160.0));
+            return docs;
+        };
+        const std::vector<DocId> returned =
+            draw(static_cast<std::size_t>(rng.uniform(0.0, 130.0)));
+        std::vector<DocId> relevant =
+            draw(static_cast<std::size_t>(rng.uniform(0.0, 120.0)));
+        const int shape = trial % 3;
+        if (shape == 0) { // Sorted and unique.
+            std::sort(relevant.begin(), relevant.end());
+            relevant.erase(std::unique(relevant.begin(), relevant.end()),
+                           relevant.end());
+        } else if (shape == 1) { // Sorted, with duplicates.
+            std::sort(relevant.begin(), relevant.end());
+        } // else: unsorted, duplicates likely.
+        for (const std::size_t cutoff :
+             {std::size_t{0}, std::size_t{10}, std::size_t{100}}) {
+            SCOPED_TRACE(::testing::Message() << "trial " << trial
+                                              << " cutoff " << cutoff);
+            const RetrievalScore got = score(returned, relevant, cutoff);
+            const RetrievalScore want =
+                hashSetScore(returned, relevant, cutoff);
+            EXPECT_EQ(got.precision, want.precision);
+            EXPECT_EQ(got.recall, want.recall);
+            EXPECT_EQ(got.f_measure, want.f_measure);
+        }
+    }
 }
 
 } // namespace
