@@ -33,7 +33,6 @@
 #include "obs/metrics.h"
 #include "obs/trace_json.h"
 #include "obs/trace_sink.h"
-#include "sim/energy_meter.h"
 
 namespace powerdial::bench {
 

@@ -1,8 +1,8 @@
 #include "apps/searchx/searchx_app.h"
 
 #include <algorithm>
+#include <iterator>
 #include <stdexcept>
-#include <unordered_set>
 
 namespace powerdial::apps::searchx {
 namespace {
@@ -14,6 +14,19 @@ makeSpace(const SearchxConfig &config)
 }
 
 constexpr double kCyclesPerOp = 1.0;
+
+/** Orders document ids and postings by document, either way round. */
+struct ByDoc
+{
+    bool operator()(qos::DocId a, const Posting &b) const
+    {
+        return a < b.doc;
+    }
+    bool operator()(const Posting &a, qos::DocId b) const
+    {
+        return a.doc < b;
+    }
+};
 
 } // namespace
 
@@ -28,31 +41,29 @@ SearchxApp::SearchxApp(const SearchxConfig &config)
                                            config_.terms_per_query,
                                            config_.seed + i * 0x9e37ULL);
         // Ground-truth relevance: documents containing every query term
-        // (boolean AND), independent of any knob setting.
+        // (boolean AND), independent of any knob setting. Each term's
+        // postings are unique and sorted by document, so the running
+        // intersection stays sorted.
         std::vector<std::vector<qos::DocId>> truth;
         truth.reserve(queries.size());
+        std::vector<qos::DocId> relevant;
+        std::vector<qos::DocId> both;
         for (const auto &q : queries) {
-            std::vector<qos::DocId> relevant;
-            bool first = true;
-            std::unordered_set<qos::DocId> acc;
-            for (const auto term : q.terms) {
-                std::unordered_set<qos::DocId> has;
-                for (const auto &p : index_.postings(term))
-                    has.insert(p.doc);
-                if (first) {
-                    acc = std::move(has);
-                    first = false;
-                } else {
-                    std::unordered_set<qos::DocId> both;
-                    for (const auto d : acc)
-                        if (has.count(d))
-                            both.insert(d);
-                    acc = std::move(both);
+            relevant.clear();
+            for (std::size_t t = 0; t < q.terms.size(); ++t) {
+                const auto &postings = index_.postings(q.terms[t]);
+                if (t == 0) {
+                    for (const auto &p : postings)
+                        relevant.push_back(p.doc);
+                    continue;
                 }
+                both.clear();
+                std::set_intersection(relevant.begin(), relevant.end(),
+                                      postings.begin(), postings.end(),
+                                      std::back_inserter(both), ByDoc{});
+                relevant.swap(both);
             }
-            relevant.assign(acc.begin(), acc.end());
-            std::sort(relevant.begin(), relevant.end());
-            truth.push_back(std::move(relevant));
+            truth.emplace_back(relevant.begin(), relevant.end());
         }
         batches_.push_back(std::move(queries));
         relevance_.push_back(std::move(truth));

@@ -7,41 +7,16 @@
 namespace powerdial::core {
 
 BeatGate
-composeGates(std::vector<BeatGate> gates)
-{
-    std::vector<BeatGate> live;
-    for (BeatGate &gate : gates)
-        if (gate)
-            live.push_back(std::move(gate));
-    if (live.empty())
-        return nullptr;
-    if (live.size() == 1)
-        return std::move(live.front());
-    return [live = std::move(live)](BeatGateContext &ctx) {
-        for (const BeatGate &gate : live)
-            gate(ctx);
-    };
-}
-
-BeatGate
 composeGates(BeatGate first, BeatGate second)
 {
-    std::vector<BeatGate> gates;
-    gates.push_back(std::move(first));
-    gates.push_back(std::move(second));
-    return composeGates(std::move(gates));
-}
-
-BeatGate
-makeDutyCycleGate(double ratio)
-{
-    if (ratio < 0.0)
-        throw std::invalid_argument(
-            "makeDutyCycleGate: ratio must be >= 0");
-    if (ratio == 0.0)
-        return nullptr;
-    return [ratio](BeatGateContext &ctx) {
-        ctx.pause_per_busy += ratio;
+    if (!first)
+        return second;
+    if (!second)
+        return first;
+    return [first = std::move(first),
+            second = std::move(second)](BeatGateContext &ctx) {
+        first(ctx);
+        second(ctx);
     };
 }
 

@@ -85,25 +85,13 @@ struct BeatGateContext
 using BeatGate = std::function<void(BeatGateContext &)>;
 
 /**
- * Compose gates into one: each beat runs every non-null gate in order
+ * Compose two gates into one: each beat runs @p first, then @p second,
  * on the same context, so their pause contributions accumulate (the
  * fleet server composes the caller's gate with the lease gate this
- * way). Null entries are skipped; if no gate remains the result is a
- * null BeatGate, which SessionOptions treats as "no gate".
+ * way). A null gate is skipped; if both are null the result is a null
+ * BeatGate, which SessionOptions treats as "no gate".
  */
-BeatGate composeGates(std::vector<BeatGate> gates);
-
-/** Two-gate convenience overload (the common caller + arbiter pair). */
 BeatGate composeGates(BeatGate first, BeatGate second);
-
-/**
- * A duty-cycle pause gate: every beat adds @p ratio idle seconds per
- * busy second of the beat's work (BeatGateContext::pause_per_busy).
- * Because the pause scales with measured busy time, a machine
- * duty-cycled this way meets an average power budget exactly whatever
- * the tenant's share, frequency, and knob setting.
- */
-BeatGate makeDutyCycleGate(double ratio);
 
 /**
  * Session configuration: plain fields plus builder-style setters so

@@ -53,13 +53,4 @@ CsvTraceObserver::onBeat(const BeatEvent &event)
         writeBeatRow(*os_, event.beat, event.trace);
 }
 
-void
-writePowerCsv(std::ostream &os,
-              const std::vector<sim::PowerSample> &samples)
-{
-    os << "time_s,watts\n";
-    for (const auto &s : samples)
-        os << s.time_s << ',' << s.watts << '\n';
-}
-
 } // namespace powerdial::core

@@ -1,9 +1,9 @@
 /**
  * @file
- * CSV export of controlled-run traces and power samples.
+ * CSV export of controlled-run traces.
  *
- * The paper's figures are time series (Figure 7) and sampled power
- * (Figures 6, 8). Two export paths ship:
+ * The paper's Figure 7 is a per-beat time series. Two export paths
+ * ship:
  *
  *  - writeBeatsCsv renders an already-recorded beat series (from a
  *    BeatTraceRecorder) in one pass;
@@ -17,9 +17,9 @@
 #define POWERDIAL_CORE_TRACE_EXPORT_H
 
 #include <ostream>
+#include <vector>
 
 #include "core/run_observer.h"
-#include "sim/energy_meter.h"
 
 namespace powerdial::core {
 
@@ -52,12 +52,6 @@ class CsvTraceObserver final : public RunObserver
     std::ostream *os_;
     std::size_t decimate_;
 };
-
-/**
- * Write power samples as CSV with header `time_s,watts`.
- */
-void writePowerCsv(std::ostream &os,
-                   const std::vector<sim::PowerSample> &samples);
 
 } // namespace powerdial::core
 

@@ -35,6 +35,7 @@
 #include <map>
 #include <memory>
 #include <stdexcept>
+#include <string>
 #include <utility>
 
 #include "core/fanout.h"
@@ -768,6 +769,14 @@ class EventServe
 FleetReport
 Server::serve(const std::vector<std::vector<workload::OfferedJob>> &offers)
 {
+    const std::size_t inputs = app_->inputCount();
+    for (const auto &step : offers)
+        for (const workload::OfferedJob &job : step)
+            if (job.tenant != kRoundRobinTenant && job.tenant >= inputs)
+                throw std::invalid_argument(
+                    "Server: offered tenant " +
+                    std::to_string(job.tenant) +
+                    " is not an input of the app");
     return EventServe(*app_, *table_, *model_, options_, offers).run();
 }
 

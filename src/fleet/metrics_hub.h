@@ -35,7 +35,11 @@ struct JobRecord
     double predicted_s = 0.0;
     double latency_s = 0.0;  //!< Virtual seconds to completion.
     double qos_loss = 0.0;   //!< Work-weighted calibrated QoS loss.
-    double energy_j = 0.0;   //!< Energy of the job's machine share.
+    /** Full-system energy of the job's simulated host over the job's
+     *  lifetime, joules: the idle floor plus the dynamic draw at the
+     *  lease's host utilisation. Not a share of the host: each
+     *  co-tenant's record carries the whole host draw. */
+    double energy_j = 0.0;
     std::size_t beats = 0;   //!< Heartbeats the job emitted so far.
     // Latency breakdown (see core::ControlledRun): where latency_s
     // went — service_s + queue_share_s + class_deficit_s + pause_s

@@ -2,6 +2,7 @@
 
 #include <cmath>
 #include <stdexcept>
+#include <string>
 #include <utility>
 
 namespace powerdial::fleet {
@@ -33,6 +34,23 @@ Server::Server(const core::App &app, const core::KnobTable &table,
         options_.tenants = app.productionInputs();
     if (options_.tenants.empty())
         throw std::invalid_argument("Server: no tenant inputs");
+    for (const std::size_t input : options_.tenants)
+        if (input >= app.inputCount())
+            throw std::invalid_argument(
+                "Server: tenant " + std::to_string(input) +
+                " is not an input of the app");
+    // serve() builds the arbiter and, without a catalog, every machine
+    // from these options; build one of each now, so a bad term throws
+    // here rather than mid-serve.
+    try {
+        const PowerArbiter arbiter(options_.arbiter);
+        if (options_.catalog.empty()) {
+            const sim::Machine machine(options_.machine);
+        }
+    } catch (const std::invalid_argument &error) {
+        throw std::invalid_argument(std::string("Server: ") +
+                                    error.what());
+    }
     if (options_.event.sample_stride == 0)
         throw std::invalid_argument(
             "Server: event sample_stride must be >= 1");

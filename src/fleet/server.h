@@ -192,7 +192,8 @@ struct ServerOptions
     /**
      * Tenant input streams: each arriving job serves the next input
      * index in this list (round-robin by job id). Empty means the
-     * application's production inputs.
+     * application's production inputs; every entry must be below the
+     * application's inputCount().
      */
     std::vector<std::size_t> tenants;
     /** Which engine drives serve(); see EngineMode. */
@@ -302,6 +303,12 @@ struct FleetReport
 class Server
 {
   public:
+    /**
+     * Throws std::invalid_argument for options a serve would fail on:
+     * among them a tenant that is not an input of @p app, arbiter
+     * options PowerArbiter rejects, and (without a catalog) a machine
+     * configuration sim::Machine rejects.
+     */
     Server(const core::App &app, const core::KnobTable &table,
            const core::ResponseModel &model, ServerOptions options);
 
@@ -320,7 +327,9 @@ class Server
      * per epoch with tenant/class/deadline metadata, e.g. from
      * workload::makeTrafficMix) — the SLO-aware serving path: the
      * admission policy sees each job's deadline class, and the report
-     * carries per-class percentiles and shed counts.
+     * carries per-class percentiles and shed counts. Throws
+     * std::invalid_argument, before admitting any job, when an offer's
+     * tenant is neither kRoundRobinTenant nor an input of the app.
      */
     FleetReport
     serve(const std::vector<std::vector<workload::OfferedJob>> &offers);

@@ -104,10 +104,7 @@ makeLeaseGate(Tenant &tenant, core::BeatGate caller)
  * with a rebindKnobTable() copy of @p table, and a session gated by
  * makeLeaseGate (after the caller's gate). Only a traced serve's
  * sessions have an observer, the trace probe; an untraced session has
- * none, so its beats build no per-beat trace. The slot's machine keeps
- * only its energy total: the serve reads a job's energy, never its
- * power trace, so the machine stops recording the trace here, once
- * per slot (both of its resets keep that). The slot serves no job
+ * none, so its beats build no per-beat trace. The slot serves no job
  * until assignJob.
  */
 inline std::unique_ptr<Tenant>
@@ -117,7 +114,6 @@ makeTenant(const ServerOptions &options, const core::App &app,
 {
     auto tenant = std::make_unique<Tenant>();
     Tenant &t = *tenant;
-    t.machine.setPowerTraceRecording(false);
     t.app = app.clone();
     t.table = core::rebindKnobTable(table, *t.app);
     if (options.trace != nullptr)

@@ -57,7 +57,6 @@
 #include "qos/retrieval.h"
 #include "sim/cluster.h"
 #include "sim/dvfs_governor.h"
-#include "sim/energy_meter.h"
 #include "sim/frequency.h"
 #include "sim/machine.h"
 #include "sim/power_model.h"

@@ -39,7 +39,6 @@ Machine::reset()
     utilization_ = -1.0;
     clock_.reset();
     energy_j_ = 0.0;
-    trace_.clear();
     refreshPower();
 }
 
@@ -103,42 +102,6 @@ Machine::idleUntil(double t)
 {
     if (t > clock_.now())
         idleFor(t - clock_.now());
-}
-
-void
-Machine::setPowerTraceRecording(bool on)
-{
-    if (on && !recording_ && clock_.now() > 0.0)
-        throw std::logic_error(
-            "Machine: power trace recording can only start before any "
-            "time has passed");
-    recording_ = on;
-    if (!on)
-        trace_ = {};
-}
-
-void
-Machine::requireRecording() const
-{
-    if (!recording_)
-        throw std::logic_error(
-            "Machine: the power trace is not being recorded");
-}
-
-double
-Machine::meanWatts(double t0, double t1) const
-{
-    requireRecording();
-    if (t1 <= t0)
-        return 0.0;
-    double joules = 0.0;
-    for (const auto &seg : trace_) {
-        const double lo = std::max(seg.start_s, t0);
-        const double hi = std::min(seg.end_s, t1);
-        if (hi > lo)
-            joules += seg.watts * (hi - lo);
-    }
-    return joules / (t1 - t0);
 }
 
 } // namespace powerdial::sim

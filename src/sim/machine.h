@@ -23,27 +23,18 @@
 
 namespace powerdial::sim {
 
-/** A contiguous span of virtual time at constant power draw. */
-struct PowerSegment
-{
-    double start_s;  //!< Segment start, virtual seconds.
-    double end_s;    //!< Segment end, virtual seconds.
-    double watts;    //!< Constant full-system power during the segment.
-};
-
 /**
- * A single simulated server with DVFS, a power model, and an energy log.
+ * A single simulated server with DVFS, a power model, and an energy
+ * account.
  *
  * The machine supports a configurable number of hardware contexts
  * (cores). When more runnable instances than cores share the machine the
  * per-instance throughput degrades proportionally; this is how the
  * consolidation experiments (paper section 5.5) oversubscribe a machine.
  *
- * By default the machine also records its constant-power segment log
- * (powerTrace, meanWatts, the EnergyMeter). A machine that only needs
- * its energy total can stop recording (setPowerTraceRecording): energy,
- * clock, P-state and watts stay bit-identical, and the per-interval
- * append is gone.
+ * Energy is the one power account: every busy or idle span adds its
+ * draw times its length, and the paper's mean power (the mean of 1 s
+ * WattsUp samples, section 5.1) is that energy over elapsed time.
  */
 class Machine
 {
@@ -73,8 +64,7 @@ class Machine
     /**
      * Become exactly a freshly constructed Machine(@p config) — the
      * constructor runs this — while keeping the storage of the
-     * frequency table, the per-P-state power table and the power log,
-     * and the power-trace recording switch.
+     * frequency table and the per-P-state power table.
      * Throws std::invalid_argument, leaving the machine unchanged, for
      * zero cores, a speed factor that is not finite and > 0 (NaN
      * included) or invalid power parameters.
@@ -222,71 +212,29 @@ class Machine
     /** Total energy consumed so far, joules. */
     double energyJoules() const { return energy_j_; }
 
-    /**
-     * Mean power between virtual times @p t0 and @p t1, watts (0 for
-     * an empty window). Throws std::logic_error on a machine that is
-     * not recording its power trace.
-     */
-    double meanWatts(double t0, double t1) const;
-
-    /** Mean power over the whole history, watts. Throws like
-     *  meanWatts(t0, t1). */
-    double meanWatts() const { return meanWatts(0.0, now()); }
-
-    /**
-     * The full constant-power segment log (WattsUp-style trace source).
-     * Adjacent segments at equal power are coalesced. Throws
-     * std::logic_error on a machine that is not recording it.
-     */
-    const std::vector<PowerSegment> &
-    powerTrace() const
+    /** Mean power over the whole history, watts: energy over elapsed
+     *  time (0 before any time has passed). */
+    double
+    meanWatts() const
     {
-        requireRecording();
-        return trace_;
+        return now() > 0.0 ? energyJoules() / now() : 0.0;
     }
 
-    /**
-     * Record the power trace (true, the default) or keep only the
-     * energy total (false). Turning recording off drops the log;
-     * turning it back on is allowed only before any time has passed
-     * (now() == 0), since a log that starts late would misreport
-     * meanWatts — otherwise std::logic_error. The switch belongs to
-     * the machine, not its class: both reset()s keep it. A fleet
-     * tenant slot turns it off once (fleet::detail::makeTenant),
-     * because nothing in the fleet reads a tenant's trace.
-     */
-    void setPowerTraceRecording(bool on);
-
-    /** Whether the power trace is being recorded. */
-    bool recordsPowerTrace() const { return recording_; }
-
   private:
-    /** Record @p dt seconds at @p watts, integrating energy. */
+    /** Spend @p dt seconds at @p watts, integrating energy. */
     void
     account(double dt, double watts)
     {
         if (dt <= 0.0)
             return;
-        const double t0 = clock_.now();
         clock_.advance(dt);
         energy_j_ += watts * dt;
-        if (!recording_)
-            return;
-        if (!trace_.empty() && trace_.back().watts == watts &&
-            trace_.back().end_s == t0) {
-            trace_.back().end_s = clock_.now();
-        } else {
-            trace_.push_back({t0, clock_.now(), watts});
-        }
     }
 
     /** Recompute the cached frequency, speed ratio and busy/idle power
      *  draw from the P-state and utilisation; every setter of either
      *  calls it. */
     void refreshPower();
-
-    /** Throw std::logic_error unless the power trace is recorded. */
-    void requireRecording() const;
 
     FrequencyScale scale_;
     PowerModel power_;
@@ -304,8 +252,6 @@ class Machine
     double idle_watts_ = 0.0;  //!< Power while idle.
     VirtualClock clock_;
     double energy_j_ = 0.0;
-    bool recording_ = true;
-    std::vector<PowerSegment> trace_;
 };
 
 } // namespace powerdial::sim

@@ -157,18 +157,6 @@ TEST(TraceExport, DecimationKeepsEveryNth)
                  std::invalid_argument);
 }
 
-TEST(TraceExport, PowerCsv)
-{
-    sim::Machine machine;
-    machine.idleFor(3.0);
-    sim::EnergyMeter meter(1.0);
-    std::ostringstream os;
-    core::writePowerCsv(os, meter.sample(machine));
-    const std::string csv = os.str();
-    EXPECT_NE(csv.find("time_s,watts"), std::string::npos);
-    EXPECT_NE(csv.find("90"), std::string::npos); // Idle watts.
-}
-
 TEST(WindowStats, SummarisesLatencies)
 {
     hb::Monitor monitor(4, {1.0, 1.0});

@@ -17,6 +17,7 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdint>
+#include <functional>
 #include <limits>
 #include <memory>
 #include <numeric>
@@ -341,6 +342,68 @@ TEST(EventEngine, ValidatesEngineOptions)
     }
 }
 
+TEST(EventEngine, RejectsBadFleetConfigurationBeforeServing)
+{
+    // Each row names one input a serve cannot run. The first four
+    // must fail the constructor; the last, an offer, must fail
+    // serve() before any job is admitted, so no arbitration round
+    // runs even though a good offer comes first.
+    auto p = makePipeline();
+    const double nan = std::numeric_limits<double>::quiet_NaN();
+    const std::size_t not_an_input = p.app.inputCount();
+    struct Row
+    {
+        std::string name;
+        std::function<void(ServerOptions &)> set;
+        std::size_t offered_tenant;
+    };
+    const std::vector<Row> rows = {
+        {"tenant entry that is not an app input",
+         [&](ServerOptions &o) { o.tenants = {0, not_an_input}; },
+         kRoundRobinTenant},
+        {"arbiter cap PowerArbiter rejects",
+         [&](ServerOptions &o) { o.arbiter.cluster_cap_watts = nan; },
+         kRoundRobinTenant},
+        {"arbiter feedback gain PowerArbiter rejects",
+         [](ServerOptions &o) { o.arbiter.feedback_gain = 1.5; },
+         kRoundRobinTenant},
+        {"machine config sim::Machine rejects",
+         [](ServerOptions &o) { o.machine.cores = 0; },
+         kRoundRobinTenant},
+        {"offered tenant that is not an app input",
+         [](ServerOptions &) {}, not_an_input},
+    };
+    for (const EngineMode engine : {EngineMode::Epoch, EngineMode::Event}) {
+        for (const Row &row : rows) {
+            SCOPED_TRACE(::testing::Message()
+                         << row.name << ", engine "
+                         << static_cast<int>(engine));
+            ServerOptions options;
+            options.engine = engine;
+            std::size_t rounds = 0;
+            options.arbitration_probe =
+                [&rounds](const ArbitrationSample &) { ++rounds; };
+            row.set(options);
+            if (row.offered_tenant == kRoundRobinTenant) {
+                expectRejected(p, options);
+                continue;
+            }
+            Server server(p.app, p.table, p.model, options);
+            const std::vector<std::vector<workload::OfferedJob>> offers =
+                {{{0, 0, 0.0}}, {{row.offered_tenant, 0, 0.0}}};
+            try {
+                server.serve(offers);
+                ADD_FAILURE() << "serve accepted an invalid offer";
+            } catch (const std::invalid_argument &error) {
+                EXPECT_EQ(std::string(error.what()).rfind("Server:", 0),
+                          0u)
+                    << error.what();
+            }
+            EXPECT_EQ(rounds, 0u);
+        }
+    }
+}
+
 TEST(EventEngine, IdleEpochsScheduleNoArbitration)
 {
     // The scale win in one assertion: a trace that goes quiet stops
@@ -431,9 +494,6 @@ expectSameJobState(const detail::Tenant &a, const detail::Tenant &b)
     EXPECT_EQ(a.arrival_time_s, b.arrival_time_s);
     EXPECT_EQ(a.machine.now(), b.machine.now());
     EXPECT_EQ(a.machine.energyJoules(), b.machine.energyJoules());
-    // Tenant machines keep only their energy total.
-    EXPECT_FALSE(a.machine.recordsPowerTrace());
-    EXPECT_FALSE(b.machine.recordsPowerTrace());
     EXPECT_EQ(a.machine.pstate(), b.machine.pstate());
     EXPECT_EQ(a.machine.pstateCap(), b.machine.pstateCap());
     EXPECT_EQ(a.machine.frequencyHz(), b.machine.frequencyHz());

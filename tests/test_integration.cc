@@ -15,7 +15,6 @@
 #include "core/calibration.h"
 #include "core/identify.h"
 #include "core/session.h"
-#include "sim/energy_meter.h"
 
 namespace powerdial {
 namespace {

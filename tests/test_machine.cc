@@ -11,11 +11,9 @@
 #include <vector>
 
 #include "heartbeats/heartbeat.h"
-#include "sim/energy_meter.h"
 #include "sim/machine.h"
 #include "sim/machine_catalog.h"
 #include "sim/virtual_clock.h"
-#include "workload/rng.h"
 
 namespace powerdial::sim {
 namespace {
@@ -145,6 +143,8 @@ TEST(Machine, DefaultUtilizationIsOneCore)
     EXPECT_NEAR(m.energyJoules(), expected, 1e-6);
 }
 
+// meanWatts() averages over the run's whole window, [0, now): energy
+// over elapsed time.
 TEST(Machine, MeanWattsOverWindow)
 {
     Machine m;
@@ -153,36 +153,42 @@ TEST(Machine, MeanWattsOverWindow)
     m.idleFor(1.0);   // [1, 2): idle.
     const double peak = m.powerModel().peakWatts();
     const double idle = m.powerModel().idleWatts();
-    EXPECT_NEAR(m.meanWatts(0.0, 1.0), peak, 1e-9);
-    EXPECT_NEAR(m.meanWatts(1.0, 2.0), idle, 1e-9);
-    EXPECT_NEAR(m.meanWatts(0.0, 2.0), 0.5 * (peak + idle), 1e-9);
     EXPECT_NEAR(m.meanWatts(), 0.5 * (peak + idle), 1e-9);
+    EXPECT_EQ(m.meanWatts(), m.energyJoules() / m.now());
+
+    // Mixed busy, idle and P-state steps: always exactly the energy
+    // account over the clock.
+    const std::vector<std::pair<std::string, std::function<void()>>>
+        steps = {
+            {"setPState(3)", [&m] { m.setPState(3); }},
+            {"execute(1.3e9)", [&m] { m.execute(1.3e9); }},
+            {"setUtilization(0.3)", [&m] { m.setUtilization(0.3); }},
+            {"idleFor(0.37)", [&m] { m.idleFor(0.37); }},
+            {"setPStateCap(5)", [&m] { m.setPStateCap(5); }},
+            {"execute(7e8)", [&m] { m.execute(7e8); }},
+            {"idleUntil(4.2)", [&m] { m.idleUntil(4.2); }},
+            {"setPState(6)", [&m] { m.setPState(6); }},
+            {"execute(3.3e8)", [&m] { m.execute(3.3e8); }},
+        };
+    for (const auto &[name, step] : steps) {
+        SCOPED_TRACE(name);
+        step();
+        EXPECT_EQ(m.meanWatts(), m.energyJoules() / m.now());
+    }
 }
 
 TEST(Machine, MeanWattsEmptyWindowIsZero)
 {
     Machine m;
-    EXPECT_DOUBLE_EQ(m.meanWatts(1.0, 1.0), 0.0);
-    EXPECT_DOUBLE_EQ(m.meanWatts(2.0, 1.0), 0.0);
-}
+    EXPECT_EQ(m.meanWatts(), 0.0);
+    m.execute(0.0); // No time passes.
+    EXPECT_EQ(m.meanWatts(), 0.0);
 
-TEST(Machine, PowerTraceCoalescesEqualPowerSegments)
-{
-    Machine m;
-    m.setUtilization(1.0);
-    m.execute(1e9);
-    m.execute(1e9); // Same power: should extend the same segment.
-    EXPECT_EQ(m.powerTrace().size(), 1u);
-}
-
-TEST(Machine, PowerTraceSplitsOnPowerChange)
-{
-    Machine m;
-    m.setUtilization(1.0);
-    m.execute(1e9);
+    m.execute(2.4e9);
     m.idleFor(0.5);
-    EXPECT_EQ(m.powerTrace().size(), 2u);
-    EXPECT_GT(m.powerTrace()[0].watts, m.powerTrace()[1].watts);
+    ASSERT_GT(m.meanWatts(), 0.0);
+    m.reset(); // Back to an empty window.
+    EXPECT_EQ(m.meanWatts(), 0.0);
 }
 
 TEST(Machine, BadPStateThrows)
@@ -296,15 +302,6 @@ expectSameMachineState(const Machine &a, const Machine &b)
     EXPECT_EQ(a.share(), b.share());
     EXPECT_EQ(a.utilization(), b.utilization());
     EXPECT_EQ(a.energyJoules(), b.energyJoules());
-    ASSERT_EQ(a.recordsPowerTrace(), b.recordsPowerTrace());
-    if (!a.recordsPowerTrace())
-        return;
-    ASSERT_EQ(a.powerTrace().size(), b.powerTrace().size());
-    for (std::size_t i = 0; i < a.powerTrace().size(); ++i) {
-        EXPECT_EQ(a.powerTrace()[i].start_s, b.powerTrace()[i].start_s);
-        EXPECT_EQ(a.powerTrace()[i].end_s, b.powerTrace()[i].end_s);
-        EXPECT_EQ(a.powerTrace()[i].watts, b.powerTrace()[i].watts);
-    }
 }
 
 TEST(Machine, ResetIsIndistinguishableFromConstruction)
@@ -329,7 +326,7 @@ TEST(Machine, ResetIsIndistinguishableFromConstruction)
     reused.execute(3e9);
     reused.idleFor(0.25);
     reused.execute(1e9);
-    ASSERT_GT(reused.powerTrace().size(), 1u);
+    ASSERT_GT(reused.energyJoules(), 0.0);
 
     reused.reset(little);
     const Machine fresh(little);
@@ -478,23 +475,33 @@ TEST(Machine, PowerTableMatchesThePowerModelForEveryClass)
             for (const double u : {-0.5, 0.0, 0.125, 1.0, 1.7}) {
                 SCOPED_TRACE(::testing::Message()
                              << "P-state " << s << " utilization " << u);
-                Machine m(classes[c]);
-                m.setPState(s);
-                m.setUtilization(u);
-                const double util = m.utilization() >= 0.0
-                    ? m.utilization()
-                    : 1.0 / static_cast<double>(m.cores());
-                m.execute(1e9);
-                EXPECT_EQ(m.powerTrace().back().watts,
-                          referenceWatts(m.powerModel(), m.frequencyHz(),
-                                         util));
-                m.idleFor(0.5);
-                EXPECT_EQ(m.powerTrace().back().watts,
-                          referenceWatts(m.powerModel(), m.frequencyHz(),
-                                         0.0));
-                EXPECT_EQ(m.speedRatio(),
-                          std::min(1.0, m.effectiveHz() /
-                                            m.scale().maxHz()));
+                const auto fresh = [&] {
+                    Machine m(classes[c]);
+                    m.setPState(s);
+                    m.setUtilization(u);
+                    return m;
+                };
+                // One second of work: a fresh machine's energy is then
+                // exactly its busy draw.
+                Machine busy = fresh();
+                const double util = busy.utilization() >= 0.0
+                    ? busy.utilization()
+                    : 1.0 / static_cast<double>(busy.cores());
+                const double dt = busy.execute(busy.effectiveHz());
+                ASSERT_EQ(dt, 1.0);
+                EXPECT_EQ(busy.energyJoules(),
+                          referenceWatts(busy.powerModel(),
+                                         busy.frequencyHz(), util) *
+                              dt);
+                Machine idle = fresh();
+                idle.idleFor(0.5);
+                EXPECT_EQ(idle.energyJoules(),
+                          referenceWatts(idle.powerModel(),
+                                         idle.frequencyHz(), 0.0) *
+                              0.5);
+                EXPECT_EQ(busy.speedRatio(),
+                          std::min(1.0, busy.effectiveHz() /
+                                            busy.scale().maxHz()));
             }
         }
     }
@@ -524,112 +531,6 @@ TEST(Machine, ResetWithoutConfigRewindsTheSameClass)
         m->idleFor(0.5);
     }
     expectSameMachineState(reused, copy);
-}
-
-// ---------------------------------------------------------------------
-// Energy-only machines: no power trace, every other figure exact.
-// ---------------------------------------------------------------------
-
-/** Assert the figures a machine reports without its power trace are
- *  bit-identical: energy, clock, P-state, frequency and watts. */
-void
-expectSameEnergyState(const Machine &a, const Machine &b)
-{
-    EXPECT_EQ(a.energyJoules(), b.energyJoules());
-    EXPECT_EQ(a.now(), b.now());
-    EXPECT_EQ(a.pstate(), b.pstate());
-    EXPECT_EQ(a.pstateCap(), b.pstateCap());
-    EXPECT_EQ(a.frequencyHz(), b.frequencyHz());
-    EXPECT_EQ(a.speedRatio(), b.speedRatio());
-    EXPECT_EQ(a.speedFactor(), b.speedFactor());
-    EXPECT_EQ(a.share(), b.share());
-    EXPECT_EQ(a.utilization(), b.utilization());
-    for (const double u : {0.0, 0.3, 1.0})
-        EXPECT_EQ(a.wattsAt(a.pstate(), u), b.wattsAt(b.pstate(), u));
-}
-
-TEST(Machine, UnrecordedMachineMatchesRecordedBitForBit)
-{
-    // Seeded sequences of execute, idle, setter and reset calls,
-    // including resets to another class, applied to a recording and a
-    // non-recording machine alike.
-    const std::vector<Machine::Config> classes = catalogClasses();
-    for (std::uint64_t seed = 1; seed <= 8; ++seed) {
-        SCOPED_TRACE(::testing::Message() << "seed " << seed);
-        workload::Rng rng(seed);
-        Machine recorded(classes[0]);
-        Machine unrecorded(classes[0]);
-        unrecorded.setPowerTraceRecording(false);
-        std::size_t cls = 0;
-        for (int step = 0; step < 400; ++step) {
-            const auto op = static_cast<int>(rng.uniform(0.0, 9.0));
-            const double x = rng.uniform();
-            const std::size_t states = classes[cls].scale.states();
-            const auto state = static_cast<std::size_t>(
-                rng.uniform(0.0, static_cast<double>(states)));
-            for (Machine *m : {&recorded, &unrecorded}) {
-                switch (op) {
-                case 0:
-                case 1: m->execute(x * 3e9); break;
-                case 2: m->idleFor(x * 0.5); break;
-                case 3: m->idleUntil(m->now() + x - 0.25); break;
-                case 4: m->setPState(state); break;
-                case 5: m->setPStateCap(state); break;
-                case 6: m->setShare(0.05 + 0.95 * x); break;
-                case 7: m->setUtilization(1.4 * x - 0.2); break;
-                default:
-                    if (x < 0.5)
-                        m->reset();
-                    else
-                        m->reset(classes[(cls + 1) % classes.size()]);
-                    break;
-                }
-            }
-            if (op == 8 && x >= 0.5)
-                cls = (cls + 1) % classes.size();
-            expectSameEnergyState(recorded, unrecorded);
-            ASSERT_FALSE(unrecorded.recordsPowerTrace());
-        }
-        EXPECT_TRUE(recorded.recordsPowerTrace());
-    }
-}
-
-TEST(Machine, UnrecordedMachineRefusesPowerReads)
-{
-    Machine m;
-    m.setPowerTraceRecording(false);
-    m.execute(1e9);
-    m.idleFor(0.5);
-    EXPECT_THROW(m.powerTrace(), std::logic_error);
-    EXPECT_THROW(m.meanWatts(), std::logic_error);
-    EXPECT_THROW(m.meanWatts(0.0, 0.25), std::logic_error);
-    EXPECT_THROW(m.meanWatts(1.0, 1.0), std::logic_error);
-    EXPECT_THROW(EnergyMeter(1.0).sample(m), std::logic_error);
-    // A log that started now would misreport the history.
-    EXPECT_THROW(m.setPowerTraceRecording(true), std::logic_error);
-    EXPECT_FALSE(m.recordsPowerTrace());
-
-    // Both resets keep the switch.
-    m.reset();
-    EXPECT_FALSE(m.recordsPowerTrace());
-    m.reset(catalogClasses()[1]);
-    EXPECT_FALSE(m.recordsPowerTrace());
-    EXPECT_THROW(m.powerTrace(), std::logic_error);
-
-    // Before any time has passed, recording may start again, and the
-    // log is then the one a fresh machine keeps.
-    m.setPowerTraceRecording(true);
-    Machine fresh(catalogClasses()[1]);
-    for (Machine *x : {&m, &fresh}) {
-        x->execute(2e9);
-        x->idleFor(0.5);
-    }
-    expectSameMachineState(m, fresh);
-    EXPECT_EQ(m.meanWatts(), fresh.meanWatts());
-
-    // Turning recording off drops the log.
-    m.setPowerTraceRecording(false);
-    EXPECT_THROW(m.powerTrace(), std::logic_error);
 }
 
 } // namespace

@@ -163,11 +163,8 @@ TEST(Session, RaceToIdleInsertsIdleTime)
     const auto traced = runTraced(session, 2, machine);
     // Performance still near target under the cap...
     EXPECT_NEAR(traced.beats.back().normalized_perf, 1.0, 0.1);
-    // ...but the trace must contain idle (low-power) segments.
-    bool saw_idle = false;
-    for (const auto &seg : machine.powerTrace())
-        saw_idle |= seg.watts == machine.powerModel().idleWatts();
-    EXPECT_TRUE(saw_idle);
+    // ...but the run must contain idle (low-power) time.
+    EXPECT_GT(traced.run.pause_s, 0.0);
 }
 
 TEST(Session, HigherTargetForcesQosSacrifice)
@@ -389,14 +386,14 @@ TEST(GateHelpers, ComposeRunsEveryGateInOrderOnOneContext)
 {
     std::vector<int> order;
     BeatGate composed = composeGates(
-        {[&order](BeatGateContext &ctx) {
-             order.push_back(1);
-             ctx.pause_per_busy += 0.25;
-         },
-         [&order](BeatGateContext &ctx) {
-             order.push_back(2);
-             ctx.pause_per_busy += 0.5;
-         }});
+        [&order](BeatGateContext &ctx) {
+            order.push_back(1);
+            ctx.pause_per_busy += 0.25;
+        },
+        [&order](BeatGateContext &ctx) {
+            order.push_back(2);
+            ctx.pause_per_busy += 0.5;
+        });
     ASSERT_TRUE(static_cast<bool>(composed));
     sim::Machine machine;
     BeatGateContext ctx{0, machine};
@@ -408,32 +405,18 @@ TEST(GateHelpers, ComposeRunsEveryGateInOrderOnOneContext)
 TEST(GateHelpers, ComposeSkipsNullGates)
 {
     std::size_t calls = 0;
-    BeatGate composed = composeGates(
-        nullptr, [&calls](BeatGateContext &) { ++calls; });
-    ASSERT_TRUE(static_cast<bool>(composed));
+    const BeatGate counter = [&calls](BeatGateContext &) { ++calls; };
     sim::Machine machine;
     BeatGateContext ctx{0, machine};
-    composed(ctx);
-    EXPECT_EQ(calls, 1u);
+    for (BeatGate composed : {composeGates(nullptr, counter),
+                              composeGates(counter, nullptr)}) {
+        ASSERT_TRUE(static_cast<bool>(composed));
+        composed(ctx);
+    }
+    EXPECT_EQ(calls, 2u);
 
     // All-null composition collapses to "no gate".
     EXPECT_FALSE(static_cast<bool>(composeGates(nullptr, nullptr)));
-    EXPECT_FALSE(static_cast<bool>(composeGates({})));
-}
-
-TEST(GateHelpers, DutyCycleGateAddsFixedRatio)
-{
-    BeatGate gate = makeDutyCycleGate(0.4);
-    ASSERT_TRUE(static_cast<bool>(gate));
-    sim::Machine machine;
-    BeatGateContext ctx{0, machine};
-    ctx.pause_per_busy = 0.1; // Composes additively with prior gates.
-    gate(ctx);
-    EXPECT_DOUBLE_EQ(ctx.pause_per_busy, 0.5);
-
-    // A zero ratio is "no gate"; a negative one is a caller bug.
-    EXPECT_FALSE(static_cast<bool>(makeDutyCycleGate(0.0)));
-    EXPECT_THROW(makeDutyCycleGate(-0.1), std::invalid_argument);
 }
 
 TEST(GateHelpers, ComposedDutyCycleGatesSlowARunTogether)
@@ -451,10 +434,15 @@ TEST(GateHelpers, ComposedDutyCycleGatesSlowARunTogether)
         sim::Machine machine;
         return session.run(2, machine).seconds;
     };
+    const auto dutyCycle = [](double ratio) -> BeatGate {
+        return [ratio](BeatGateContext &ctx) {
+            ctx.pause_per_busy += ratio;
+        };
+    };
     const double plain = timedRun(nullptr);
-    const double composed = timedRun(composeGates(
-        makeDutyCycleGate(0.25), makeDutyCycleGate(0.25)));
-    const double summed = timedRun(makeDutyCycleGate(0.5));
+    const double composed =
+        timedRun(composeGates(dutyCycle(0.25), dutyCycle(0.25)));
+    const double summed = timedRun(dutyCycle(0.5));
     EXPECT_DOUBLE_EQ(composed, summed);
     EXPECT_NEAR(composed / plain, 1.5, 1e-9);
 }
