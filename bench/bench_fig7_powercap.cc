@@ -41,7 +41,7 @@ figurePanel(core::App &sweep, core::App &app,
 
     // The three runs (uncapped baseline, dynamic knobs under the cap,
     // no knobs under the cap) are independent sessions: fan them out
-    // over the pool on private clones, merged in fixed order so the
+    // on private clones, merged in fixed order so the
     // series is byte-identical at any thread count.
     struct RunSpec
     {

@@ -94,7 +94,7 @@ figurePanel(core::App &sweep, core::App &app, const Provisioning &prov,
     // instance on the consolidated system's most-loaded machine must
     // still hold the baseline rate by trading QoS. Each replay is an
     // independent session on a private app clone, so the batch fans
-    // out over the thread pool (--threads=N) with bit-identical
+    // out over --threads=N workers with bit-identical
     // output at any thread count.
     const auto input = app.productionInputs().front();
     const auto baseline =

@@ -80,7 +80,7 @@ main(int argc, char **argv)
     const auto input = app->productionInputs().front();
     const auto baseline =
         core::runFixed(*app, input, app->defaultCombination());
-    // Independent sessions on cloned apps: fan out over the pool.
+    // Independent sessions on cloned apps: fan them out.
     std::vector<core::ReplayCase> cases;
     for (const double share : {1.0, 0.5, 0.25})
         cases.push_back({share, 1.0});

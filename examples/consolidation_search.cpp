@@ -94,7 +94,7 @@ main()
                 100.0 * (orig_j - cons_j) / orig_j);
 
     // Measured check: real closed-loop sessions at the base load and
-    // at a full spike, fanned out over the thread pool (each replay
+    // at a full spike, fanned out over worker threads (each replay
     // is an independent session on a private app clone).
     const auto input = app.productionInputs().front();
     const auto baseline =

@@ -8,28 +8,41 @@ namespace powerdial::apps::searchx {
 InvertedIndex::InvertedIndex(const std::vector<workload::Document> &docs)
     : doc_count_(docs.size())
 {
-    std::unordered_map<workload::WordId,
-                       std::unordered_map<qos::DocId, std::uint32_t>>
-        tf;
-    for (const auto &doc : docs)
-        for (const auto word : doc.words)
-            ++tf[word][doc.id];
-    index_.reserve(tf.size());
-    std::uint32_t max_tf = 0;
-    for (auto &[word, counts] : tf) {
-        Term term;
-        term.postings.reserve(counts.size());
-        for (const auto &[doc, count] : counts) {
-            term.postings.push_back({doc, count});
-            max_tf = std::max(max_tf, count);
+    // Count each document's words by sorting a reused scratch copy and
+    // measuring each run of equal words, then append the document to
+    // that term's postings.
+    std::vector<workload::WordId> words;
+    for (const auto &doc : docs) {
+        words.assign(doc.words.begin(), doc.words.end());
+        std::sort(words.begin(), words.end());
+        for (auto run = words.begin(); run != words.end();) {
+            const auto next = std::upper_bound(run, words.end(), *run);
+            index_[*run].postings.push_back(
+                {doc.id, static_cast<std::uint32_t>(next - run)});
+            run = next;
         }
-        std::sort(term.postings.begin(), term.postings.end(),
+    }
+    std::uint32_t max_tf = 0;
+    for (auto &[word, term] : index_) {
+        // Documents may come in any order, and a repeated id counts
+        // as one document.
+        auto &postings = term.postings;
+        std::sort(postings.begin(), postings.end(),
                   [](const Posting &a, const Posting &b) {
                       return a.doc < b.doc;
                   });
+        std::size_t kept = 0;
+        for (const Posting &posting : postings) {
+            if (kept > 0 && postings[kept - 1].doc == posting.doc)
+                postings[kept - 1].tf += posting.tf;
+            else
+                postings[kept++] = posting;
+        }
+        postings.resize(kept);
+        for (const Posting &posting : postings)
+            max_tf = std::max(max_tf, posting.tf);
         term.idf = std::log(static_cast<double>(doc_count_ + 1) /
-                            static_cast<double>(term.postings.size()));
-        index_.emplace(word, std::move(term));
+                            static_cast<double>(postings.size()));
     }
     tf_weight_.resize(static_cast<std::size_t>(max_tf) + 1);
     for (std::uint32_t t = 0; t <= max_tf; ++t)

@@ -72,8 +72,8 @@ class InvertedIndex
      * strict total order, so the ranked prefix is the same whatever
      * the candidate order or the selection algorithm. The scratch
      * makes search() not safe to call concurrently on one instance;
-     * every engine in this repo clones the app per worker
-     * (FanoutEngine), so no caller does.
+     * every FanoutEngine worker in this repo runs its own app
+     * instance, so no caller does.
      */
     QueryOutcome search(const workload::Query &query,
                         std::size_t max_results) const;

@@ -35,103 +35,57 @@ calibrate(App &app, const std::vector<std::size_t> &inputs,
     const KnobSpace &space = app.knobSpace();
     const std::size_t baseline = app.defaultCombination();
     const std::size_t total_runs = space.combinations() * inputs.size();
-    // The engine caps the workers (each owning a full app clone) at
-    // the number of runs to claim.
+    // The engine caps the workers (each owning a full app) at the
+    // number of runs to claim. Worker 0 runs on the caller's app and
+    // every other worker on a private clone, made serially up front.
     FanoutEngine engine(options.threads, total_runs);
-
-    CalibrationData data;
-    data.speedups.resize(space.combinations());
-    data.qos_losses.resize(space.combinations());
-
-    std::vector<OperatingPoint> points;
-    points.reserve(space.combinations());
-
-    // Per-pair merge arithmetic, shared by both paths below. Parallel
-    // output is bit-identical to serial because threading only moves
-    // *when* the independent (combination, input) runs execute; this
-    // accumulation always happens serially in combination-then-input
-    // order.
-    const auto accumulate = [&data](std::size_t c,
-                                    const RunMeasurement &base_m,
-                                    const RunMeasurement &m,
-                                    double &speedup_sum,
-                                    double &qos_sum) {
-        const double speedup = base_m.seconds / m.seconds;
-        const double qos = qos::distortion(base_m.output, m.output);
-        data.speedups[c].push_back(speedup);
-        data.qos_losses[c].push_back(qos);
-        speedup_sum += speedup;
-        qos_sum += qos;
-    };
-    const auto checkBase = [](const RunMeasurement &m) {
-        if (m.seconds <= 0.0)
-            throw std::logic_error("calibrate: zero baseline time");
+    const auto clones = FanoutEngine::cloneApps(app, engine.workers() - 1);
+    const auto appOf = [&](std::size_t worker) -> App & {
+        return worker == 0 ? app : *clones[worker - 1];
     };
 
     // Baseline pass: per-input reference time and output abstraction.
     std::vector<RunMeasurement> base(inputs.size());
+    engine.run(inputs.size(), [&](std::size_t i, std::size_t w) {
+        base[i] = runFixed(appOf(w), inputs[i], baseline, options.machine);
+    });
+    for (const RunMeasurement &m : base)
+        if (m.seconds <= 0.0)
+            throw std::logic_error("calibrate: zero baseline time");
 
-    if (engine.serial()) {
-        // Serial: measure and merge in one streaming pass on the
-        // caller's app (only the baseline measurements stay live).
+    // The independent (combination, input) runs land in disjoint slots
+    // of a grid, whichever worker runs them.
+    std::vector<RunMeasurement> grid(total_runs);
+    engine.run(total_runs, [&](std::size_t task, std::size_t w) {
+        const std::size_t c = task / inputs.size();
+        const std::size_t i = task % inputs.size();
+        if (c == baseline)
+            return; // Reuses the baseline pass below.
+        grid[task] = runFixed(appOf(w), inputs[i], c, options.machine);
+    });
+
+    // Merge serially in combination-then-input order, so the result is
+    // bit-identical at any thread count.
+    CalibrationData data;
+    data.speedups.resize(space.combinations());
+    data.qos_losses.resize(space.combinations());
+    std::vector<OperatingPoint> points;
+    points.reserve(space.combinations());
+    for (std::size_t c = 0; c < space.combinations(); ++c) {
+        double speedup_sum = 0.0;
+        double qos_sum = 0.0;
         for (std::size_t i = 0; i < inputs.size(); ++i) {
-            base[i] = runFixed(app, inputs[i], baseline,
-                               options.machine);
-            checkBase(base[i]);
+            const RunMeasurement &m =
+                c == baseline ? base[i] : grid[c * inputs.size() + i];
+            const double speedup = base[i].seconds / m.seconds;
+            const double qos = qos::distortion(base[i].output, m.output);
+            data.speedups[c].push_back(speedup);
+            data.qos_losses[c].push_back(qos);
+            speedup_sum += speedup;
+            qos_sum += qos;
         }
-        for (std::size_t c = 0; c < space.combinations(); ++c) {
-            double speedup_sum = 0.0;
-            double qos_sum = 0.0;
-            for (std::size_t i = 0; i < inputs.size(); ++i) {
-                if (c == baseline) {
-                    // Reuse the baseline pass (identical run).
-                    accumulate(c, base[i], base[i], speedup_sum,
-                               qos_sum);
-                } else {
-                    const RunMeasurement m = runFixed(
-                        app, inputs[i], c, options.machine);
-                    accumulate(c, base[i], m, speedup_sum, qos_sum);
-                }
-            }
-            const double n = static_cast<double>(inputs.size());
-            points.push_back({c, speedup_sum / n, qos_sum / n});
-        }
-    } else {
-        // Parallel: fan the independent runs out over workers that
-        // each own a private clone of the app (the original app is
-        // not touched until the runs are in), writing into disjoint
-        // slots of a (combination x input) grid, then merge the grid
-        // serially in the exact order of the serial path above.
-        const auto clones = engine.workerClones(app);
-        engine.run(
-            inputs.size(), [&](std::size_t i, std::size_t w) {
-                base[i] = runFixed(*clones[w], inputs[i], baseline,
-                                   options.machine);
-            });
-        for (const RunMeasurement &m : base)
-            checkBase(m);
-        std::vector<RunMeasurement> grid(total_runs);
-        engine.run(
-            total_runs, [&](std::size_t task, std::size_t w) {
-                const std::size_t c = task / inputs.size();
-                const std::size_t i = task % inputs.size();
-                if (c == baseline)
-                    return; // Reuses the baseline pass below.
-                grid[task] = runFixed(*clones[w], inputs[i], c,
-                                      options.machine);
-            });
-        for (std::size_t c = 0; c < space.combinations(); ++c) {
-            double speedup_sum = 0.0;
-            double qos_sum = 0.0;
-            for (std::size_t i = 0; i < inputs.size(); ++i) {
-                const RunMeasurement &m =
-                    c == baseline ? base[i]
-                                  : grid[c * inputs.size() + i];
-                accumulate(c, base[i], m, speedup_sum, qos_sum);
-            }
-            const double n = static_cast<double>(inputs.size());
-            points.push_back({c, speedup_sum / n, qos_sum / n});
-        }
+        const double n = static_cast<double>(inputs.size());
+        points.push_back({c, speedup_sum / n, qos_sum / n});
     }
 
     // Mean baseline time and heart rate (units/second) over the

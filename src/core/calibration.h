@@ -49,11 +49,11 @@ struct CalibrationOptions
     double qos_cap = -1.0;
     /**
      * Worker threads for the calibration sweep: 1 (the default) runs
-     * the sweep serially on the caller's app; 0 uses
+     * the sweep on the caller's thread and app; 0 uses
      * std::thread::hardware_concurrency(); N > 1 fans the independent
-     * (combination, input) runs out over N workers, each owning a
-     * private App::clone(). The result is bit-identical to the serial
-     * path regardless of the thread count.
+     * (combination, input) runs out over N workers: the caller on its
+     * app and N - 1 helpers, each owning a private App::clone(). The
+     * result is bit-identical regardless of the thread count.
      */
     std::size_t threads = 1;
 };

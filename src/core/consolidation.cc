@@ -52,7 +52,7 @@ replayConsolidation(const App &app, const KnobTable &table,
         return {};
 
     // Every case runs on a private clone with a rebound knob table —
-    // identical work on the serial and pooled paths, so outcomes are
+    // identical work whichever worker runs it, so outcomes are
     // bit-identical at any thread count. The engine creates the
     // clones serially and merges outcomes in case order.
     FanoutEngine engine(options.threads, cases.size());

@@ -10,8 +10,7 @@
  * core::FanoutEngine exactly like the calibration sweep: each
  * worker task gets a private App::clone() with a rebound knob table
  * and its own simulated machine, and results merge in fixed case
- * order — the output is bit-identical to the serial path at any
- * thread count.
+ * order — the output is bit-identical at any thread count.
  */
 #ifndef POWERDIAL_CORE_CONSOLIDATION_H
 #define POWERDIAL_CORE_CONSOLIDATION_H

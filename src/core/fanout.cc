@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <stdexcept>
 #include <thread>
+#include <utility>
 
 namespace powerdial::core {
 
@@ -40,19 +41,96 @@ FanoutEngine::FanoutEngine(std::size_t threads, std::size_t max_tasks)
     std::size_t resolved = resolveThreads(threads);
     if (max_tasks != 0)
         resolved = std::min(resolved, max_tasks);
-    if (resolved > 1)
-        pool_.emplace(resolved);
+    helpers_.reserve(resolved - 1);
+    try {
+        for (std::size_t w = 1; w < resolved; ++w)
+            helpers_.emplace_back([this, w] { helperLoop(w); });
+    } catch (...) {
+        // Thread creation failed partway (e.g. rlimit): join the
+        // helpers already started before rethrowing, or their
+        // destructors would call std::terminate.
+        stopHelpers();
+        throw;
+    }
+}
+
+FanoutEngine::~FanoutEngine() { stopHelpers(); }
+
+void
+FanoutEngine::stopHelpers()
+{
+    {
+        std::lock_guard<std::mutex> lock(mutex_);
+        stop_ = true;
+    }
+    work_cv_.notify_all();
+    for (auto &helper : helpers_)
+        helper.join();
 }
 
 void
-FanoutEngine::run(std::size_t tasks, const ThreadPool::Task &fn)
+FanoutEngine::run(std::size_t tasks, const Task &fn)
 {
-    if (serial() || tasks <= 1) {
+    if (helpers_.empty() || tasks <= 1) {
         for (std::size_t task = 0; task < tasks; ++task)
             fn(task, 0);
         return;
     }
-    pool_->parallelFor(tasks, fn);
+    std::unique_lock<std::mutex> lock(mutex_);
+    job_ = &fn;
+    tasks_ = tasks;
+    next_ = 0;
+    error_ = nullptr;
+    ++generation_;
+    work_cv_.notify_all();
+    claimTasks(lock, fn, 0);
+    // Helpers that never joined the job cannot join it once job_ is
+    // cleared, so only those still inside it are waited for.
+    done_cv_.wait(lock, [this] { return busy_ == 0; });
+    job_ = nullptr;
+    if (error_)
+        std::rethrow_exception(std::exchange(error_, nullptr));
+}
+
+void
+FanoutEngine::claimTasks(std::unique_lock<std::mutex> &lock,
+                         const Task &fn, std::size_t worker)
+{
+    // After a failure the unclaimed tasks stay unrun.
+    while (next_ < tasks_ && !error_) {
+        const std::size_t task = next_++;
+        lock.unlock();
+        std::exception_ptr error;
+        try {
+            fn(task, worker);
+        } catch (...) {
+            error = std::current_exception();
+        }
+        lock.lock();
+        if (error && !error_)
+            error_ = error;
+    }
+}
+
+void
+FanoutEngine::helperLoop(std::size_t worker)
+{
+    std::unique_lock<std::mutex> lock(mutex_);
+    std::uint64_t seen = 0;
+    for (;;) {
+        work_cv_.wait(lock, [this, seen] {
+            return stop_ || generation_ != seen;
+        });
+        if (stop_)
+            return;
+        seen = generation_;
+        if (job_ == nullptr)
+            continue; // The job closed before this helper woke.
+        ++busy_;
+        claimTasks(lock, *job_, worker);
+        if (--busy_ == 0)
+            done_cv_.notify_one();
+    }
 }
 
 std::vector<std::unique_ptr<App>>

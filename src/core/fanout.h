@@ -3,22 +3,23 @@
  * The deterministic clone fan-out engine.
  *
  * Every parallel section in this repository follows one convention so
- * that pooled output is bit-identical to serial output at any thread
- * count:
+ * that its output is bit-identical at any thread count:
  *
  *   1. clones are created *serially* (App::clone() of a shared
  *      instance is not required to be thread-safe), each with a
  *      rebindKnobTable()-copied knob table when a session will run
  *      on it;
- *   2. dispatch is `threads == 1 ? serial loop :
- *      ThreadPool(min(threads, tasks))`, with threads == 0 meaning
- *      all hardware contexts;
+ *   2. an engine resolved to N workers runs N - 1 helper threads and
+ *      the caller as worker 0, all claiming tasks from one counter;
+ *      a job no one else can claim (N == 1, or a single task) runs
+ *      ascending on the caller without waking a helper. threads == 0
+ *      means all hardware contexts;
  *   3. results land in pre-sized slots indexed by task and are merged
  *      in fixed task order, never in completion order;
- *   4. a task that throws drains the in-flight tasks and rethrows the
- *      first exception (core::ThreadPool's semantics), so the engine
- *      never hangs and the caller sees the same exception serially
- *      and pooled.
+ *   4. a task that throws leaves the unclaimed tasks unrun; run()
+ *      waits for the helpers still inside the job and rethrows the
+ *      first exception on the caller, so the engine never hangs and
+ *      the caller sees the same exception at any thread count.
  *
  * The FanoutEngine holds that convention in one place. Calibration,
  * consolidation replays, the fleet server's tenant slices, and the
@@ -28,15 +29,19 @@
 #ifndef POWERDIAL_CORE_FANOUT_H
 #define POWERDIAL_CORE_FANOUT_H
 
+#include <condition_variable>
 #include <cstddef>
+#include <cstdint>
+#include <exception>
+#include <functional>
 #include <memory>
-#include <optional>
+#include <mutex>
+#include <thread>
 #include <type_traits>
 #include <vector>
 
 #include "core/app.h"
 #include "core/knob.h"
-#include "core/thread_pool.h"
 
 namespace powerdial::core {
 
@@ -49,20 +54,27 @@ namespace powerdial::core {
 KnobTable rebindKnobTable(const KnobTable &source, App &app);
 
 /**
- * One fan-out domain: resolves a thread-count option once, owns the
- * pool (if any) for its whole lifetime, and dispatches any number of
- * indexed jobs over it. Reusing one engine across jobs (calibration's
- * baseline pass then sweep; the fleet server's per-epoch slices)
- * amortises worker start-up without changing output: results never
- * depend on which worker ran which task.
+ * One fan-out domain: resolves a thread-count option once, owns its
+ * helper threads for its whole lifetime, and dispatches any number of
+ * indexed jobs over them and the caller. Reusing one engine across
+ * jobs (calibration's baseline pass then sweep; the fleet server's
+ * per-epoch slices) amortises thread start-up without changing
+ * output: results never depend on which worker ran which task.
+ * Workers are identified by a stable index in [0, workers()), worker
+ * 0 being the thread that calls run(), so callers can keep
+ * per-worker private state without locking. One thread calls run()
+ * at a time, and a task must not call run() on its own engine.
  */
 class FanoutEngine
 {
   public:
+    /** fn(task, worker): one task of the current job on one worker. */
+    using Task = std::function<void(std::size_t task, std::size_t worker)>;
+
     /**
-     * @param threads   1 = serial (no pool, the default convention),
-     *                  0 = all hardware contexts, N > 1 = exactly N
-     *                  workers.
+     * @param threads   1 = the caller alone (no helper threads, the
+     *                  default convention), 0 = all hardware
+     *                  contexts, N > 1 = exactly N workers.
      * @param max_tasks Largest job this engine will dispatch; a
      *                  nonzero value caps the worker count (no point
      *                  in more workers — each typically owning a full
@@ -70,24 +82,26 @@ class FanoutEngine
      *                  0 = unknown, don't cap.
      */
     explicit FanoutEngine(std::size_t threads, std::size_t max_tasks = 0);
+    ~FanoutEngine();
 
-    /** True when dispatch runs on the caller's thread (no pool). */
-    bool serial() const { return !pool_.has_value(); }
+    FanoutEngine(const FanoutEngine &) = delete;
+    FanoutEngine &operator=(const FanoutEngine &) = delete;
 
-    /** Worker count: 1 when serial, the pool size otherwise. */
-    std::size_t workers() const
-    {
-        return pool_.has_value() ? pool_->size() : 1;
-    }
+    /** Worker count: the caller plus the helper threads. */
+    std::size_t workers() const { return helpers_.size() + 1; }
 
     /**
-     * Run fn(task, worker) for every task in [0, tasks). Serial (or
-     * single-task) jobs run ascending on the caller's thread with
-     * worker == 0; pooled jobs distribute over the workers in claim
-     * order. Either way the caller merges results by task index, so
-     * output is identical.
+     * Run fn(task, worker) for every task in [0, tasks) and return
+     * once every claimed task has finished. A job no one else can
+     * claim (no helpers, or one task) runs ascending on the caller's
+     * thread with worker == 0; otherwise the caller and the helpers
+     * claim tasks in turn. Either way the caller merges results by
+     * task index, so output is identical. If a task throws, the
+     * unclaimed tasks are left unrun and the first exception is
+     * rethrown here once the helpers still inside the job leave it;
+     * the engine stays usable for the next job.
      */
-    void run(std::size_t tasks, const ThreadPool::Task &fn);
+    void run(std::size_t tasks, const Task &fn);
 
     /**
      * Fan-out-and-merge convenience: returns {fn(0), ..., fn(tasks-1)}
@@ -105,8 +119,8 @@ class FanoutEngine
         using Result = decltype(fn(std::size_t{}, std::size_t{}));
         static_assert(!std::is_same_v<Result, bool>,
                       "FanoutEngine::map: bool results would land in "
-                      "a bit-packed std::vector<bool>, racing under "
-                      "the pooled path");
+                      "a bit-packed std::vector<bool>, racing when "
+                      "workers write neighbouring slots");
         std::vector<Result> results(tasks);
         run(tasks, [&](std::size_t task, std::size_t worker) {
             results[task] = fn(task, worker);
@@ -116,18 +130,10 @@ class FanoutEngine
 
     /**
      * Serially create @p count private clones of @p app — one per
-     * task, or one per worker (pass workers()) when tasks share
-     * per-worker state.
+     * task, or one per worker when tasks share per-worker state.
      */
     static std::vector<std::unique_ptr<App>> cloneApps(const App &app,
                                                        std::size_t count);
-
-    /** One private clone per pool worker (a single clone when serial). */
-    std::vector<std::unique_ptr<App>>
-    workerClones(const App &app) const
-    {
-        return cloneApps(app, workers());
-    }
 
     /** Clones paired with rebound knob tables, indexed together. */
     struct BoundClones
@@ -147,7 +153,29 @@ class FanoutEngine
                                   std::size_t count);
 
   private:
-    std::optional<ThreadPool> pool_;
+    void helperLoop(std::size_t worker);
+    /**
+     * Claim and run tasks of the current job until none is left or one
+     * has failed. Called and returns with @p lock held on mutex_; it
+     * is released while a task runs.
+     */
+    void claimTasks(std::unique_lock<std::mutex> &lock, const Task &fn,
+                    std::size_t worker);
+    /** Stop and join the helpers (destructor and failed start-up). */
+    void stopHelpers();
+
+    std::mutex mutex_;
+    std::condition_variable work_cv_; //!< Signals a new job (or stop).
+    std::condition_variable done_cv_; //!< Signals the last helper left.
+    // The current job, guarded by mutex_.
+    const Task *job_ = nullptr;
+    std::size_t tasks_ = 0;
+    std::size_t next_ = 0;         //!< Next unclaimed task.
+    std::size_t busy_ = 0;         //!< Helpers inside the job.
+    std::exception_ptr error_;     //!< First exception of the job.
+    std::uint64_t generation_ = 0; //!< Bumped per job to wake helpers.
+    bool stop_ = false;
+    std::vector<std::thread> helpers_; //!< Workers 1 .. workers() - 1.
 };
 
 } // namespace powerdial::core

@@ -7,8 +7,8 @@
  * heartbeat, and run end. The pre-Session runtime baked a BeatTrace
  * vector into every run; that collection is now one observer
  * (BeatTraceRecorder) among many, and a run with no observers pays no
- * per-beat recording cost at all. A streaming CSV exporter
- * (core::CsvTraceObserver in trace_export.h) is another.
+ * per-beat recording cost at all. core::writeBeatsCsv (trace_export.h)
+ * renders a recorder's beats as the Figure 7 CSV.
  *
  * Delivery contract: observers are notified in registration order for
  * every event. An exception thrown by an observer aborts the run and

@@ -771,12 +771,17 @@ Server::serve(const std::vector<std::vector<workload::OfferedJob>> &offers)
 {
     const std::size_t inputs = app_->inputCount();
     for (const auto &step : offers)
-        for (const workload::OfferedJob &job : step)
+        for (const workload::OfferedJob &job : step) {
             if (job.tenant != kRoundRobinTenant && job.tenant >= inputs)
                 throw std::invalid_argument(
                     "Server: offered tenant " +
                     std::to_string(job.tenant) +
                     " is not an input of the app");
+            if (const char *why =
+                    workload::badJobTerms(job.job_class, job.deadline_s))
+                throw std::invalid_argument(
+                    std::string("Server: offered job's ") + why);
+        }
     return EventServe(*app_, *table_, *model_, options_, offers).run();
 }
 

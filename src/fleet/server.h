@@ -329,7 +329,8 @@ class Server
      * admission policy sees each job's deadline class, and the report
      * carries per-class percentiles and shed counts. Throws
      * std::invalid_argument, before admitting any job, when an offer's
-     * tenant is neither kRoundRobinTenant nor an input of the app.
+     * tenant is neither kRoundRobinTenant nor an input of the app, or
+     * when workload::badJobTerms rejects its class or deadline.
      */
     FleetReport
     serve(const std::vector<std::vector<workload::OfferedJob>> &offers);

@@ -36,7 +36,6 @@
 #include "core/response_model.h"
 #include "core/run_observer.h"
 #include "core/session.h"
-#include "core/thread_pool.h"
 #include "core/trace_export.h"
 
 // Fleet serving: many controlled sessions as tenants of a cluster.

@@ -1,8 +1,22 @@
 #include "workload/traffic_mix.h"
 
 #include <algorithm>
+#include <cmath>
+#include <cstdint>
+#include <stdexcept>
+#include <string>
 
 namespace powerdial::workload {
+
+const char *
+badJobTerms(std::size_t job_class, double deadline_s)
+{
+    if (!std::isfinite(deadline_s) || deadline_s < 0.0)
+        return "deadline must be finite and non-negative";
+    if (job_class == SIZE_MAX)
+        return "job class must be below SIZE_MAX";
+    return nullptr;
+}
 
 double
 trafficLevelAt(const TrafficMixParams &params, std::size_t t)
@@ -18,6 +32,11 @@ TrafficMix
 makeTrafficMix(const TrafficMixParams &params,
                const std::vector<TenantProfile> &profiles)
 {
+    for (const TenantProfile &profile : profiles)
+        if (const char *why =
+                badJobTerms(profile.job_class, profile.deadline_s))
+            throw std::invalid_argument(
+                std::string("makeTrafficMix: tenant profile ") + why);
     TrafficMix mix;
     mix.levels.reserve(params.steps);
     mix.offers.reserve(params.steps);

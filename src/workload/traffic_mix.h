@@ -55,6 +55,14 @@ struct OfferedJob
 };
 
 /**
+ * Why a job's priority class and relative deadline cannot be served,
+ * or nullptr when they can: the deadline must be finite and
+ * non-negative (0 = none), and the class below SIZE_MAX (per-class
+ * tallies are sized class + 1).
+ */
+const char *badJobTerms(std::size_t job_class, double deadline_s);
+
+/**
  * One tenant of the mix, listed in popularity order: profile 0 is the
  * most popular (Zipf rank 0). Jobs minted from a profile carry its
  * class and deadline.
@@ -126,6 +134,7 @@ double trafficLevelAt(const TrafficMixParams &params, std::size_t t);
  * regenerated independently of the horizon.
  *
  * @param profiles Tenant profiles in popularity order (size >= 1).
+ * @throws std::invalid_argument for a profile badJobTerms rejects.
  */
 TrafficMix makeTrafficMix(const TrafficMixParams &params,
                           const std::vector<TenantProfile> &profiles);

@@ -1,6 +1,8 @@
 /** @file Tests for the search-engine benchmark. */
 #include <gtest/gtest.h>
 
+#include <map>
+
 #include "apps/searchx/searchx_app.h"
 #include "core/calibration.h"
 
@@ -37,6 +39,49 @@ TEST(Index, TermFrequencyRecorded)
     ASSERT_EQ(postings.size(), 1u);
     EXPECT_EQ(postings[0].doc, 0u);
     EXPECT_EQ(postings[0].tf, 3u);
+}
+
+TEST(Index, PostingsMatchBruteForceCount)
+{
+    // Every row's postings must equal a per-(word, document) count
+    // done here, in document order: a seeded corpus, the same corpus
+    // listed backwards, and documents that repeat an id.
+    workload::CorpusParams cp;
+    cp.documents = 150;
+    cp.vocabulary = 600;
+    cp.words_per_doc = 80;
+    cp.seed = 0x1D3A;
+    const auto seeded = workload::Corpus(cp).documents();
+    struct Row
+    {
+        const char *name;
+        std::vector<workload::Document> docs;
+    };
+    const Row rows[] = {
+        {"tiny", tinyCorpus()},
+        {"seeded", seeded},
+        {"seeded, reversed", {seeded.rbegin(), seeded.rend()}},
+        {"repeated id", {{0, {4, 5, 4}}, {1, {5}}, {0, {4, 6}}}},
+    };
+    for (const Row &row : rows) {
+        SCOPED_TRACE(row.name);
+        std::map<workload::WordId, std::map<qos::DocId, std::uint32_t>>
+            counts;
+        for (const auto &doc : row.docs)
+            for (const auto word : doc.words)
+                ++counts[word][doc.id];
+        const InvertedIndex index(row.docs);
+        for (const auto &[word, by_doc] : counts) {
+            const auto &postings = index.postings(word);
+            ASSERT_EQ(postings.size(), by_doc.size()) << "word " << word;
+            std::size_t k = 0;
+            for (const auto &[doc, tf] : by_doc) {
+                EXPECT_EQ(postings[k].doc, doc) << "word " << word;
+                EXPECT_EQ(postings[k].tf, tf) << "word " << word;
+                ++k;
+            }
+        }
+    }
 }
 
 TEST(Index, RareTermsOutrankCommonOnes)

@@ -81,79 +81,45 @@ TEST(PolicyAdvisor, Validation)
                  std::invalid_argument);
 }
 
-/** A sample controlled run with both batch and streaming exports. */
-struct Sample
-{
-    core::ControlledRun run;
-    std::vector<core::BeatTrace> beats;
-    std::string streamed_csv;
-};
-
-Sample
-sampleRun(std::size_t decimate = 1)
+/** The recorded beats of a sample controlled run. */
+std::vector<core::BeatTrace>
+sampleBeats()
 {
     tests::ToyApp app;
     auto ident = core::identifyKnobs(app);
     const auto cal = core::calibrate(app, app.trainingInputs());
     core::Session session(app, ident.table, cal.model);
     auto &recorder = session.attach<core::BeatTraceRecorder>();
-    std::ostringstream stream;
-    auto &csv = session.attach<core::CsvTraceObserver>(stream, decimate);
-    (void)csv;
     sim::Machine machine;
-    Sample out;
-    out.run = session.run(0, machine);
-    out.beats = recorder.beats();
-    out.streamed_csv = stream.str();
-    return out;
+    session.run(0, machine);
+    return recorder.beats();
 }
 
 TEST(TraceExport, BeatsCsvHasHeaderAndRows)
 {
-    const auto sample = sampleRun();
+    const auto beats = sampleBeats();
     std::ostringstream os;
-    core::writeBeatsCsv(os, sample.beats);
+    core::writeBeatsCsv(os, beats);
     const std::string csv = os.str();
     EXPECT_NE(csv.find("beat,time_s,window_rate"), std::string::npos);
     // Header + one line per beat.
     const auto lines =
         static_cast<std::size_t>(std::count(csv.begin(), csv.end(),
                                             '\n'));
-    EXPECT_EQ(lines, sample.beats.size() + 1);
-}
-
-TEST(TraceExport, StreamingObserverMatchesBatchExport)
-{
-    // The CsvTraceObserver streamed during the run must produce the
-    // same bytes as the batch export of the recorded series.
-    const auto sample = sampleRun();
-    std::ostringstream batch;
-    core::writeBeatsCsv(batch, sample.beats);
-    EXPECT_EQ(sample.streamed_csv, batch.str());
-}
-
-TEST(TraceExport, StreamingObserverDecimates)
-{
-    const auto sample = sampleRun(10);
-    std::ostringstream batch;
-    core::writeBeatsCsv(batch, sample.beats, 10);
-    EXPECT_EQ(sample.streamed_csv, batch.str());
+    EXPECT_EQ(lines, beats.size() + 1);
 }
 
 TEST(TraceExport, DecimationKeepsEveryNth)
 {
-    const auto sample = sampleRun();
+    const auto beats = sampleBeats();
     std::ostringstream os;
-    core::writeBeatsCsv(os, sample.beats, 10);
+    core::writeBeatsCsv(os, beats, 10);
     const std::string csv = os.str();
     const auto lines =
         static_cast<std::size_t>(std::count(csv.begin(), csv.end(),
                                             '\n'));
-    EXPECT_EQ(lines, (sample.beats.size() + 9) / 10 + 1);
-    EXPECT_THROW(core::writeBeatsCsv(os, sample.beats, 0),
-                 std::invalid_argument);
-    std::ostringstream sink;
-    EXPECT_THROW(core::CsvTraceObserver(sink, 0),
+    EXPECT_EQ(lines, (beats.size() + 9) / 10 + 1);
+    EXPECT_THROW(core::writeBeatsCsv(os, beats, 0),
                  std::invalid_argument);
 }
 

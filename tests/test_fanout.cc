@@ -2,7 +2,12 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
+#include <condition_variable>
+#include <mutex>
+#include <set>
 #include <stdexcept>
+#include <thread>
 #include <vector>
 
 #include "core/fanout.h"
@@ -21,7 +26,6 @@ using tests::ToyApp;
 TEST(FanoutEngine, SerialModeRunsAscendingOnWorkerZero)
 {
     FanoutEngine engine(1);
-    EXPECT_TRUE(engine.serial());
     EXPECT_EQ(engine.workers(), 1u);
     std::vector<std::size_t> order;
     engine.run(5, [&](std::size_t task, std::size_t worker) {
@@ -65,17 +69,15 @@ TEST(FanoutEngine, ThreadsCappedByMaxTasks)
     // No point in more workers (each typically owning a full app
     // clone) than there are tasks to claim.
     FanoutEngine engine(8, 3);
-    EXPECT_FALSE(engine.serial());
     EXPECT_EQ(engine.workers(), 3u);
 
     FanoutEngine one(8, 1);
-    EXPECT_TRUE(one.serial());
     EXPECT_EQ(one.workers(), 1u);
 }
 
 TEST(FanoutEngine, MoreWorkersThanTasksInOneJobStillCompletes)
 {
-    // A pooled engine dispatching fewer tasks than workers must not
+    // An engine dispatching fewer tasks than it has workers must not
     // hang or drop tasks (calibration's baseline pass is smaller than
     // its sweep, on the same engine).
     FanoutEngine engine(4);
@@ -91,6 +93,62 @@ TEST(FanoutEngine, MoreWorkersThanTasksInOneJobStillCompletes)
     EXPECT_EQ(ran.load(), 3u);
     engine.run(0, [&](std::size_t, std::size_t) { ++ran; });
     EXPECT_EQ(ran.load(), 3u);
+}
+
+TEST(FanoutEngine, RunsEveryTaskExactlyOnce)
+{
+    FanoutEngine engine(4);
+    EXPECT_EQ(engine.workers(), 4u);
+    std::vector<int> hits(100, 0);
+    engine.run(hits.size(), [&](std::size_t task, std::size_t worker) {
+        ASSERT_LT(worker, engine.workers());
+        ++hits[task];
+    });
+    for (const int h : hits)
+        EXPECT_EQ(h, 1);
+}
+
+TEST(FanoutEngine, CallerIsWorkerZeroAndWorkersRunTogether)
+{
+    // Four tasks that each wait for all four to arrive can only finish
+    // if four workers run at once; the engine's caller must be one of
+    // them, as worker 0, beside three helper threads.
+    constexpr std::size_t kWorkers = 4;
+    FanoutEngine engine(kWorkers);
+    struct Ran
+    {
+        std::size_t worker = kWorkers;
+        std::thread::id thread;
+        bool met = false; //!< All four arrived before the timeout.
+    };
+    std::vector<Ran> ran(kWorkers);
+    std::mutex mutex;
+    std::condition_variable all_arrived;
+    std::size_t arrived = 0;
+    engine.run(kWorkers, [&](std::size_t task, std::size_t worker) {
+        ran[task].worker = worker;
+        ran[task].thread = std::this_thread::get_id();
+        std::unique_lock<std::mutex> lock(mutex);
+        ++arrived;
+        all_arrived.notify_all();
+        // A timeout fails the test instead of hanging it.
+        ran[task].met = all_arrived.wait_for(
+            lock, std::chrono::seconds(30),
+            [&] { return arrived == kWorkers; });
+    });
+
+    std::set<std::size_t> workers;
+    std::set<std::thread::id> threads;
+    for (const Ran &r : ran) {
+        EXPECT_TRUE(r.met);
+        workers.insert(r.worker);
+        threads.insert(r.thread);
+        if (r.worker == 0) {
+            EXPECT_EQ(r.thread, std::this_thread::get_id());
+        }
+    }
+    EXPECT_EQ(workers, (std::set<std::size_t>{0, 1, 2, 3}));
+    EXPECT_EQ(threads.size(), kWorkers);
 }
 
 TEST(FanoutEngine, ZeroThreadsResolvesToHardwareConcurrency)
@@ -148,15 +206,6 @@ TEST(FanoutEngine, CloneBoundRebindsTablesOntoPrivateClones)
     EXPECT_EQ(moved->k(), app.knobSpace().valuesOf(3)[0]);
     EXPECT_EQ(still->k(), original_k);
     EXPECT_EQ(app.k(), original_k);
-}
-
-TEST(FanoutEngine, WorkerClonesMatchesWorkerCount)
-{
-    ToyApp app;
-    FanoutEngine pooled(3);
-    EXPECT_EQ(pooled.workerClones(app).size(), 3u);
-    FanoutEngine serial(1);
-    EXPECT_EQ(serial.workerClones(app).size(), 1u);
 }
 
 } // namespace

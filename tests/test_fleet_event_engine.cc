@@ -21,6 +21,7 @@
 #include <limits>
 #include <memory>
 #include <numeric>
+#include <optional>
 #include <sstream>
 #include <stdexcept>
 #include <string>
@@ -345,33 +346,41 @@ TEST(EventEngine, ValidatesEngineOptions)
 TEST(EventEngine, RejectsBadFleetConfigurationBeforeServing)
 {
     // Each row names one input a serve cannot run. The first four
-    // must fail the constructor; the last, an offer, must fail
-    // serve() before any job is admitted, so no arbitration round
-    // runs even though a good offer comes first.
+    // must fail the constructor; the rest, offers, must fail serve()
+    // before any job is admitted, so no arbitration round runs even
+    // though a good offer comes first.
     auto p = makePipeline();
     const double nan = std::numeric_limits<double>::quiet_NaN();
+    const double inf = std::numeric_limits<double>::infinity();
     const std::size_t not_an_input = p.app.inputCount();
     struct Row
     {
         std::string name;
         std::function<void(ServerOptions &)> set;
-        std::size_t offered_tenant;
+        std::optional<workload::OfferedJob> offered; //!< The bad offer.
     };
+    const auto keep = [](ServerOptions &) {};
     const std::vector<Row> rows = {
         {"tenant entry that is not an app input",
          [&](ServerOptions &o) { o.tenants = {0, not_an_input}; },
-         kRoundRobinTenant},
+         std::nullopt},
         {"arbiter cap PowerArbiter rejects",
          [&](ServerOptions &o) { o.arbiter.cluster_cap_watts = nan; },
-         kRoundRobinTenant},
+         std::nullopt},
         {"arbiter feedback gain PowerArbiter rejects",
          [](ServerOptions &o) { o.arbiter.feedback_gain = 1.5; },
-         kRoundRobinTenant},
+         std::nullopt},
         {"machine config sim::Machine rejects",
-         [](ServerOptions &o) { o.machine.cores = 0; },
-         kRoundRobinTenant},
-        {"offered tenant that is not an app input",
-         [](ServerOptions &) {}, not_an_input},
+         [](ServerOptions &o) { o.machine.cores = 0; }, std::nullopt},
+        {"offered tenant that is not an app input", keep,
+         workload::OfferedJob{not_an_input, 0, 0.0}},
+        {"offered class SIZE_MAX", keep,
+         workload::OfferedJob{0, SIZE_MAX, 0.0}},
+        {"offered NaN deadline", keep, workload::OfferedJob{0, 0, nan}},
+        {"offered negative deadline", keep,
+         workload::OfferedJob{0, 0, -1.0}},
+        {"offered infinite deadline", keep,
+         workload::OfferedJob{0, 0, inf}},
     };
     for (const EngineMode engine : {EngineMode::Epoch, EngineMode::Event}) {
         for (const Row &row : rows) {
@@ -384,13 +393,13 @@ TEST(EventEngine, RejectsBadFleetConfigurationBeforeServing)
             options.arbitration_probe =
                 [&rounds](const ArbitrationSample &) { ++rounds; };
             row.set(options);
-            if (row.offered_tenant == kRoundRobinTenant) {
+            if (!row.offered.has_value()) {
                 expectRejected(p, options);
                 continue;
             }
             Server server(p.app, p.table, p.model, options);
             const std::vector<std::vector<workload::OfferedJob>> offers =
-                {{{0, 0, 0.0}}, {{row.offered_tenant, 0, 0.0}}};
+                {{{0, 0, 0.0}}, {*row.offered}};
             try {
                 server.serve(offers);
                 ADD_FAILURE() << "serve accepted an invalid offer";

@@ -1,15 +1,17 @@
 /**
  * @file
- * Parallel calibration determinism: calibrate(threads = N) must be
- * bit-identical to calibrate(threads = 1) for every application,
- * because the parallel path only reorders *when* the independent
- * (combination, input) runs execute — each run is deterministic and
- * the merge is fixed serial arithmetic in combination-then-input
- * order.
+ * Calibration determinism across thread counts: calibrate(threads = N)
+ * must be bit-identical to calibrate(threads = 1) for every
+ * application. There is one sweep; the thread count only decides how
+ * many workers (the caller on its own app, the rest on private clones)
+ * claim the independent (combination, input) runs, each run is
+ * deterministic, and the merge is fixed serial arithmetic in
+ * combination-then-input order.
  *
  * The thread count under test comes from POWERDIAL_TEST_THREADS
- * (default 4); CI runs the suite with both =1 and =4 so the serial
- * and parallel code paths are each exercised as the "N" side.
+ * (default 4); CI runs the suite with both =1 and =4, so =1 exercises
+ * the unfanned dispatch (every job runs on the caller) and =4 the
+ * fanned one.
  */
 #include <cstdlib>
 #include <stdexcept>
@@ -21,7 +23,6 @@
 #include "apps/swaptions/swaptions_app.h"
 #include "apps/videnc/videnc_app.h"
 #include "core/calibration.h"
-#include "core/thread_pool.h"
 #include "sample_apps.h"
 #include "toy_app.h"
 
@@ -229,7 +230,7 @@ TEST(ParallelCalibrationEdge, ExceptionPropagatesAndPoolDrains)
     options.threads = testThreads();
     EXPECT_THROW(core::calibrate(app, app.trainingInputs(), options),
                  std::runtime_error);
-    // Serial path surfaces the same failure.
+    // The unfanned dispatch surfaces the same failure.
     options.threads = 1;
     EXPECT_THROW(core::calibrate(app, app.trainingInputs(), options),
                  std::runtime_error);
@@ -244,46 +245,6 @@ TEST(ParallelCalibrationEdge, BaselineFailurePropagates)
     options.threads = testThreads();
     EXPECT_THROW(core::calibrate(app, app.trainingInputs(), options),
                  std::runtime_error);
-}
-
-TEST(ThreadPoolUnit, RunsEveryTaskExactlyOnce)
-{
-    core::ThreadPool pool(4);
-    EXPECT_EQ(pool.size(), 4u);
-    std::vector<int> hits(100, 0);
-    pool.parallelFor(hits.size(), [&](std::size_t t, std::size_t w) {
-        ASSERT_LT(w, pool.size());
-        ++hits[t];
-    });
-    for (const int h : hits)
-        EXPECT_EQ(h, 1);
-}
-
-TEST(ThreadPoolUnit, ReusableAcrossJobsAndAfterFailure)
-{
-    core::ThreadPool pool(3);
-    EXPECT_THROW(
-        pool.parallelFor(50,
-                         [](std::size_t t, std::size_t) {
-                             if (t == 7)
-                                 throw std::logic_error("boom");
-                         }),
-        std::logic_error);
-    // The pool survives the failed job and runs the next one fully.
-    std::vector<int> hits(20, 0);
-    pool.parallelFor(hits.size(), [&](std::size_t t, std::size_t) {
-        ++hits[t];
-    });
-    for (const int h : hits)
-        EXPECT_EQ(h, 1);
-}
-
-TEST(ThreadPoolUnit, ZeroTasksIsANoOp)
-{
-    core::ThreadPool pool(2);
-    bool ran = false;
-    pool.parallelFor(0, [&](std::size_t, std::size_t) { ran = true; });
-    EXPECT_FALSE(ran);
 }
 
 } // namespace

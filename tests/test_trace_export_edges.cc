@@ -1,13 +1,14 @@
 /**
  * @file
- * Edge cases of the CSV beat-trace exporters (core/trace_export.h):
- * decimation strides past the beat count, empty series, and streamed
- * vs batch equivalence while a DVFS governor changes the P-state
- * mid-run (so the decimated rows straddle a pstate column change).
+ * Edge cases of the CSV beat-trace export (core/trace_export.h):
+ * decimation strides past the beat count, empty series, and decimated
+ * rows of a run whose DVFS governor changes the P-state mid-run (so
+ * the kept rows straddle a pstate column change).
  */
 #include <algorithm>
 #include <sstream>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -51,19 +52,12 @@ TEST(TraceExportEdges, EmptySeriesIsHeaderOnly)
     EXPECT_EQ(os.str().rfind("beat,time_s,", 0), 0u);
 }
 
-struct GovernedRun
-{
-    std::vector<BeatTrace> beats;
-    std::string streamed_csv;
-};
-
 /**
- * One controlled run whose machine drops to the deepest P-state
- * mid-run and recovers near the end, recorded and streamed at
- * @p decimate simultaneously.
+ * The recorded beats of one controlled run whose machine drops to the
+ * deepest P-state mid-run and recovers near the end.
  */
-GovernedRun
-governedRun(std::size_t decimate)
+std::vector<BeatTrace>
+governedRun()
 {
     ToyApp::Config config;
     config.units = 60;
@@ -80,53 +74,69 @@ governedRun(std::size_t decimate)
 
     Session session(app, ident.table, cal.model, options);
     auto &recorder = session.attach<BeatTraceRecorder>();
-    std::ostringstream stream;
-    session.attach<CsvTraceObserver>(stream, decimate);
     sim::Machine machine;
     session.run(0, machine);
-    return {recorder.beats(), stream.str()};
+    return recorder.beats();
+}
+
+/** The (beat, pstate) columns of every row of a beats CSV. */
+std::vector<std::pair<std::size_t, std::size_t>>
+beatAndPStateRows(const std::string &csv)
+{
+    std::istringstream lines(csv);
+    std::string line;
+    std::getline(lines, line); // Header.
+    std::vector<std::pair<std::size_t, std::size_t>> rows;
+    while (std::getline(lines, line))
+        rows.emplace_back(std::stoul(line.substr(0, line.find(','))),
+                          std::stoul(line.substr(line.rfind(',') + 1)));
+    return rows;
 }
 
 TEST(TraceExportEdges, MidRunPStateChangeSurvivesDecimation)
 {
-    const auto run = governedRun(7);
+    const auto beats = governedRun();
 
     // The scenario did change P-state mid-run (else this test pins
     // nothing): some beat ran capped, some uncapped.
     std::vector<std::size_t> pstates;
-    for (const auto &beat : run.beats)
+    for (const auto &beat : beats)
         pstates.push_back(beat.pstate);
     EXPECT_GT(*std::max_element(pstates.begin(), pstates.end()), 0u);
     EXPECT_EQ(*std::min_element(pstates.begin(), pstates.end()), 0u);
 
-    // Streamed-at-decimate-7 equals batch-at-decimate-7: the stride
-    // counter does not reset or slip when the pstate column changes
-    // between kept rows.
-    std::ostringstream batch;
-    writeBeatsCsv(batch, run.beats, 7);
-    EXPECT_EQ(run.streamed_csv, batch.str());
-
-    // And the decimated rows still expose the change: both a capped
-    // and an uncapped pstate value appear among the kept rows.
+    // Decimated at 7, the rows are beats 0, 7, 14, ... with their own
+    // pstate: the stride does not reset or slip when the pstate column
+    // changes between kept rows.
+    std::ostringstream os;
+    writeBeatsCsv(os, beats, 7);
+    const auto rows = beatAndPStateRows(os.str());
+    ASSERT_EQ(rows.size(), (beats.size() + 6) / 7);
     bool saw_capped = false;
     bool saw_uncapped = false;
-    for (std::size_t i = 0; i < run.beats.size(); i += 7) {
-        saw_capped = saw_capped || run.beats[i].pstate > 0;
-        saw_uncapped = saw_uncapped || run.beats[i].pstate == 0;
+    for (std::size_t k = 0; k < rows.size(); ++k) {
+        EXPECT_EQ(rows[k].first, 7 * k);
+        EXPECT_EQ(rows[k].second, beats[7 * k].pstate);
+        saw_capped = saw_capped || rows[k].second > 0;
+        saw_uncapped = saw_uncapped || rows[k].second == 0;
     }
+    // And the kept rows still expose the change.
     EXPECT_TRUE(saw_capped);
     EXPECT_TRUE(saw_uncapped);
 }
 
 TEST(TraceExportEdges, DecimateBeyondRunLengthStreamsOneRow)
 {
-    const auto run = governedRun(1000);
-    EXPECT_EQ(run.beats.size(), 60u);
+    const auto beats = governedRun();
+    EXPECT_EQ(beats.size(), 60u);
     // Header plus the single on-grid row (beat 0).
-    EXPECT_EQ(countLines(run.streamed_csv), 2u);
-    std::ostringstream batch;
-    writeBeatsCsv(batch, run.beats, 1000);
-    EXPECT_EQ(run.streamed_csv, batch.str());
+    std::ostringstream os;
+    writeBeatsCsv(os, beats, 1000);
+    EXPECT_EQ(countLines(os.str()), 2u);
+    const auto rows = beatAndPStateRows(os.str());
+    ASSERT_EQ(rows.size(), 1u);
+    EXPECT_EQ(rows[0].first, 0u);
+    EXPECT_EQ(rows[0].second, beats[0].pstate);
 }
 
 } // namespace

@@ -1,6 +1,7 @@
 /** @file Unit tests for the workload generators. */
 #include <algorithm>
 #include <cmath>
+#include <cstdint>
 #include <functional>
 #include <limits>
 #include <set>
@@ -719,32 +720,54 @@ TEST(TrafficMix, FlashCrowdsSuperimposeWithoutClamping)
 
 TEST(TrafficMix, RejectsNonFiniteParameters)
 {
-    // Each reaches the arrival draw (or the tenant sampler) as NaN or
-    // infinity, which would otherwise draw zero arrivals or rank 0.
+    // Each parameter reaches the arrival draw (or the tenant sampler)
+    // as NaN or infinity, which would otherwise draw zero arrivals or
+    // rank 0. Each profile would mint offers a serve cannot honour: a
+    // deadline that is not a finite non-negative time, or a class
+    // whose per-class tally cannot be sized.
     const double nan = std::numeric_limits<double>::quiet_NaN();
     const double inf = std::numeric_limits<double>::infinity();
     struct Case
     {
         const char *name;
-        std::function<void(TrafficMixParams &)> set;
+        std::function<void(TrafficMixParams &,
+                           std::vector<TenantProfile> &)>
+            set;
     };
+    using Profiles = std::vector<TenantProfile>;
     const Case cases[] = {
         {"NaN flash-crowd boost",
-         [&](TrafficMixParams &p) { p.flash_crowds = {{2, 3, nan}}; }},
+         [&](TrafficMixParams &p, Profiles &) {
+             p.flash_crowds = {{2, 3, nan}};
+         }},
         {"infinite flash-crowd boost",
-         [&](TrafficMixParams &p) { p.flash_crowds = {{2, 3, inf}}; }},
-        {"NaN peak rate", [&](TrafficMixParams &p) { p.peak_rate = nan; }},
+         [&](TrafficMixParams &p, Profiles &) {
+             p.flash_crowds = {{2, 3, inf}};
+         }},
+        {"NaN peak rate",
+         [&](TrafficMixParams &p, Profiles &) { p.peak_rate = nan; }},
         {"NaN base level",
-         [&](TrafficMixParams &p) { p.trace.base_utilization = nan; }},
-        {"NaN Zipf skew", [&](TrafficMixParams &p) { p.zipf_skew = nan; }},
+         [&](TrafficMixParams &p, Profiles &) {
+             p.trace.base_utilization = nan;
+         }},
+        {"NaN Zipf skew",
+         [&](TrafficMixParams &p, Profiles &) { p.zipf_skew = nan; }},
+        {"NaN profile deadline",
+         [&](TrafficMixParams &, Profiles &t) { t[1].deadline_s = nan; }},
+        {"negative profile deadline",
+         [&](TrafficMixParams &, Profiles &t) { t[1].deadline_s = -1.0; }},
+        {"infinite profile deadline",
+         [&](TrafficMixParams &, Profiles &t) { t[1].deadline_s = inf; }},
+        {"profile class SIZE_MAX",
+         [&](TrafficMixParams &, Profiles &t) { t[1].job_class = SIZE_MAX; }},
     };
-    const std::vector<TenantProfile> profiles = {{0, 0, 9.0},
-                                                 {1, 1, 6.0}};
-    ASSERT_NO_THROW(makeTrafficMix(flatMixParams(), profiles));
+    const Profiles good = {{0, 0, 9.0}, {1, 1, 6.0}};
+    ASSERT_NO_THROW(makeTrafficMix(flatMixParams(), good));
     for (const Case &c : cases) {
         SCOPED_TRACE(c.name);
         TrafficMixParams params = flatMixParams();
-        c.set(params);
+        Profiles profiles = good;
+        c.set(params, profiles);
         EXPECT_THROW(makeTrafficMix(params, profiles),
                      std::invalid_argument);
     }
