@@ -205,30 +205,13 @@ struct CalibratedApp
     core::CalibrationResult training;
 };
 
-inline CalibratedApp
-calibrateOnTraining(core::App &app, double qos_cap = -1.0,
-                    std::size_t threads = 0)
-{
-    CalibratedApp out;
-    out.ident = core::identifyKnobs(app);
-    if (!out.ident.analysis.accepted) {
-        std::fprintf(stderr, "%s: knob identification REJECTED\n%s\n",
-                     app.name().c_str(), out.ident.report.c_str());
-        std::abort();
-    }
-    core::CalibrationOptions options;
-    options.qos_cap = qos_cap;
-    options.threads = threads;
-    out.training = core::calibrate(app, app.trainingInputs(), options);
-    return out;
-}
-
 /**
  * Calibrate a response model on the cheap sweep-sized instance of an
  * application while binding the knob table to a long-input (series)
  * instance of the same application. Valid because both instances share
  * the identical knob space and per-unit work; only the number of
- * main-loop iterations differs.
+ * main-loop iterations differs. Pass one app as both to identify and
+ * calibrate it on its own training inputs.
  */
 inline CalibratedApp
 calibrateTransfer(core::App &sweep, core::App &series,

@@ -217,7 +217,7 @@ runScaleFleet(const FleetBenchOptions &options)
 {
     banner("Fleet scale: synthetic microsim tenants");
     MicrosimApp app;
-    auto cal = calibrateOnTraining(app, -1.0, options.threads);
+    auto cal = calibrateTransfer(app, app, -1.0, options.threads);
     const auto &model = cal.training.model;
 
     workload::LoadTraceParams trace_params;

@@ -180,8 +180,8 @@ main(int argc, char **argv)
 
     std::vector<HeteroCase> cases;
     for (const auto &app_case : apps) {
-        auto cal = calibrateOnTraining(*app_case.app, -1.0,
-                                       options.threads);
+        auto cal = calibrateTransfer(*app_case.app, *app_case.app,
+                                     -1.0, options.threads);
         const auto &model = cal.training.model;
         const double baseline_s = model.baselineSeconds();
         std::fprintf(stderr,

@@ -28,7 +28,6 @@
 #include "bench_common.h"
 #include "core/actuation_strategy.h"
 #include "core/control_policy.h"
-#include "core/controller.h"
 #include "core/knob.h"
 #include "core/session.h"
 #include "fleet/tenant.h"
@@ -42,7 +41,7 @@ namespace {
 static void
 BM_HeartbeatEmission(benchmark::State &state)
 {
-    hb::Monitor monitor(20, {1.0, 1.0});
+    hb::Monitor monitor(20);
     double t = 0.0;
     for (auto _ : state) {
         t += 1e-3;
@@ -55,15 +54,12 @@ BENCHMARK(BM_HeartbeatEmission);
 static void
 BM_ControllerStep(benchmark::State &state)
 {
-    core::ControllerConfig cc;
-    cc.baseline_rate = 1000.0;
-    cc.target_rate = 1000.0;
-    cc.max_speedup = 50.0;
-    core::HeartRateController controller(cc);
+    core::DeadbeatPolicy policy;
+    policy.begin({1000.0, 1000.0, 1.0, 50.0});
     double rate = 900.0;
     for (auto _ : state) {
         rate = rate < 1000.0 ? 1100.0 : 900.0;
-        benchmark::DoNotOptimize(controller.update(rate));
+        benchmark::DoNotOptimize(policy.update(rate));
     }
 }
 BENCHMARK(BM_ControllerStep);

@@ -190,7 +190,7 @@ main(int argc, char **argv)
            "traffic");
 
     MicrosimApp app;
-    auto cal = calibrateOnTraining(app, -1.0, options.threads);
+    auto cal = calibrateTransfer(app, app, -1.0, options.threads);
     const auto &model = cal.training.model;
     const double baseline_s =
         static_cast<double>(MicrosimApp::kUnits) /

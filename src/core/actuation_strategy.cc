@@ -28,18 +28,6 @@ ActuationPlan::averageQosLoss() const
     return work > 0.0 ? weighted / work : 0.0;
 }
 
-std::size_t
-ActuationPlan::combinationAtBeat(std::size_t beat,
-                                 std::size_t quantum_beats) const
-{
-    KnobSchedule schedule;
-    schedule.compile(*this, quantum_beats);
-    std::size_t combination = 0;
-    for (std::size_t b = 0; b <= beat % quantum_beats; ++b)
-        combination = schedule.next();
-    return combination;
-}
-
 double
 ActuationPlan::idlePerBusySecond() const
 {

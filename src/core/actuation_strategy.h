@@ -60,15 +60,6 @@ struct ActuationPlan
     double averageQosLoss() const;
 
     /**
-     * The knob combination to run for beat @p beat (0-based within a
-     * quantum of @p quantum_beats) under this plan. Slices are laid
-     * out contiguously over the busy portion of the quantum, exactly
-     * as a KnobSchedule compiled from this plan walks them.
-     */
-    std::size_t combinationAtBeat(std::size_t beat,
-                                  std::size_t quantum_beats) const;
-
-    /**
      * Idle time to insert per busy second (race-to-idle spreads its
      * idle slack evenly over the quantum's beats).
      */
@@ -81,8 +72,7 @@ struct ActuationPlan
  * k's cumulative bound becomes the first beat of the quantum past it.
  * It also keeps the plan's idle ratio. Walking a quantum then costs a
  * beat counter and a cursor. core::Session compiles each plan it
- * installs; ActuationPlan::combinationAtBeat reads the same layout at
- * one beat.
+ * installs; this is the one reader of a plan's beat layout.
  */
 class KnobSchedule
 {

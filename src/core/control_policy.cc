@@ -5,6 +5,28 @@
 
 namespace powerdial::core {
 
+namespace {
+
+/**
+ * Reject a run setup no law can follow: the check every policy's
+ * begin() makes. @p law names the policy in the message.
+ */
+void
+checkSetup(const ControlSetup &setup, const char *law)
+{
+    if (setup.baseline_rate <= 0.0)
+        throw std::invalid_argument(std::string(law) +
+                                    ": baseline rate must be > 0");
+    if (setup.target_rate <= 0.0)
+        throw std::invalid_argument(std::string(law) +
+                                    ": target rate must be > 0");
+    if (setup.max_speedup < setup.min_speedup)
+        throw std::invalid_argument(std::string(law) +
+                                    ": max < min speedup");
+}
+
+} // namespace
+
 // ---------------------------------------------------------------------------
 // DeadbeatPolicy
 // ---------------------------------------------------------------------------
@@ -24,21 +46,21 @@ DeadbeatPolicy::name() const
 void
 DeadbeatPolicy::begin(const ControlSetup &setup)
 {
-    ControllerConfig cc;
-    cc.baseline_rate = setup.baseline_rate;
-    cc.target_rate = setup.target_rate;
-    cc.gain = gain_;
-    cc.min_speedup = setup.min_speedup;
-    cc.max_speedup = setup.max_speedup;
-    law_ = std::make_unique<HeartRateController>(cc);
+    checkSetup(setup, "DeadbeatPolicy");
+    setup_ = setup;
+    speedup_ = setup.min_speedup;
 }
 
 double
 DeadbeatPolicy::update(double observed_rate)
 {
-    if (law_ == nullptr)
+    if (setup_.baseline_rate <= 0.0)
         throw std::logic_error("DeadbeatPolicy: update before begin");
-    return law_->update(observed_rate);
+    const double error = setup_.target_rate - observed_rate;
+    speedup_ += gain_ * error / setup_.baseline_rate;
+    speedup_ =
+        std::clamp(speedup_, setup_.min_speedup, setup_.max_speedup);
+    return speedup_;
 }
 
 // ---------------------------------------------------------------------------
@@ -62,12 +84,7 @@ PidPolicy::name() const
 void
 PidPolicy::begin(const ControlSetup &setup)
 {
-    if (setup.baseline_rate <= 0.0)
-        throw std::invalid_argument("PidPolicy: baseline rate must be > 0");
-    if (setup.target_rate <= 0.0)
-        throw std::invalid_argument("PidPolicy: target rate must be > 0");
-    if (setup.max_speedup < setup.min_speedup)
-        throw std::invalid_argument("PidPolicy: max < min speedup");
+    checkSetup(setup, "PidPolicy");
     setup_ = setup;
     integral_ = 0.0;
     prev_error_ = 0.0;
@@ -132,15 +149,7 @@ GainScheduledPolicy::name() const
 void
 GainScheduledPolicy::begin(const ControlSetup &setup)
 {
-    if (setup.baseline_rate <= 0.0)
-        throw std::invalid_argument(
-            "GainScheduledPolicy: baseline rate must be > 0");
-    if (setup.target_rate <= 0.0)
-        throw std::invalid_argument(
-            "GainScheduledPolicy: target rate must be > 0");
-    if (setup.max_speedup < setup.min_speedup)
-        throw std::invalid_argument(
-            "GainScheduledPolicy: max < min speedup");
+    checkSetup(setup, "GainScheduledPolicy");
     setup_ = setup;
     speedup_ = setup.min_speedup;
     b_hat_ = setup.baseline_rate; // Start from the calibrated model.

@@ -3,8 +3,8 @@
  * The speedup-law seam of the control system (paper section 2.3.2).
  *
  * A ControlPolicy converts observed heart rates into speedup commands.
- * The paper's deadbeat integral law (HeartRateController, Equations
- * 3-4) is the default implementation; a PID generalisation and a
+ * The paper's deadbeat integral law (DeadbeatPolicy, Equations 3-4) is
+ * the default implementation; a PID generalisation and a
  * gain-scheduled adaptive variant ship alongside it. The Session
  * runtime owns one policy instance per run and never depends on a
  * concrete law, so new scenarios can plug in their own control laws
@@ -16,8 +16,6 @@
 #include <functional>
 #include <memory>
 #include <string>
-
-#include "core/controller.h"
 
 namespace powerdial::core {
 
@@ -64,10 +62,20 @@ class ControlPolicy
 using PolicyFactory = std::function<std::unique_ptr<ControlPolicy>()>;
 
 /**
- * The paper's integral law (Equations 3-4), s(t) = s(t-1) + k e(t)/b,
- * delegating to HeartRateController so the arithmetic is identical to
- * the pre-Session runtime (bit-identical traces; see the equivalence
- * tests). k = 1 is the deadbeat default.
+ * The paper's integral law (Equations 3-4):
+ *
+ *     e(t) = g - h(t)
+ *     s(t) = s(t-1) + k e(t) / b
+ *
+ * where g is the target heart rate, h(t) the observed heart rate, b the
+ * baseline rate (heart rate at default knobs on an unloaded machine),
+ * and s(t) the speedup to apply next, clamped to the actuation range.
+ * Each run starts at the floor s = min_speedup.
+ *
+ * With the application model h(t+1) = b s(t) (Equation 2) the closed
+ * loop has one pole at z = 1 - k. The paper's k = 1 puts it at the
+ * origin, F(z) = 1/z (Equation 8): unit steady-state gain and deadbeat
+ * convergence. 0 < k < 1 converges more slowly and k > 2 is unstable.
  */
 class DeadbeatPolicy final : public ControlPolicy
 {
@@ -82,7 +90,8 @@ class DeadbeatPolicy final : public ControlPolicy
 
   private:
     double gain_;
-    std::unique_ptr<HeartRateController> law_;
+    ControlSetup setup_{};
+    double speedup_ = 0.0;
 };
 
 /**

@@ -95,7 +95,7 @@ Session::Session(App &app, const KnobTable &table,
     if (strategy_ == nullptr)
         throw std::invalid_argument(
             "Session: strategy factory returned null");
-    monitor_.emplace(options_.window, hb::HeartRateTarget{0.0, 0.0});
+    monitor_.emplace(options_.window);
 }
 
 void
@@ -137,8 +137,6 @@ Session::start(std::size_t input, sim::Machine &machine)
     state.target = options_.target_rate > 0.0 ? options_.target_rate
                                               : model_->baselineRate();
 
-    // Paper setup: min and max target are both the baseline rate.
-    monitor_->setTarget({state.target, state.target});
     monitor_->reset();
 
     ControlSetup setup;

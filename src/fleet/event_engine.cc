@@ -17,7 +17,7 @@
  *     is total and independent of thread count. Arbitration is
  *     triggered by state changes (admissions, completions) rather than
  *     by the epoch clock, which survives only as a periodic event
- *     source (trace samples, the default quantum).
+ *     source (trace samples, and a Quantum tick one epoch apart).
  *
  * Both schedules share admission, arbitration and lease rewrites,
  * tenant release, the per-machine QoS-feedback fold, stats rows, and
@@ -387,20 +387,17 @@ class EventServe
 
     // ------------------------------------------------------------------
     // Event mode: arbitration fires on admissions and completions (one
-    // coalesced Arbitrate event per timestamp), a Quantum chain bounds
-    // how long a completion can go undiscovered while anything is
-    // active, and Sample events close one EpochStats row per
-    // sample_stride epochs. Epochs with no offered jobs schedule
-    // nothing — an idle fleet costs no events at all.
+    // coalesced Arbitrate event per timestamp), a Quantum chain one
+    // epoch apart bounds how long a completion can go undiscovered
+    // while anything is active, and Sample events close one EpochStats
+    // row per sample_stride epochs. Epochs with no offered jobs
+    // schedule nothing — an idle fleet costs no events at all.
     // ------------------------------------------------------------------
     void
     runEvents()
     {
         const std::size_t n = offers_.size();
         horizon_s_ = static_cast<double>(n) * epoch_s_;
-        quantum_s_ = options_.event.quantum_seconds > 0.0
-            ? options_.event.quantum_seconds
-            : epoch_s_;
         const std::size_t stride = options_.event.sample_stride;
 
         for (std::size_t e = 0; e < n; ++e)
@@ -524,7 +521,7 @@ class EventServe
     {
         if (quantum_pending_)
             return;
-        const double next = clock_.now() + quantum_s_;
+        const double next = clock_.now() + epoch_s_;
         if (next > horizon_s_)
             return; // The final Sample already lands at the horizon.
         queue_.push(next, Event{Event::Kind::Quantum, 0});
@@ -758,7 +755,6 @@ class EventServe
     sim::VirtualClock clock_;
     EventQueue<Event> queue_;
     double horizon_s_ = 0.0;
-    double quantum_s_ = 0.0;
     bool quantum_pending_ = false;
     bool arbitrate_pending_ = false;
     bool completion_pending_ = false;

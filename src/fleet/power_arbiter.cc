@@ -12,6 +12,42 @@ namespace {
 /** Largest duty-cycle pause ratio the arbiter will impose. */
 constexpr double kMaxPauseRatio = 10.0;
 
+/**
+ * The QoS-feedback step of both informed splits: under
+ * ArbiterPolicy::QosFeedback, with one loss per machine, scale each
+ * machine's split @p weights by its loss relative to the fleet mean
+ * and re-sum @p weight_sum. A no-op for any other policy, a
+ * mismatched @p qos_loss, or a mean loss of 0.
+ */
+void
+applyQosFeedback(const ArbiterOptions &options,
+                 const std::vector<double> &qos_loss,
+                 std::vector<double> &weights, double &weight_sum)
+{
+    const std::size_t n = weights.size();
+    if (options.policy != ArbiterPolicy::QosFeedback ||
+        qos_loss.size() != n)
+        return;
+    double mean = 0.0;
+    for (const double q : qos_loss)
+        mean += q;
+    mean /= static_cast<double>(n);
+    if (mean > 0.0) {
+        // Shift weight toward machines whose tenants lost more QoS
+        // than the fleet average last epoch. The clamp keeps one
+        // epoch's error from starving anyone outright, and — because
+        // it keeps every scale positive — preserves weight_sum > 0.
+        weight_sum = 0.0;
+        for (std::size_t i = 0; i < n; ++i) {
+            const double error = (qos_loss[i] - mean) / mean;
+            const double scale = std::clamp(
+                1.0 + options.feedback_gain * error, 0.1, 10.0);
+            weights[i] *= scale;
+            weight_sum += weights[i];
+        }
+    }
+}
+
 } // namespace
 
 const char *
@@ -85,28 +121,7 @@ PowerArbiter::splitBudget(const sim::Cluster &cluster,
         weight_sum = static_cast<double>(n);
     }
 
-    if (options_.policy == ArbiterPolicy::QosFeedback &&
-        qos_loss.size() == n) {
-        double mean = 0.0;
-        for (const double q : qos_loss)
-            mean += q;
-        mean /= static_cast<double>(n);
-        if (mean > 0.0) {
-            // Shift weight toward machines whose tenants lost more
-            // QoS than the fleet average last epoch. The clamp keeps
-            // one epoch's error from starving anyone outright, and —
-            // because it keeps every scale positive — preserves
-            // weight_sum > 0.
-            weight_sum = 0.0;
-            for (std::size_t i = 0; i < n; ++i) {
-                const double error = (qos_loss[i] - mean) / mean;
-                const double scale = std::clamp(
-                    1.0 + options_.feedback_gain * error, 0.1, 10.0);
-                weights[i] *= scale;
-                weight_sum += weights[i];
-            }
-        }
-    }
+    applyQosFeedback(options_, qos_loss, weights, weight_sum);
 
     for (std::size_t i = 0; i < n; ++i)
         budgets[i] = idle + headroom * weights[i] / weight_sum;
@@ -157,23 +172,7 @@ PowerArbiter::splitBudgetHeterogeneous(
     if (weight_sum <= 0.0)
         return budgets;
 
-    if (options_.policy == ArbiterPolicy::QosFeedback &&
-        qos_loss.size() == n) {
-        double mean = 0.0;
-        for (const double q : qos_loss)
-            mean += q;
-        mean /= static_cast<double>(n);
-        if (mean > 0.0) {
-            weight_sum = 0.0;
-            for (std::size_t i = 0; i < n; ++i) {
-                const double error = (qos_loss[i] - mean) / mean;
-                const double scale = std::clamp(
-                    1.0 + options_.feedback_gain * error, 0.1, 10.0);
-                weights[i] *= scale;
-                weight_sum += weights[i];
-            }
-        }
-    }
+    applyQosFeedback(options_, qos_loss, weights, weight_sum);
 
     for (std::size_t i = 0; i < n; ++i)
         budgets[i] = floors[i] + headroom * weights[i] / weight_sum;

@@ -2,9 +2,11 @@
 
 #include <algorithm>
 #include <stdexcept>
+#include <string>
 #include <utility>
 
 #include "core/response_model.h"
+#include "workload/traffic_mix.h"
 
 namespace powerdial::fleet {
 
@@ -238,6 +240,12 @@ Scheduler::Scheduler(sim::Cluster &cluster, SchedulerOptions options)
 std::optional<Admission>
 Scheduler::tryAdmit(const OfferedJob &job)
 {
+    // Before the policy decides or any counter moves: a shed job's
+    // class sizes the per-class tally, so SIZE_MAX would wrap it.
+    if (const char *why =
+            workload::badJobTerms(job.job_class, job.deadline_s))
+        throw std::invalid_argument(std::string("Scheduler: job's ") +
+                                    why);
     const AdmissionContext context{
         *cluster_, *policy_, options_.queue_depth, options_.model,
         have_decision_ ? &last_decision_ : nullptr};

@@ -169,6 +169,9 @@ class Scheduler
      * admission (host plus prediction) or std::nullopt when the policy
      * shed the job (the shed counters increment, attributed to the
      * placement pick and the job's priority class).
+     *
+     * @throws std::invalid_argument for a job workload::badJobTerms
+     *         rejects, before the policy sees it or any counter moves.
      */
     std::optional<Admission> tryAdmit(const OfferedJob &job);
 

@@ -54,10 +54,6 @@ Server::Server(const core::App &app, const core::KnobTable &table,
     if (options_.event.sample_stride == 0)
         throw std::invalid_argument(
             "Server: event sample_stride must be >= 1");
-    if (!std::isfinite(options_.event.quantum_seconds) ||
-        options_.event.quantum_seconds < 0.0)
-        throw std::invalid_argument(
-            "Server: event quantum must be finite and >= 0");
     if (!std::isfinite(options_.epoch_seconds))
         throw std::invalid_argument(
             "Server: epoch_seconds must be finite");

@@ -80,16 +80,13 @@ enum class EngineMode
     Event,
 };
 
-/** Tuning for EngineMode::Event (ignored under EngineMode::Epoch). */
+/**
+ * Tuning for EngineMode::Event (ignored under EngineMode::Epoch). The
+ * engine visits every active tenant at least once an epoch, so a
+ * completion goes unnoticed for at most one epoch.
+ */
 struct EventEngineOptions
 {
-    /**
-     * Beat-quantum: the longest the engine lets virtual time run
-     * between visits to an active tenant, bounding how stale a
-     * completion can go unnoticed. 0 (default) means one epoch; must
-     * be finite and >= 0.
-     */
-    double quantum_seconds = 0.0;
     /**
      * Emit one EpochStats row per this many epochs (trace-sample
      * events). 1 = every epoch, like the epoch schedule; larger

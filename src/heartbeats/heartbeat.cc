@@ -5,13 +5,10 @@
 
 namespace powerdial::hb {
 
-Monitor::Monitor(std::size_t window_size, HeartRateTarget target)
-    : window_size_(window_size), target_(target)
+Monitor::Monitor(std::size_t window_size) : window_size_(window_size)
 {
     if (window_size_ == 0)
         throw std::invalid_argument("Monitor: window size must be >= 1");
-    if (target_.min_rate < 0.0 || target_.max_rate < target_.min_rate)
-        throw std::invalid_argument("Monitor: bad target range");
     ring_.resize(window_size_);
 }
 
@@ -88,14 +85,6 @@ Monitor::windowStats() const
         sum_sq / n - stats.mean_latency * stats.mean_latency;
     stats.stddev_latency = var > 0.0 ? std::sqrt(var) : 0.0;
     return stats;
-}
-
-void
-Monitor::setTarget(HeartRateTarget target)
-{
-    if (target.min_rate < 0.0 || target.max_rate < target.min_rate)
-        throw std::invalid_argument("Monitor: bad target range");
-    target_ = target;
 }
 
 } // namespace powerdial::hb

@@ -3,11 +3,12 @@
  * Application Heartbeats framework (Hoffmann et al., ICAC 2010).
  *
  * PowerDial's feedback mechanism (paper section 2.3.1): applications emit
- * a heartbeat at the top of their main control loop and declare a target
- * heart-rate range; observers (the PowerDial control system) read the
- * measured rates. This implementation is clock-agnostic — callers supply
- * timestamps, which in this repository come from the simulated machine's
- * virtual clock.
+ * a heartbeat at the top of their main control loop; observers (the
+ * PowerDial control system) read the measured rates. The target rate
+ * belongs to the control law (core::ControlSetup), not to the monitor.
+ * This implementation is clock-agnostic — callers supply timestamps,
+ * which in this repository come from the simulated machine's virtual
+ * clock.
  */
 #ifndef POWERDIAL_HEARTBEATS_HEARTBEAT_H
 #define POWERDIAL_HEARTBEATS_HEARTBEAT_H
@@ -32,16 +33,6 @@ struct HeartbeatRecord
     double instant_rate; //!< 1 / latency (0 for the first beat).
     double window_rate;  //!< Mean rate over the sliding window.
     double global_rate;  //!< Mean rate since the first beat.
-};
-
-/** Target heart-rate range declared by the application. */
-struct HeartRateTarget
-{
-    double min_rate; //!< Minimum acceptable heart rate, beats/second.
-    double max_rate; //!< Maximum desired heart rate, beats/second.
-
-    /** Midpoint of the target range — the controller's set point. */
-    double midpoint() const { return 0.5 * (min_rate + max_rate); }
 };
 
 /**
@@ -71,9 +62,8 @@ class Monitor
   public:
     /**
      * @param window_size Beats in the sliding window (must be >= 1).
-     * @param target      Declared target heart-rate range.
      */
-    Monitor(std::size_t window_size, HeartRateTarget target);
+    explicit Monitor(std::size_t window_size);
 
     /**
      * Emit a heartbeat at time @p now (seconds). Timestamps must be
@@ -81,8 +71,8 @@ class Monitor
      */
     void beat(double now);
 
-    /** Forget every beat, keeping the window size, target and ring
-     *  storage: the monitor is then as freshly constructed. */
+    /** Forget every beat, keeping the window size and ring storage:
+     *  the monitor is then as freshly constructed. */
     void reset();
 
     /** Total beats emitted. */
@@ -106,18 +96,11 @@ class Monitor
     /** Latency statistics over the current window (zeros if empty). */
     WindowStats windowStats() const;
 
-    /** The declared target range. */
-    const HeartRateTarget &target() const { return target_; }
-
-    /** Replace the target range (used when re-aiming the controller). */
-    void setTarget(HeartRateTarget target);
-
     /** Sliding-window size in beats. */
     std::size_t windowSize() const { return window_size_; }
 
   private:
     std::size_t window_size_;
-    HeartRateTarget target_;
     std::size_t count_ = 0;
     /** The latest beat's timestamp; -inf before the first beat, so the
      *  first beat passes the same ordering check as every later one. */

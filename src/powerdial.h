@@ -27,7 +27,6 @@
 #include "core/calibration.h"
 #include "core/consolidation.h"
 #include "core/control_policy.h"
-#include "core/controller.h"
 #include "core/fanout.h"
 #include "core/identify.h"
 #include "core/knob.h"
@@ -47,7 +46,6 @@
 
 // Substrates.
 #include "heartbeats/heartbeat.h"
-#include "heartbeats/reader.h"
 #include "influence/analysis.h"
 #include "influence/trace_run.h"
 #include "influence/value.h"

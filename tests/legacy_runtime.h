@@ -14,7 +14,6 @@
 #include <vector>
 
 #include "core/app.h"
-#include "core/controller.h"
 #include "core/response_model.h"
 #include "core/run_observer.h"
 #include "heartbeats/heartbeat.h"
@@ -154,15 +153,20 @@ run(core::App &app, const core::KnobTable &table,
         ? options.target_rate
         : model.baselineRate();
 
-    hb::Monitor monitor(options.window, {target, target});
+    hb::Monitor monitor(options.window);
 
-    core::ControllerConfig cc;
-    cc.baseline_rate = model.baselineRate();
-    cc.target_rate = target;
-    cc.gain = options.gain;
-    cc.min_speedup = model.baselinePoint().speedup;
-    cc.max_speedup = model.maxSpeedup();
-    core::HeartRateController controller(cc);
+    // The old HeartRateController (Equations 3-4): its state, and its
+    // update verbatim.
+    const double baseline_rate = model.baselineRate();
+    const double min_speedup = model.baselinePoint().speedup;
+    const double max_speedup = model.maxSpeedup();
+    double speedup = min_speedup;
+    const auto controllerUpdate = [&](double observed_rate) {
+        const double error = target - observed_rate;
+        speedup += options.gain * error / baseline_rate;
+        speedup = std::clamp(speedup, min_speedup, max_speedup);
+        return speedup;
+    };
 
     Actuator actuator(model, options.policy, options.quantum_beats);
 
@@ -180,7 +184,7 @@ run(core::App &app, const core::KnobTable &table,
     result.beats.reserve(units);
 
     std::size_t applied = baseline;
-    double commanded = cc.min_speedup;
+    double commanded = min_speedup;
     double qos_weighted = 0.0;
     double qos_work = 0.0;
 
@@ -193,7 +197,7 @@ run(core::App &app, const core::KnobTable &table,
             u % options.quantum_beats == 0) {
             const double rate = monitor.windowRate();
             if (rate > 0.0) {
-                commanded = controller.update(rate);
+                commanded = controllerUpdate(rate);
                 plan = actuator.plan(commanded);
             }
         }

@@ -133,10 +133,12 @@ TEST(ActuationStrategy, BeatScheduleLaysSlicesContiguously)
     const auto m = model();
     auto act = minimal(m, 20);
     const auto plan = planFor(act, 1.5);
+    KnobSchedule schedule;
+    schedule.compile(plan, 20);
     // First half of the quantum at the fast setting, rest at default.
     std::size_t fast_beats = 0;
     for (std::size_t beat = 0; beat < 20; ++beat) {
-        const auto combo = plan.combinationAtBeat(beat, 20);
+        const auto combo = schedule.next();
         if (combo == 1u)
             ++fast_beats;
         if (beat >= 10) {
@@ -162,8 +164,6 @@ TEST(ActuationStrategy, Validation)
     MinimalSpeedupStrategy strategy;
     EXPECT_THROW(strategy.begin(m, 0), std::invalid_argument);
     EXPECT_THROW(planFor(strategy, 1.0), std::logic_error);
-    ActuationPlan empty;
-    EXPECT_THROW(empty.combinationAtBeat(0, 20), std::logic_error);
     EXPECT_THROW(QosBudgetStrategy{-0.1}, std::invalid_argument);
 }
 
@@ -339,9 +339,8 @@ INSTANTIATE_TEST_SUITE_P(Budgets, BudgetCompliance,
 // ---------------------------------------------------------------------
 
 /**
- * ActuationPlan::combinationAtBeat as the session evaluated it at
- * every beat before plans were compiled, verbatim: the bit-equality
- * oracle for KnobSchedule.
+ * The per-beat layout the session evaluated at every beat before plans
+ * were compiled, verbatim: the bit-equality oracle for KnobSchedule.
  */
 std::size_t
 referenceCombinationAtBeat(const ActuationPlan &plan, std::size_t beat,
@@ -419,8 +418,6 @@ TEST(KnobSchedule, MatchesPerBeatLayoutBitForBit)
                 const std::size_t expected =
                     referenceCombinationAtBeat(plan, beat, quantum);
                 ASSERT_EQ(schedule.next(), expected) << "beat " << beat;
-                ASSERT_EQ(plan.combinationAtBeat(beat, quantum), expected)
-                    << "beat " << beat;
             }
             EXPECT_TRUE(schedule.quantumDone());
         }
@@ -434,7 +431,6 @@ TEST(KnobSchedule, Validation)
     ActuationPlan plan;
     plan.slices.push_back({0, 1.0, 1.0, 0.0});
     EXPECT_THROW(schedule.compile(plan, 0), std::invalid_argument);
-    EXPECT_THROW(plan.combinationAtBeat(0, 0), std::invalid_argument);
 }
 
 /** Installs one fixed three-slice plan at every quantum. */

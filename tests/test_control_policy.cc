@@ -44,24 +44,31 @@ simulateLoop(ControlPolicy &policy, double b_effective, int steps,
 
 TEST(DeadbeatPolicy, MatchesHeartRateControllerStepForStep)
 {
-    // The policy is a seam over the paper's law: every update must
-    // return the exact bits HeartRateController produces.
-    DeadbeatPolicy policy(0.75);
-    auto s = setup(14.0);
-    policy.begin(s);
+    // The law moved here from HeartRateController: every update must
+    // return the exact bits the old update produced. The second setup
+    // saturates at both ends of the actuation range.
+    auto wide = setup(14.0);
+    auto narrow = setup(14.0);
+    narrow.max_speedup = 1.6;
+    for (const ControlSetup &s : {wide, narrow}) {
+        DeadbeatPolicy policy(0.75);
+        policy.begin(s);
 
-    ControllerConfig cc;
-    cc.baseline_rate = s.baseline_rate;
-    cc.target_rate = s.target_rate;
-    cc.gain = 0.75;
-    cc.min_speedup = s.min_speedup;
-    cc.max_speedup = s.max_speedup;
-    HeartRateController reference(cc);
+        // HeartRateController::update, verbatim over its state.
+        const double gain = 0.75;
+        double speedup = s.min_speedup;
+        const auto reference = [&](double observed_rate) {
+            const double error = s.target_rate - observed_rate;
+            speedup += gain * error / s.baseline_rate;
+            speedup = std::clamp(speedup, s.min_speedup, s.max_speedup);
+            return speedup;
+        };
 
-    double h = 6.0;
-    for (int t = 0; t < 50; ++t) {
-        EXPECT_EQ(policy.update(h), reference.update(h));
-        h = 3.0 + 1.7 * static_cast<double>(t % 7);
+        double h = 6.0;
+        for (int t = 0; t < 50; ++t) {
+            EXPECT_EQ(policy.update(h), reference(h)) << "step " << t;
+            h = 3.0 + 3.1 * static_cast<double>(t % 7);
+        }
     }
 }
 
@@ -94,6 +101,133 @@ TEST(DeadbeatPolicy, Validation)
     EXPECT_THROW(fresh.update(1.0), std::logic_error);
     EXPECT_EQ(DeadbeatPolicy().name(), "deadbeat");
     EXPECT_EQ(DeadbeatPolicy(0.5).name(), "integral");
+}
+
+// ---------------------------------------------------------------------------
+// The paper's controller (section 2.3.2): the closed-loop behaviour of
+// the integral law, as DeadbeatPolicy runs it.
+// ---------------------------------------------------------------------------
+
+TEST(Controller, DeadbeatConvergesInOneStepWithExactModel)
+{
+    // Paper section 2.3.2: F_loop(z) = 1/z — with an exact model of b
+    // the loop lands on target in a single control period. The plant
+    // starts at its honest baseline output (h = b * s = 10) and the
+    // target is raised to 15. The law is built by the default factory,
+    // as a session builds it.
+    const auto policy = makeDeadbeatPolicy()();
+    policy->begin(setup(15.0));
+    const auto rates = simulateLoop(*policy, 10.0, 5, 10.0);
+    for (std::size_t t = 1; t < rates.size(); ++t)
+        EXPECT_NEAR(rates[t], 15.0, 1e-9);
+}
+
+TEST(Controller, GeometricConvergenceUnderModelMismatch)
+{
+    // Under a 2.4 -> 1.6 GHz cap the true gain is b_eff = (2/3) b, so
+    // the closed-loop pole moves from 0 to 1 - b_eff/b = 1/3: the
+    // error must decay by that ratio each period and still converge.
+    DeadbeatPolicy policy;
+    policy.begin(setup());
+    const double b_eff = 10.0 * (1.6 / 2.4);
+    const auto rates = simulateLoop(policy, b_eff, 40, b_eff);
+    for (std::size_t t = 2; t + 1 < rates.size(); ++t) {
+        const double e0 = std::abs(rates[t] - 10.0);
+        const double e1 = std::abs(rates[t + 1] - 10.0);
+        if (e0 < 1e-8)
+            break; // Below floating-point resolution of the ratio.
+        EXPECT_NEAR(e1 / e0, 1.0 / 3.0, 1e-3);
+    }
+    EXPECT_NEAR(rates.back(), 10.0, 1e-9);
+}
+
+TEST(Controller, ConvergesFromAboveTarget)
+{
+    // Cap lifted: the platform is faster than the integrator expects.
+    DeadbeatPolicy policy;
+    policy.begin(setup());
+    // Drive the integrator up first.
+    policy.update(6.0);
+    policy.update(10.0);
+    const auto rates = simulateLoop(policy, 10.0, 5, 15.0);
+    EXPECT_NEAR(rates.back(), 10.0, 1e-9);
+}
+
+TEST(Controller, SpeedupClampedToActuationRange)
+{
+    auto s = setup();
+    s.max_speedup = 2.0;
+    DeadbeatPolicy policy;
+    policy.begin(s);
+    // Persistent large error: the integrator must saturate at
+    // max_speedup instead of winding up.
+    policy.update(0.5);
+    policy.update(0.5);
+    EXPECT_DOUBLE_EQ(policy.update(0.5), 2.0);
+    // Rate far above target: clamped at the baseline floor.
+    policy.begin(s);
+    EXPECT_DOUBLE_EQ(policy.update(100.0), 1.0);
+}
+
+TEST(Controller, Validation)
+{
+    // Every law's begin() makes the same setup check.
+    for (const PolicyFactory &make :
+         {makeDeadbeatPolicy(), makePidPolicy(),
+          makeGainScheduledPolicy()}) {
+        const auto policy = make();
+        SCOPED_TRACE(policy->name());
+        auto bad = setup();
+        bad.baseline_rate = 0.0;
+        EXPECT_THROW(policy->begin(bad), std::invalid_argument);
+        bad = setup();
+        bad.target_rate = -1.0;
+        EXPECT_THROW(policy->begin(bad), std::invalid_argument);
+        bad = setup();
+        bad.max_speedup = 0.5;
+        EXPECT_THROW(policy->begin(bad), std::invalid_argument);
+    }
+}
+
+/**
+ * Property: for stable gains (0 < k < 2) the loop converges to the
+ * target under a capacity disturbance; the error decays as |1 - k|^t.
+ */
+class StableGains : public ::testing::TestWithParam<double>
+{
+};
+
+TEST_P(StableGains, LoopConvergesUnderDisturbance)
+{
+    const double gain = GetParam();
+    DeadbeatPolicy policy(gain);
+    policy.begin(setup());
+    const double b_eff = 10.0 * (1.6 / 2.4);
+    const auto rates = simulateLoop(policy, b_eff, 80, b_eff);
+    EXPECT_NEAR(rates.back(), 10.0, 1e-3)
+        << "gain " << gain << " failed to converge";
+}
+
+INSTANTIATE_TEST_SUITE_P(Gains, StableGains,
+                         ::testing::Values(0.25, 0.5, 0.75, 1.0, 1.25,
+                                           1.5, 1.9));
+
+/** Property: gains beyond 2 oscillate without converging. */
+TEST(Controller, UnstableGainDiverges)
+{
+    // Pole at 1 - k = -1.5 when the plant matches the model: |z| > 1.
+    // The first command lands one unit above the set point g/b = 1000,
+    // far from both ends of the actuation range, so no clamp bounds
+    // the oscillation.
+    auto s = setup(1e4);
+    s.max_speedup = 1e9;
+    DeadbeatPolicy policy(2.5);
+    policy.begin(s);
+    const auto rates = simulateLoop(policy, 10.0, 6, 6000.0);
+    EXPECT_DOUBLE_EQ(rates[1], 10010.0);
+    // Error grows geometrically (|pole| = 1.5) rather than decaying.
+    EXPECT_GT(std::abs(rates[3] - 1e4), std::abs(rates[1] - 1e4));
+    EXPECT_GT(std::abs(rates[5] - 1e4), std::abs(rates[3] - 1e4));
 }
 
 // ---------------------------------------------------------------------------

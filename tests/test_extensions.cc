@@ -125,7 +125,7 @@ TEST(TraceExport, DecimationKeepsEveryNth)
 
 TEST(WindowStats, SummarisesLatencies)
 {
-    hb::Monitor monitor(4, {1.0, 1.0});
+    hb::Monitor monitor(4);
     double t = 0.0;
     monitor.beat(t);
     for (const double lat : {1.0, 2.0, 3.0, 2.0}) {
@@ -141,7 +141,7 @@ TEST(WindowStats, SummarisesLatencies)
 
 TEST(WindowStats, EmptyWindowIsZeros)
 {
-    hb::Monitor monitor(4, {1.0, 1.0});
+    hb::Monitor monitor(4);
     const auto stats = monitor.windowStats();
     EXPECT_DOUBLE_EQ(stats.mean_latency, 0.0);
     EXPECT_DOUBLE_EQ(stats.stddev_latency, 0.0);

@@ -210,6 +210,31 @@ TEST(Scheduler, ShedAttributionSumsToShedCount)
     EXPECT_EQ(scheduler.shedCount(), 5u);
 }
 
+TEST(Scheduler, RejectsBadJobTermsBeforeCounting)
+{
+    // A full one-slot machine sheds every offer, and a shed grows the
+    // per-class tally to class + 1 entries: class SIZE_MAX would wrap
+    // that to 0 and write past the end. The scheduler must throw
+    // before the policy decides or any counter moves.
+    sim::Cluster cluster(1, sim::Machine::Config{});
+    Scheduler scheduler(cluster, SchedulerOptions{nullptr, 1, {}, nullptr});
+    ASSERT_TRUE(admitJob(scheduler).has_value());
+    EXPECT_FALSE(admitJob(scheduler).has_value());
+    const std::vector<std::size_t> by_class = scheduler.shedByClass();
+    EXPECT_EQ(by_class, (std::vector<std::size_t>{1}));
+    const double nan = std::numeric_limits<double>::quiet_NaN();
+    for (const OfferedJob &bad :
+         {OfferedJob{kRoundRobinTenant, SIZE_MAX, 0.0},
+          OfferedJob{kRoundRobinTenant, 0, nan},
+          OfferedJob{kRoundRobinTenant, 0, -1.0}}) {
+        EXPECT_THROW(scheduler.tryAdmit(bad), std::invalid_argument);
+        EXPECT_EQ(scheduler.shedCount(), 1u);
+        EXPECT_EQ(scheduler.shedByClass(), by_class);
+        EXPECT_EQ(scheduler.shedByMachine(),
+                  (std::vector<std::size_t>{1}));
+    }
+}
+
 // ---------------------------------------------------------------------
 // Power arbiter: budget conservation and cap translation.
 // ---------------------------------------------------------------------

@@ -251,56 +251,33 @@ TEST(EventEngine, SampleStrideCoarsensTheReport)
     EXPECT_EQ(report.jobs.size(), report.total_jobs);
 }
 
-TEST(EventEngine, SubEpochQuantumStillConservesJobs)
-{
-    auto p = makePipeline();
-    const FleetScenario scenario = makeFleetScenario(
-        13, p.model.baselineSeconds(), p.app.productionInputs());
-    ServerOptions options = scenario.options;
-    options.engine = EngineMode::Event;
-    options.event.quantum_seconds = options.epoch_seconds / 3.0;
-    Server server(p.app, p.table, p.model, options);
-    const FleetReport report = server.serve(scenario.arrivals);
-    EXPECT_EQ(report.total_jobs,
-              completedAcrossEpochs(report) + report.drained_jobs);
-    EXPECT_EQ(report.jobs.size(), report.total_jobs);
-}
-
-TEST(EventEngine, QuantumBoundsCompletionDiscoveryLatency)
+TEST(EventEngine, CompletionDiscoveredAtEpochEndInTwoRounds)
 {
     // One machine, one job, epochs twice the job duration: the job
-    // finishes mid-epoch. Its completion-triggered arbitration fires
-    // at the first quantum tick past the finish — so a finer quantum
-    // must discover it strictly earlier than the default one-epoch
-    // quantum, which cannot notice it before the epoch ends.
+    // finishes mid-epoch. The engine visits an active tenant once an
+    // epoch, so its completion-triggered arbitration fires at the
+    // first tick past the finish, the end of the epoch.
     auto p = makePipeline();
     const double epoch_s = p.model.baselineSeconds() * 2.0;
-    const auto discoveryTime = [&](double quantum) {
-        ServerOptions options;
-        options.machines = 1;
-        options.epoch_seconds = epoch_s;
-        options.engine = EngineMode::Event;
-        options.event.quantum_seconds = quantum;
-        std::vector<double> times;
-        options.arbitration_probe =
-            [&times](const ArbitrationSample &sample) {
-                times.push_back(sample.time_s);
-            };
-        Server server(p.app, p.table, p.model, options);
-        const FleetReport report = server.serve(std::vector<std::size_t>{1, 0, 0});
-        EXPECT_EQ(report.total_jobs, 1u);
-        EXPECT_EQ(report.drained_jobs, 0u);
-        // Admission round + completion round, nothing else: quantum
-        // ticks without a completion re-price nothing, and the chain
-        // stops once the fleet idles.
-        EXPECT_EQ(times.size(), 2u);
-        return times.back();
-    };
-    const double coarse = discoveryTime(0.0); // Default: one epoch.
-    const double fine = discoveryTime(epoch_s / 8.0);
-    EXPECT_DOUBLE_EQ(coarse, epoch_s);
-    EXPECT_LT(fine, coarse);
-    EXPECT_GT(fine, 0.0);
+    ServerOptions options;
+    options.machines = 1;
+    options.epoch_seconds = epoch_s;
+    options.engine = EngineMode::Event;
+    std::vector<double> times;
+    options.arbitration_probe =
+        [&times](const ArbitrationSample &sample) {
+            times.push_back(sample.time_s);
+        };
+    Server server(p.app, p.table, p.model, options);
+    const FleetReport report =
+        server.serve(std::vector<std::size_t>{1, 0, 0});
+    EXPECT_EQ(report.total_jobs, 1u);
+    EXPECT_EQ(report.drained_jobs, 0u);
+    // Admission round + completion round, nothing else: a tick without
+    // a completion re-prices nothing, and the chain stops once the
+    // fleet idles.
+    ASSERT_EQ(times.size(), 2u);
+    EXPECT_DOUBLE_EQ(times.back(), epoch_s);
 }
 
 /** Assert the Server constructor rejects @p options at its boundary. */
@@ -323,22 +300,15 @@ TEST(EventEngine, ValidatesEngineOptions)
     options.event.sample_stride = 0;
     expectRejected(p, options);
 
-    options = ServerOptions{};
-    options.event.quantum_seconds = -1.0;
-    expectRejected(p, options);
-
     // Non-finite serve timing: an infinite epoch would stamp NaN
     // (0 x inf) trace times, and NaN compares false against every
-    // bound, so both fields reject anything non-finite up front.
+    // bound, so the field rejects anything non-finite up front.
     const double inf = std::numeric_limits<double>::infinity();
     const double nan = std::numeric_limits<double>::quiet_NaN();
     for (const double bad : {inf, -inf, nan}) {
         SCOPED_TRACE(::testing::Message() << "value " << bad);
         options = ServerOptions{};
         options.epoch_seconds = bad;
-        expectRejected(p, options);
-        options = ServerOptions{};
-        options.event.quantum_seconds = bad;
         expectRejected(p, options);
     }
 }

@@ -8,14 +8,13 @@
 #include <vector>
 
 #include "heartbeats/heartbeat.h"
-#include "heartbeats/reader.h"
 
 namespace powerdial::hb {
 namespace {
 
 TEST(Monitor, FirstBeatHasNoLatency)
 {
-    Monitor monitor(20, {1.0, 1.0});
+    Monitor monitor(20);
     monitor.beat(5.0);
     const HeartbeatRecord rec = monitor.latest();
     EXPECT_EQ(rec.tag, 0u);
@@ -25,7 +24,7 @@ TEST(Monitor, FirstBeatHasNoLatency)
 
 TEST(Monitor, TagsIncrement)
 {
-    Monitor monitor(20, {1.0, 1.0});
+    Monitor monitor(20);
     for (int i = 0; i < 5; ++i) {
         monitor.beat(static_cast<double>(i));
         EXPECT_EQ(monitor.latest().tag, static_cast<std::uint64_t>(i));
@@ -35,7 +34,7 @@ TEST(Monitor, TagsIncrement)
 
 TEST(Monitor, InstantRateIsInverseLatency)
 {
-    Monitor monitor(20, {1.0, 1.0});
+    Monitor monitor(20);
     monitor.beat(0.0);
     monitor.beat(0.25);
     const HeartbeatRecord rec = monitor.latest();
@@ -45,7 +44,7 @@ TEST(Monitor, InstantRateIsInverseLatency)
 
 TEST(Monitor, WindowRateIsMeanOverWindow)
 {
-    Monitor monitor(4, {1.0, 1.0});
+    Monitor monitor(4);
     // Latencies: 1, 1, 2, 2 -> window rate = 4 / 6.
     double t = 0.0;
     monitor.beat(t);
@@ -58,7 +57,7 @@ TEST(Monitor, WindowRateIsMeanOverWindow)
 
 TEST(Monitor, WindowSlidesForward)
 {
-    Monitor monitor(2, {1.0, 1.0});
+    Monitor monitor(2);
     monitor.beat(0.0);
     monitor.beat(10.0); // latency 10
     monitor.beat(11.0); // latency 1
@@ -68,7 +67,7 @@ TEST(Monitor, WindowSlidesForward)
 
 TEST(Monitor, GlobalRateSpansWholeRun)
 {
-    Monitor monitor(2, {1.0, 1.0});
+    Monitor monitor(2);
     monitor.beat(0.0);
     monitor.beat(1.0);
     monitor.beat(4.0);
@@ -78,7 +77,7 @@ TEST(Monitor, GlobalRateSpansWholeRun)
 
 TEST(Monitor, RatesZeroBeforeTwoBeats)
 {
-    Monitor monitor(4, {1.0, 1.0});
+    Monitor monitor(4);
     EXPECT_DOUBLE_EQ(monitor.windowRate(), 0.0);
     EXPECT_DOUBLE_EQ(monitor.globalRate(), 0.0);
     monitor.beat(1.0);
@@ -88,36 +87,25 @@ TEST(Monitor, RatesZeroBeforeTwoBeats)
 
 TEST(Monitor, BackwardsTimeThrows)
 {
-    Monitor monitor(4, {1.0, 1.0});
+    Monitor monitor(4);
     monitor.beat(2.0);
     EXPECT_THROW(monitor.beat(1.0), std::invalid_argument);
 }
 
 TEST(Monitor, LatestThrowsWhenEmpty)
 {
-    Monitor monitor(4, {1.0, 1.0});
+    Monitor monitor(4);
     EXPECT_THROW(monitor.latest(), std::logic_error);
 }
 
-TEST(Monitor, TargetValidation)
+TEST(Monitor, WindowValidation)
 {
-    EXPECT_THROW(Monitor(0, {1.0, 1.0}), std::invalid_argument);
-    EXPECT_THROW(Monitor(4, {2.0, 1.0}), std::invalid_argument);
-    EXPECT_THROW(Monitor(4, {-1.0, 1.0}), std::invalid_argument);
-}
-
-TEST(Monitor, SetTargetReplacesRange)
-{
-    Monitor monitor(4, {1.0, 2.0});
-    EXPECT_DOUBLE_EQ(monitor.target().midpoint(), 1.5);
-    monitor.setTarget({3.0, 5.0});
-    EXPECT_DOUBLE_EQ(monitor.target().midpoint(), 4.0);
-    EXPECT_THROW(monitor.setTarget({5.0, 3.0}), std::invalid_argument);
+    EXPECT_THROW(Monitor(0), std::invalid_argument);
 }
 
 TEST(Monitor, RecordedRatesMatchQueryAtBeatTime)
 {
-    Monitor monitor(3, {1.0, 1.0});
+    Monitor monitor(3);
     double t = 0.0;
     for (int i = 0; i < 6; ++i) {
         t += 0.5;
@@ -126,21 +114,6 @@ TEST(Monitor, RecordedRatesMatchQueryAtBeatTime)
         EXPECT_DOUBLE_EQ(rec.window_rate, monitor.windowRate());
         EXPECT_DOUBLE_EQ(rec.global_rate, monitor.globalRate());
     }
-}
-
-TEST(Reader, ExposesMonitorState)
-{
-    Monitor monitor(4, {2.0, 3.0});
-    Reader reader(monitor);
-    EXPECT_EQ(reader.currentTag(), -1);
-    monitor.beat(0.0);
-    monitor.beat(0.5);
-    EXPECT_EQ(reader.currentTag(), 1);
-    EXPECT_DOUBLE_EQ(reader.windowRate(), monitor.windowRate());
-    EXPECT_DOUBLE_EQ(reader.globalRate(), monitor.globalRate());
-    EXPECT_DOUBLE_EQ(reader.minTarget(), 2.0);
-    EXPECT_DOUBLE_EQ(reader.maxTarget(), 3.0);
-    EXPECT_DOUBLE_EQ(reader.latest().latency, 0.5);
 }
 
 /**
@@ -275,7 +248,7 @@ TEST(Monitor, RingMatchesUnboundedLogBitForBit)
         std::mt19937_64 rng(1234 + window);
         std::uniform_real_distribution<double> exponent(-6.0, 3.0);
         std::bernoulli_distribution repeat(0.2);
-        Monitor ring(window, {1.0, 1.0});
+        Monitor ring(window);
         for (const double start : {0.0, 7.5}) {
             SCOPED_TRACE(::testing::Message() << "stream from " << start);
             expectNoBeats(ring);
@@ -306,7 +279,7 @@ class ConstantRate : public ::testing::TestWithParam<double>
 TEST_P(ConstantRate, WindowAndGlobalAgree)
 {
     const double latency = GetParam();
-    Monitor monitor(20, {1.0, 1.0});
+    Monitor monitor(20);
     double t = 0.0;
     for (int i = 0; i < 50; ++i) {
         monitor.beat(t);

@@ -262,12 +262,12 @@ TEST(NanInputs, PerBeatEntryPointsRejectNaN)
         entry_points = {
             {"Monitor::beat, first beat",
              [nan] {
-                 hb::Monitor monitor(4, {1.0, 1.0});
+                 hb::Monitor monitor(4);
                  monitor.beat(nan);
              }},
             {"Monitor::beat, later beat",
              [nan] {
-                 hb::Monitor monitor(4, {1.0, 1.0});
+                 hb::Monitor monitor(4);
                  monitor.beat(1.0);
                  monitor.beat(nan);
              }},
