@@ -67,11 +67,12 @@ figurePanel(core::App &sweep, core::App &app,
             sim::Machine machine;
             machine.setPState(pstate);
             machine.setUtilization(1.0); // App keeps the machine busy.
-            const auto run = session.run(input, machine);
+            session.run(input, machine);
             const auto &beats = trace.beats();
 
             StateRow row;
-            row.qos = qos::distortion(baseline.output, run.output);
+            row.qos = qos::distortion(baseline.output,
+                                      bound.apps[pstate]->output());
             row.watts = machine.meanWatts();
 
             // Tail-mean performance (after convergence), like the

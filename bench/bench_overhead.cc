@@ -14,14 +14,18 @@
  * as their ns/item.
  *
  * Times everything with the harness in vendor/microbench.h, then runs
- * the tracing-disabled ceiling check below; the exit status is the
- * check's.
+ * two checks: the tracing-disabled ceiling, and the fleet's allocation
+ * ceiling (operator new calls to build a tenant slot and to run a job
+ * on it). The exit status is nonzero if either fails.
  */
 #include "vendor/microbench.h"
 
 #include <algorithm>
+#include <atomic>
 #include <chrono>
+#include <cstdlib>
 #include <memory>
+#include <new>
 #include <vector>
 
 #include "apps/swaptions/pricer.h"
@@ -35,6 +39,36 @@
 #include "obs/trace_sink.h"
 
 using namespace powerdial;
+
+namespace {
+
+/** operator new calls since the program started. */
+std::atomic<std::size_t> g_allocations{0};
+
+} // namespace
+
+// Count every allocation the benches and checks make; the array and
+// nothrow forms of the standard library call this one.
+void *
+operator new(std::size_t size)
+{
+    g_allocations.fetch_add(1, std::memory_order_relaxed);
+    if (void *p = std::malloc(size != 0 ? size : 1))
+        return p;
+    throw std::bad_alloc();
+}
+
+void
+operator delete(void *p) noexcept
+{
+    std::free(p);
+}
+
+void
+operator delete(void *p, std::size_t) noexcept
+{
+    std::free(p);
+}
 
 namespace {
 
@@ -256,20 +290,20 @@ BM_FleetTenant256Beats_Slices10(benchmark::State &state)
     fleet::ServerOptions options;
     options.tenants = {1};
     const sim::Machine::Config host;
-    auto tenant =
-        fleet::detail::makeTenant(options, f.app, f.table, f.model);
+    fleet::ArbitrationLease lease; // The host's lease.
+    auto tenant = fleet::detail::makeTenant(options, f.app, f.table,
+                                            f.model, host);
     // Ten beats at the baseline knob on an uncapped host.
     const double slice_s = 10.0 * 100.0 / host.scale.maxHz();
     const workload::OfferedJob offer{1, 0, 0.0};
     std::size_t job = 0;
     std::size_t generation = 0;
     for (auto _ : state) {
-        fleet::detail::assignJob(*tenant, options, host, job++, 0, 0, 0.0,
-                                 offer, 0.0);
+        fleet::detail::assignJob(*tenant, options, host, lease, job++, 0,
+                                 0, 0.0, offer, 0.0);
         for (std::size_t slice = 0; !tenant->done; ++slice) {
             if (slice % 3 == 0) {
                 const bool odd = ++generation % 2 == 1;
-                fleet::ArbitrationLease &lease = tenant->lease;
                 lease.generation = generation;
                 lease.share = odd ? 0.5 : 1.0;
                 lease.utilization = odd ? 0.25 : 0.125;
@@ -288,13 +322,13 @@ BENCHMARK(BM_FleetTenant256Beats_Slices10);
  * The same lease-gated slices across 1024 tenant slots visited round
  * robin, one ten-beat slice per visit, the way a serve's slice section
  * walks a large fleet: a slot whose job has finished takes the next
- * job, and each slot's lease is rewritten every third visit, one of
- * its two sets of terms with a duty-cycle pause, so beats alternate
- * busy and idle draw as they do under a power cap. One slot stays
- * cache-resident however much state a beat touches; 1024 do not, so
- * read this bench's ns/beat beside BM_FleetTenant256Beats_Slices10's
- * for the cost of each slot's working set (its session, machine and
- * record).
+ * job, and each slot reads a host lease of its own, rewritten every
+ * third visit, one of its two sets of terms with a duty-cycle pause,
+ * so beats alternate busy and idle draw as they do under a power cap.
+ * One slot stays cache-resident however much state a beat touches;
+ * 1024 do not, so read this bench's ns/beat beside
+ * BM_FleetTenant256Beats_Slices10's for the cost of each slot's
+ * working set (its session, machine and record).
  */
 static void
 BM_FleetTenants1024RoundRobin_Slices10(benchmark::State &state)
@@ -309,25 +343,26 @@ BM_FleetTenants1024RoundRobin_Slices10(benchmark::State &state)
     std::size_t job = 0;
     std::size_t generation = 0;
     std::vector<std::unique_ptr<fleet::detail::Tenant>> slots;
+    std::vector<fleet::ArbitrationLease> leases(kSlots);
     std::vector<std::size_t> visits(kSlots, 0);
     for (std::size_t i = 0; i < kSlots; ++i) {
-        slots.push_back(
-            fleet::detail::makeTenant(options, f.app, f.table, f.model));
-        fleet::detail::assignJob(*slots.back(), options, host, job++, 0, 0,
-                                 0.0, offer, 0.0);
+        slots.push_back(fleet::detail::makeTenant(options, f.app, f.table,
+                                                  f.model, host));
+        fleet::detail::assignJob(*slots.back(), options, host, leases[i],
+                                 job++, 0, 0, 0.0, offer, 0.0);
     }
     std::size_t beats = 0;
     std::size_t next = 0;
     for (auto _ : state) {
         fleet::detail::Tenant &tenant = *slots[next];
         if (tenant.done) {
-            fleet::detail::assignJob(tenant, options, host, job++, 0, 0,
-                                     0.0, offer, 0.0);
+            fleet::detail::assignJob(tenant, options, host, leases[next],
+                                     job++, 0, 0, 0.0, offer, 0.0);
             visits[next] = 0;
         }
         if (visits[next]++ % 3 == 0) {
             const bool odd = ++generation % 2 == 1;
-            fleet::ArbitrationLease &lease = tenant.lease;
+            fleet::ArbitrationLease &lease = leases[next];
             lease.generation = generation;
             lease.share = odd ? 0.5 : 1.0;
             lease.utilization = odd ? 0.25 : 0.125;
@@ -494,6 +529,75 @@ checkTracingOverheadCeiling()
     return ok ? 0 : 1;
 }
 
+/**
+ * Most operator new calls one tenant slot build (detail::makeTenant on
+ * the session fixture) may make: its app clone, bindings, session,
+ * policy, strategy, monitor and gate. Measured when slots began to
+ * share their knob table's recorded values instead of copying them;
+ * raise it only with a reason.
+ */
+constexpr std::size_t kSlotBuildAllocations = 10;
+
+/**
+ * The fleet's allocation ceiling, on the session fixture: building one
+ * tenant slot may allocate at most kSlotBuildAllocations times, and a
+ * job on a slot that has served one before — assignJob, runSlice in
+ * ten-beat slices to completion under a lease rewritten every third
+ * slice, then the release's copy of the record into its report slot —
+ * may not allocate at all. Prints both counts.
+ */
+int
+checkTenantAllocations()
+{
+    SessionFixture f;
+    fleet::ServerOptions options;
+    options.tenants = {1};
+    const sim::Machine::Config host;
+    fleet::ArbitrationLease lease; // The host's lease.
+    const workload::OfferedJob offer{1, 0, 0.0};
+    const double slice_s = 10.0 * 100.0 / host.scale.maxHz();
+    constexpr std::size_t kJobs = 3;
+    std::vector<fleet::JobRecord> records(kJobs);
+
+    std::size_t before = g_allocations.load();
+    const auto tenant = fleet::detail::makeTenant(options, f.app, f.table,
+                                                  f.model, host);
+    const std::size_t slot_build = g_allocations.load() - before;
+
+    std::size_t generation = 0;
+    std::size_t later_jobs = 0; // Jobs after the slot's first.
+    for (std::size_t job = 0; job < kJobs; ++job) {
+        before = g_allocations.load();
+        fleet::detail::assignJob(*tenant, options, host, lease, job, 0, 0,
+                                 0.0, offer, 0.0);
+        for (std::size_t slice = 0; !tenant->done; ++slice) {
+            if (slice % 3 == 0) {
+                const bool odd = ++generation % 2 == 1;
+                lease.generation = generation;
+                lease.share = odd ? 0.5 : 1.0;
+                lease.utilization = odd ? 0.25 : 0.125;
+                lease.pstate_cap = odd ? 1 : 0;
+                lease.pause_ratio = odd ? 0.25 : 0.0;
+            }
+            tenant->slice_deadline_s = tenant->machine.now() + slice_s;
+            fleet::detail::runSlice(*tenant);
+        }
+        records[job] = tenant->record;
+        if (job > 0)
+            later_jobs += g_allocations.load() - before;
+    }
+    benchmark::DoNotOptimize(records.data());
+
+    const bool ok =
+        slot_build <= kSlotBuildAllocations && later_jobs == 0;
+    std::printf("tenant allocations: %zu per slot build (ceiling %zu), "
+                "%zu over %zu jobs after the slot's first (ceiling 0) "
+                "-- %s\n",
+                slot_build, kSlotBuildAllocations, later_jobs, kJobs - 1,
+                ok ? "ok" : "REGRESSED");
+    return ok ? 0 : 1;
+}
+
 } // namespace
 
 int
@@ -501,5 +605,7 @@ main(int argc, char **argv)
 {
     bench::parseFlags(argc, argv, {}, "usage: %s\n");
     powerdial::microbench::RunAll();
-    return checkTracingOverheadCeiling();
+    const int tracing = checkTracingOverheadCeiling();
+    const int allocations = checkTenantAllocations();
+    return tracing != 0 ? tracing : allocations;
 }

@@ -31,7 +31,7 @@ replayOne(App &app, const KnobTable &table, const ResponseModel &model,
     out.tail_mean_perf = beats.size() > tail
         ? perf / static_cast<double>(beats.size() - tail)
         : 0.0;
-    out.qos_loss_measured = qos::distortion(baseline, run.output);
+    out.qos_loss_measured = qos::distortion(baseline, app.output());
     out.qos_loss_estimate = run.mean_qos_loss_estimate;
     out.seconds = run.seconds;
     out.energy_j = machine.energyJoules();

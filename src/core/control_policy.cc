@@ -1,11 +1,22 @@
 #include "core/control_policy.h"
 
 #include <algorithm>
+#include <cmath>
 #include <stdexcept>
 
 namespace powerdial::core {
 
+// Every check below is written so that NaN, which fails every ordered
+// comparison, fails the check too.
+
 namespace {
+
+/** True when @p value is finite and > 0. */
+bool
+finitePositive(double value)
+{
+    return std::isfinite(value) && value > 0.0;
+}
 
 /**
  * Reject a run setup no law can follow: the check every policy's
@@ -14,15 +25,15 @@ namespace {
 void
 checkSetup(const ControlSetup &setup, const char *law)
 {
-    if (setup.baseline_rate <= 0.0)
-        throw std::invalid_argument(std::string(law) +
-                                    ": baseline rate must be > 0");
-    if (setup.target_rate <= 0.0)
-        throw std::invalid_argument(std::string(law) +
-                                    ": target rate must be > 0");
-    if (setup.max_speedup < setup.min_speedup)
-        throw std::invalid_argument(std::string(law) +
-                                    ": max < min speedup");
+    if (!finitePositive(setup.baseline_rate))
+        throw std::invalid_argument(
+            std::string(law) + ": baseline rate must be finite and > 0");
+    if (!finitePositive(setup.target_rate))
+        throw std::invalid_argument(
+            std::string(law) + ": target rate must be finite and > 0");
+    if (!(setup.max_speedup >= setup.min_speedup))
+        throw std::invalid_argument(
+            std::string(law) + ": max < min speedup, or one is NaN");
 }
 
 } // namespace
@@ -33,8 +44,9 @@ checkSetup(const ControlSetup &setup, const char *law)
 
 DeadbeatPolicy::DeadbeatPolicy(double gain) : gain_(gain)
 {
-    if (gain_ <= 0.0)
-        throw std::invalid_argument("DeadbeatPolicy: gain must be > 0");
+    if (!finitePositive(gain_))
+        throw std::invalid_argument(
+            "DeadbeatPolicy: gain must be finite and > 0");
 }
 
 std::string
@@ -69,10 +81,12 @@ DeadbeatPolicy::update(double observed_rate)
 
 PidPolicy::PidPolicy(const PidGains &gains) : gains_(gains)
 {
-    if (gains_.ki <= 0.0)
-        throw std::invalid_argument("PidPolicy: ki must be > 0");
-    if (gains_.kp < 0.0 || gains_.kd < 0.0)
-        throw std::invalid_argument("PidPolicy: kp/kd must be >= 0");
+    if (!finitePositive(gains_.ki))
+        throw std::invalid_argument("PidPolicy: ki must be finite and > 0");
+    if (!(std::isfinite(gains_.kp) && gains_.kp >= 0.0 &&
+          std::isfinite(gains_.kd) && gains_.kd >= 0.0))
+        throw std::invalid_argument(
+            "PidPolicy: kp/kd must be finite and >= 0");
 }
 
 std::string
@@ -129,13 +143,14 @@ PidPolicy::update(double observed_rate)
 GainScheduledPolicy::GainScheduledPolicy(const GainScheduleConfig &config)
     : config_(config)
 {
-    if (config_.estimate_alpha <= 0.0 || config_.estimate_alpha > 1.0)
+    if (!(config_.estimate_alpha > 0.0 && config_.estimate_alpha <= 1.0))
         throw std::invalid_argument(
             "GainScheduledPolicy: alpha must be in (0, 1]");
-    if (config_.gain <= 0.0)
+    if (!finitePositive(config_.gain))
         throw std::invalid_argument(
-            "GainScheduledPolicy: gain must be > 0");
-    if (config_.min_scale <= 0.0 || config_.max_scale < config_.min_scale)
+            "GainScheduledPolicy: gain must be finite and > 0");
+    if (!(finitePositive(config_.min_scale) &&
+          config_.max_scale >= config_.min_scale))
         throw std::invalid_argument(
             "GainScheduledPolicy: bad estimate clamp");
 }

@@ -48,7 +48,12 @@ class ControlPolicy
     /** Human-readable law name (for traces and reports). */
     virtual std::string name() const = 0;
 
-    /** Start a run: adopt @p setup and reset all run state. */
+    /**
+     * Start a run: adopt @p setup and reset all run state. The three
+     * laws here throw std::invalid_argument for a baseline or target
+     * rate that is not finite and > 0, or speedup bounds that are NaN
+     * or out of order.
+     */
     virtual void begin(const ControlSetup &setup) = 0;
 
     /**
@@ -80,6 +85,7 @@ using PolicyFactory = std::function<std::unique_ptr<ControlPolicy>()>;
 class DeadbeatPolicy final : public ControlPolicy
 {
   public:
+    /** Throws std::invalid_argument unless @p gain is finite and > 0. */
     explicit DeadbeatPolicy(double gain = 1.0);
 
     std::string name() const override;
@@ -120,6 +126,8 @@ struct PidGains
 class PidPolicy final : public ControlPolicy
 {
   public:
+    /** Throws std::invalid_argument unless ki is finite and > 0 and
+     *  kp, kd are finite and >= 0. */
     explicit PidPolicy(const PidGains &gains = {});
 
     std::string name() const override;
@@ -163,6 +171,9 @@ struct GainScheduleConfig
 class GainScheduledPolicy final : public ControlPolicy
 {
   public:
+    /** Throws std::invalid_argument unless alpha is in (0, 1], the gain
+     *  and min_scale are finite and > 0, and max_scale >= min_scale
+     *  (NaN fails each). */
     explicit GainScheduledPolicy(const GainScheduleConfig &config = {});
 
     std::string name() const override;

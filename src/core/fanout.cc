@@ -15,10 +15,13 @@ rebindKnobTable(const KnobTable &source, App &app)
     if (table.variableCount() != source.variableCount())
         throw std::invalid_argument(
             "rebindKnobTable: binding count mismatch");
+    // Every value must be recorded (value() throws if one is not);
+    // the values themselves are shared, not copied.
     const std::size_t combinations = app.knobSpace().combinations();
     for (std::size_t c = 0; c < combinations; ++c)
         for (std::size_t v = 0; v < source.variableCount(); ++v)
-            table.record(c, v, source.value(c, v));
+            source.value(c, v);
+    table.shareValues(source);
     return table;
 }
 

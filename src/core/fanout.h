@@ -7,7 +7,7 @@
  *
  *   1. clones are created *serially* (App::clone() of a shared
  *      instance is not required to be thread-safe), each with a
- *      rebindKnobTable()-copied knob table when a session will run
+ *      rebindKnobTable()-rebound knob table when a session will run
  *      on it;
  *   2. an engine resolved to N workers runs N - 1 helper threads and
  *      the caller as worker 0, all claiming tasks from one counter;
@@ -47,9 +47,11 @@ namespace powerdial::core {
 
 /**
  * Rebind a knob table onto another instance of the same application
- * (typically an App::clone()): copies every recorded control-variable
- * value and lets @p app install its own write bindings. The building
- * block for running sessions on cloned applications in parallel.
+ * (typically an App::clone()): @p app installs its own write bindings,
+ * and the result shares @p source's recorded control-variable values
+ * (KnobTable::shareValues) after checking that every combination of
+ * @p app's knob space has them. The building block for running
+ * sessions on cloned applications in parallel.
  */
 KnobTable rebindKnobTable(const KnobTable &source, App &app);
 
@@ -146,8 +148,8 @@ class FanoutEngine
 
     /**
      * Serially create @p count private clones of @p app, each bound to
-     * its own rebindKnobTable() copy of @p table — the full session
-     * fan-out preamble.
+     * its own rebindKnobTable() rebinding of @p table — the full
+     * session fan-out preamble.
      */
     static BoundClones cloneBound(const App &app, const KnobTable &table,
                                   std::size_t count);

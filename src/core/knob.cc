@@ -104,9 +104,14 @@ KnobTable::record(std::size_t combination, std::size_t var_index,
 {
     if (var_index >= bindings_.size())
         throw std::out_of_range("KnobTable: bad variable index");
-    if (values_.size() <= combination)
-        values_.resize(combination + 1);
-    auto &row = values_[combination];
+    if (values_ == nullptr)
+        values_ = std::make_shared<Values>();
+    else if (values_.use_count() > 1)
+        values_ = std::make_shared<Values>(*values_); // Copy on write.
+    Values &values = *values_;
+    if (values.size() <= combination)
+        values.resize(combination + 1);
+    auto &row = values[combination];
     if (row.size() < bindings_.size())
         row.resize(bindings_.size());
     row[var_index] = std::move(value);
@@ -115,9 +120,9 @@ KnobTable::record(std::size_t combination, std::size_t var_index,
 void
 KnobTable::apply(std::size_t combination) const
 {
-    if (combination >= values_.size())
+    if (values_ == nullptr || combination >= values_->size())
         throw std::out_of_range("KnobTable: no values for combination");
-    const auto &row = values_[combination];
+    const auto &row = (*values_)[combination];
     for (std::size_t i = 0; i < bindings_.size(); ++i) {
         if (i >= row.size() || row[i].empty()) {
             throw std::logic_error("KnobTable: missing value for '" +
@@ -138,12 +143,12 @@ KnobTable::binding(std::size_t i) const
 const std::vector<double> &
 KnobTable::value(std::size_t combination, std::size_t var_index) const
 {
-    if (combination >= values_.size() ||
-        var_index >= values_[combination].size() ||
-        values_[combination][var_index].empty()) {
+    if (values_ == nullptr || combination >= values_->size() ||
+        var_index >= (*values_)[combination].size() ||
+        (*values_)[combination][var_index].empty()) {
         throw std::out_of_range("KnobTable: value not recorded");
     }
-    return values_[combination][var_index];
+    return (*values_)[combination][var_index];
 }
 
 } // namespace powerdial::core

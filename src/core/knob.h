@@ -13,6 +13,7 @@
 
 #include <cstddef>
 #include <functional>
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -80,6 +81,12 @@ struct ControlVariableBinding
 /**
  * The per-combination control-variable values recorded during dynamic
  * knob identification, plus the bindings to install them.
+ *
+ * The recorded values do not change after identification, so tables
+ * share them: a copied table, or one that took another's values with
+ * shareValues(), points at the same storage, and record() copies it
+ * before its first write to shared values. A write into one table
+ * therefore never shows in another.
  */
 class KnobTable
 {
@@ -96,6 +103,12 @@ class KnobTable
     void record(std::size_t combination, std::size_t var_index,
                 std::vector<double> value);
 
+    /**
+     * Take @p source's recorded values in place of this table's own,
+     * sharing their storage; the bindings stay this table's.
+     */
+    void shareValues(const KnobTable &source) { values_ = source.values_; }
+
     /** Install all recorded values for @p combination via the setters. */
     void apply(std::size_t combination) const;
 
@@ -107,9 +120,12 @@ class KnobTable
                                      std::size_t var_index) const;
 
   private:
+    using Values = std::vector<std::vector<std::vector<double>>>;
+
     std::vector<ControlVariableBinding> bindings_;
-    /** values_[combination][var] — resized on demand. */
-    std::vector<std::vector<std::vector<double>>> values_;
+    /** (*values_)[combination][var] — resized on demand; null until
+     *  the first record(), and shared between tables (see above). */
+    std::shared_ptr<Values> values_;
 };
 
 } // namespace powerdial::core

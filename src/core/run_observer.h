@@ -24,7 +24,6 @@
 #include <vector>
 
 #include "core/actuation_strategy.h"
-#include "qos/distortion.h"
 
 namespace powerdial::core {
 
@@ -40,10 +39,14 @@ struct BeatTrace
     std::size_t pstate;     //!< Machine P-state at the beat.
 };
 
-/** Result of one controlled execution. */
+/**
+ * Result of one controlled execution: plain data. The run's output is
+ * the application's own (App::output() once the run completes), so a
+ * caller that measures QoS reads it there and a caller that does not
+ * builds none.
+ */
 struct ControlledRun
 {
-    qos::OutputAbstraction output;
     double seconds = 0.0;    //!< Total virtual execution time.
     double mean_qos_loss_estimate = 0.0; //!< Work-weighted calibrated
                                          //!< QoS loss of installed combos.

@@ -319,7 +319,6 @@ Session::advanceUntil(double deadline_s)
 
     ControlledRun result = state.result;
     result.seconds = machine.now() - state.start_time_s;
-    result.output = app_->output();
     result.mean_qos_loss_estimate = state.qos_work > 0.0
         ? state.qos_weighted / state.qos_work
         : 0.0;

@@ -180,7 +180,8 @@ class Session
     /**
      * Execute input @p input to completion on @p machine under closed-
      * loop control. Equivalent to start() followed by one
-     * advanceUntil() with no deadline.
+     * advanceUntil() with no deadline. The run's output is the
+     * application's: read App::output() after the call.
      */
     ControlledRun run(std::size_t input, sim::Machine &machine);
 

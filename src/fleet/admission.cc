@@ -133,15 +133,18 @@ class PredictiveAdmission final : public AdmissionPolicy
         if (observed_.size() < options_.window) {
             observed_.push_back(observed_s);
             predicted_.push_back(predicted_s);
+            insertSorted(sorted_observed_, observed_s);
+            insertSorted(sorted_predicted_, predicted_s);
         } else {
-            evict(sorted_observed_, observed_[next_]);
-            evict(sorted_predicted_, predicted_[next_]);
+            detail::replaceSorted(sorted_observed_, observed_[next_],
+                                  observed_s);
+            detail::replaceSorted(sorted_predicted_, predicted_[next_],
+                                  predicted_s);
             observed_[next_] = observed_s;
             predicted_[next_] = predicted_s;
         }
-        insertSorted(sorted_observed_, observed_s);
-        insertSorted(sorted_predicted_, predicted_s);
-        next_ = (next_ + 1) % options_.window;
+        if (++next_ == options_.window)
+            next_ = 0;
         // Distribution-level calibration: the ratio of the window's
         // observed p95 to its predicted p95, not the p95 of per-job
         // ratios. Jobs admitted early in an arrival burst are priced
@@ -170,15 +173,6 @@ class PredictiveAdmission final : public AdmissionPolicy
         sorted.insert(
             std::upper_bound(sorted.begin(), sorted.end(), value),
             value);
-    }
-
-    /** Remove one element equal to @p value from ascending @p sorted
-     *  (it holds one: the ring slot being overwritten). */
-    static void
-    evict(std::vector<double> &sorted, double value)
-    {
-        sorted.erase(
-            std::lower_bound(sorted.begin(), sorted.end(), value));
     }
 
     /**
@@ -229,6 +223,30 @@ class PredictiveAdmission final : public AdmissionPolicy
 };
 
 } // namespace
+
+namespace detail {
+
+void
+replaceSorted(std::vector<double> &sorted, double old, double value)
+{
+    const auto first = sorted.begin();
+    const auto gone = std::lower_bound(first, sorted.end(), old);
+    if (old <= value) {
+        // value lands after its equals among the elements past the
+        // removed one, which move down one slot to make room.
+        const auto end = std::upper_bound(gone + 1, sorted.end(), value);
+        std::move(gone + 1, end, gone);
+        *(end - 1) = value;
+    } else {
+        // value lands after its equals among the elements before the
+        // removed one, which move up one slot.
+        const auto slot = std::upper_bound(first, gone, value);
+        std::move_backward(slot, gone, gone + 1);
+        *slot = value;
+    }
+}
+
+} // namespace detail
 
 AdmissionFactory
 makeQueueDepthAdmission()

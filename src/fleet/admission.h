@@ -34,6 +34,7 @@
 #include <memory>
 #include <optional>
 #include <string>
+#include <vector>
 
 #include "workload/traffic_mix.h"
 
@@ -201,6 +202,21 @@ struct PredictiveAdmissionOptions
  */
 AdmissionFactory
 makePredictiveAdmission(PredictiveAdmissionOptions options = {});
+
+namespace detail {
+
+/**
+ * One feedback-window step of PredictiveAdmission's sorted windows:
+ * replace the first element equal to @p old in ascending @p sorted (it
+ * must hold one: the ring slot being overwritten) with @p value,
+ * keeping it sorted. Leaves exactly what erasing that element and then
+ * inserting @p value after its equals leaves, bit for bit, in one
+ * shift of the elements between the two positions. Declared here for
+ * its tests.
+ */
+void replaceSorted(std::vector<double> &sorted, double old, double value);
+
+} // namespace detail
 
 } // namespace powerdial::fleet
 

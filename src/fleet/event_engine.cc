@@ -107,38 +107,62 @@ admitOffers(Scheduler &scheduler,
 }
 
 /**
- * Install one arbitration round's terms in a tenant's lease — the one
- * lease-rewrite path both engines share — and attribute the rewrite
- * through the tracer.
+ * Install one arbitration round's terms in every machine's lease — the
+ * one lease-rewrite path both engines share. Every tenant on a machine
+ * reads that machine's lease, so a round costs one rewrite per
+ * machine, not per tenant.
  */
 void
-writeLease(const sim::Cluster &cluster, Tenant &tenant,
-           std::size_t generation, std::size_t epoch,
-           const ArbitrationDecision &decision, FleetTracer &tracer)
+writeLeases(const sim::Cluster &cluster, std::size_t generation,
+            std::size_t epoch, const ArbitrationDecision &decision,
+            std::vector<ArbitrationLease> &leases)
 {
-    const JobRecord &job = tenant.record;
-    const auto load =
-        cluster.loadOf(job.machine, cluster.activeOn(job.machine));
-    tenant.lease.generation = generation;
-    tenant.lease.epoch = epoch;
-    tenant.lease.share = load.per_instance_share;
-    tenant.lease.utilization = load.utilization;
-    tenant.lease.pstate_cap = decision.pstate_cap[job.machine];
-    tenant.lease.pause_ratio = decision.pause_ratio[job.machine];
-    tracer.lease(job.job, job.tenant, job.machine, tenant.lease);
+    for (std::size_t m = 0; m < leases.size(); ++m) {
+        const auto load = cluster.loadOf(m, cluster.activeOn(m));
+        ArbitrationLease &lease = leases[m];
+        lease.generation = generation;
+        lease.epoch = epoch;
+        lease.share = load.per_instance_share;
+        lease.utilization = load.utilization;
+        lease.pstate_cap = decision.pstate_cap[m];
+        lease.pause_ratio = decision.pause_ratio[m];
+    }
+}
+
+/**
+ * Group @p jobs' latencies by @p key, a dense id below @p groups: a
+ * counting sort that keeps job order inside each group. Group g's
+ * latencies land in latencies[start[g], start[g + 1]).
+ */
+template <typename Key>
+void
+groupLatencies(const std::vector<JobRecord> &jobs, std::size_t groups,
+               Key key, std::vector<std::size_t> &start,
+               std::vector<double> &latencies)
+{
+    start.assign(groups + 1, 0);
+    for (const JobRecord &job : jobs)
+        ++start[key(job) + 1];
+    for (std::size_t g = 0; g < groups; ++g)
+        start[g + 1] += start[g];
+    std::vector<std::size_t> next(start.begin(), start.end() - 1);
+    latencies.resize(jobs.size());
+    for (const JobRecord &job : jobs)
+        latencies[next[key(job)]++] = job.latency_s;
 }
 
 /**
  * Fold the stored job records and accumulated epoch rows into the
  * report's aggregates: epoch means, overall QoS mean, latency
  * percentiles, and the per-tenant / per-class / per-machine tables
- * (sorted by id; machine rows cover the whole cluster). All four
- * percentile paths go through the one latencyPercentiles helper. Both
- * engines call this with report.jobs, report.epochs and the total
- * counters already set.
+ * (sorted by id; machine rows cover the whole cluster). Every job's
+ * tenant is an input index below @p inputs. All four percentile paths
+ * go through the one latencyPercentiles helper. Both engines call this
+ * with report.jobs, report.epochs and the total counters already set.
  */
 void
-finalizeReport(FleetReport &report, const sim::Cluster &cluster)
+finalizeReport(FleetReport &report, const sim::Cluster &cluster,
+               std::size_t inputs)
 {
     double watts_sum = 0.0, rate_sum = 0.0;
     for (const EpochStats &stats : report.epochs) {
@@ -154,9 +178,7 @@ finalizeReport(FleetReport &report, const sim::Cluster &cluster)
     std::vector<double> latencies;
     latencies.reserve(report.jobs.size());
     double qos_sum = 0.0;
-    std::map<std::size_t, TenantStats> tenants;
-    std::map<std::size_t, std::vector<double>> tenant_latencies;
-    std::vector<std::vector<double>> machine_latencies(cluster.size());
+    std::vector<TenantStats> tenants(inputs); // Indexed by input.
     for (const JobRecord &job : report.jobs) {
         latencies.push_back(job.latency_s);
         qos_sum += job.qos_loss;
@@ -165,9 +187,6 @@ finalizeReport(FleetReport &report, const sim::Cluster &cluster)
         ++tenant.jobs;
         tenant.mean_qos_loss += job.qos_loss;
         tenant.mean_latency_s += job.latency_s;
-        tenant_latencies[job.tenant].push_back(job.latency_s);
-        if (job.machine < machine_latencies.size())
-            machine_latencies[job.machine].push_back(job.latency_s);
     }
     if (!report.jobs.empty())
         report.mean_qos_loss =
@@ -176,12 +195,21 @@ finalizeReport(FleetReport &report, const sim::Cluster &cluster)
     report.p50_latency_s = overall.p50;
     report.p95_latency_s = overall.p95;
     report.p99_latency_s = overall.p99;
-    for (auto &[id, tenant] : tenants) {
+
+    std::vector<std::size_t> start;
+    groupLatencies(
+        report.jobs, inputs,
+        [](const JobRecord &job) { return job.tenant; }, start,
+        latencies);
+    for (std::size_t id = 0; id < inputs; ++id) {
+        TenantStats &tenant = tenants[id];
+        if (tenant.jobs == 0)
+            continue;
         const double job_count = static_cast<double>(tenant.jobs);
         tenant.mean_qos_loss /= job_count;
         tenant.mean_latency_s /= job_count;
-        const LatencyPercentiles tail =
-            latencyPercentiles(tenant_latencies[id]);
+        const LatencyPercentiles tail = latencyPercentiles(
+            latencies.data() + start[id], latencies.data() + start[id + 1]);
         tenant.p50_latency_s = tail.p50;
         tenant.p95_latency_s = tail.p95;
         tenant.p99_latency_s = tail.p99;
@@ -215,16 +243,20 @@ finalizeReport(FleetReport &report, const sim::Cluster &cluster)
     // Per-machine scoreboard: one row per cluster machine (idle
     // machines included, with zero counts), tagged with the catalog
     // class heterogeneous-fleet reports group by.
+    groupLatencies(
+        report.jobs, cluster.size(),
+        [](const JobRecord &job) { return job.machine; }, start,
+        latencies);
     for (std::size_t i = 0; i < cluster.size(); ++i) {
         MachineStats row;
         row.machine = i;
         row.machine_class = cluster.classOf(i);
-        row.jobs = machine_latencies[i].size();
+        row.jobs = start[i + 1] - start[i];
         row.shed = i < report.shed_by_machine.size()
             ? report.shed_by_machine[i]
             : 0;
-        const LatencyPercentiles tail =
-            latencyPercentiles(machine_latencies[i]);
+        const LatencyPercentiles tail = latencyPercentiles(
+            latencies.data() + start[i], latencies.data() + start[i + 1]);
         row.p50_latency_s = tail.p50;
         row.p95_latency_s = tail.p95;
         row.p99_latency_s = tail.p99;
@@ -274,7 +306,8 @@ class EventServe
                                       options.queue_depth,
                                       options.admission, &model}),
           arbiter_(options.arbiter), engine_(options.threads),
-          tracer_(options.trace), pool_(options, app, table, model),
+          tracer_(options.trace), leases_(cluster_.size()),
+          pool_(options, app, table, model), inputs_(app.inputCount()),
           qos_feedback_(cluster_.size(), 0.0),
           machine_qos_(cluster_.size(), 0.0),
           machine_jobs_(cluster_.size(), 0)
@@ -317,7 +350,7 @@ class EventServe
         report_.total_jobs = next_job_;
         report_.shed_by_machine = scheduler_.shedByMachine();
         report_.shed_by_class = scheduler_.shedByClass();
-        finalizeReport(report_, cluster_);
+        finalizeReport(report_, cluster_, inputs_);
         return std::move(report_);
     }
 
@@ -413,10 +446,9 @@ class EventServe
 
         while (!queue_.empty()) {
             const auto entry = queue_.pop();
-            if (clock_.advanceTo(entry.time_s)) {
-                advanceTenantsTo(clock_.now());
+            if (clock_.advanceTo(entry.time_s) &&
+                advanceTenantsTo(clock_.now()))
                 noteCompletions();
-            }
             switch (entry.payload.kind) {
             case Event::Kind::Arrivals:
                 // Releases settle before admissions at equal times,
@@ -465,11 +497,16 @@ class EventServe
      * attribute their undelivered beats and QoS loss to the open
      * window, release them, and publish the QoS feedback — then ask
      * for a re-price, since occupancy changed. Idempotent; any
-     * same-time handler may call it before the Completion event pops.
+     * same-time handler may call it before the Completion event pops,
+     * and it returns at once unless noteCompletions found a finished
+     * tenant since the last sweep.
      */
     void
     processCompletions()
     {
+        if (!unswept_completions_)
+            return;
+        unswept_completions_ = false;
         std::size_t kept = 0;
         for (auto &tenant : active_) {
             if (tenant->done) {
@@ -528,29 +565,30 @@ class EventServe
         quantum_pending_ = true;
     }
 
-    /** Flag newly-discovered completions with a same-time trigger. */
+    /**
+     * Flag newly-discovered completions for the next sweep, with a
+     * same-time trigger.
+     */
     void
     noteCompletions()
     {
+        unswept_completions_ = true;
         if (completion_pending_)
             return;
-        for (const auto &tenant : active_) {
-            if (tenant->done) {
-                queue_.push(clock_.now(),
-                            Event{Event::Kind::Completion, 0});
-                completion_pending_ = true;
-                return;
-            }
-        }
+        queue_.push(clock_.now(), Event{Event::Kind::Completion, 0});
+        completion_pending_ = true;
     }
 
-    /** Set every tenant's slice deadline to global time @p t. */
-    void
+    /**
+     * Set every tenant's slice deadline to global time @p t and run
+     * the slices. @return Whether a tenant finished its job.
+     */
+    bool
     advanceTenantsTo(double t)
     {
         for (auto &tenant : active_)
             tenant->slice_deadline_s = t - tenant->arrival_time_s;
-        runSlices();
+        return runSlices();
     }
 
     std::size_t
@@ -586,22 +624,24 @@ class EventServe
 
         for (const auto &[admission, offer] : placements)
             active_.push_back(pool_.acquire(
-                cluster_, admission, *offer, next_job_++, e,
-                static_cast<double>(e) * epoch_s_));
+                cluster_, leases_[admission.machine], admission, *offer,
+                next_job_++, e, static_cast<double>(e) * epoch_s_));
         report_.jobs.resize(next_job_); // Filled by commitJob.
         return placements.size();
     }
 
     /**
      * One arbitration round at virtual time @p t: the arbiter prices
-     * the current occupancy and QoS feedback, and every held tenant's
-     * lease takes the new terms under a fresh generation, tagged with
-     * epoch @p epoch. Each tenant's gate applies them at its next beat.
+     * the current occupancy and QoS feedback into the serve's reused
+     * decision, and every machine's lease takes the new terms under a
+     * fresh generation, tagged with epoch @p epoch. Each tenant's gate
+     * applies its host's terms at its next beat; a traced serve also
+     * records, per held tenant in job order, the terms it will read.
      */
     void
     arbitrate(double t, std::size_t epoch)
     {
-        last_decision_ = arbiter_.arbitrate(cluster_, qos_feedback_);
+        arbiter_.arbitrate(cluster_, qos_feedback_, last_decision_);
         scheduler_.noteArbitration(last_decision_);
         ++generation_;
         if (options_.arbitration_probe)
@@ -609,9 +649,14 @@ class EventServe
                 ArbitrationSample{t, generation_, last_decision_});
         tracer_.at(t);
         tracer_.arbitration(generation_, last_decision_);
-        for (auto &tenant : active_)
-            writeLease(cluster_, *tenant, generation_, epoch,
-                       last_decision_, tracer_);
+        writeLeases(cluster_, generation_, epoch, last_decision_,
+                    leases_);
+        if (tracer_.wantsLeases())
+            for (const auto &tenant : active_) {
+                const JobRecord &job = tenant->record;
+                tracer_.lease(job.job, job.tenant, job.machine,
+                              leases_[job.machine]);
+            }
     }
 
     /**
@@ -710,14 +755,28 @@ class EventServe
     /**
      * Advance every held tenant to its slice deadline through the
      * fan-out engine's fixed-order merge — the only parallel section.
-     * A slice writes only its own tenant's state.
+     * A slice writes only its own tenant's state. Only tenants with a
+     * slice to run are dispatched: a finished tenant's slice returns
+     * at once, and so does a started one's whose machine is already
+     * at its deadline (a beat may overrun a slice end), without a
+     * change. @return Whether a dispatched tenant finished its job.
      */
-    void
+    bool
     runSlices()
     {
-        engine_.run(active_.size(), [&](std::size_t i, std::size_t) {
-            detail::runSlice(*active_[i]);
+        slicing_.clear();
+        for (const auto &tenant : active_)
+            if (!tenant->done &&
+                (!tenant->session->active() ||
+                 tenant->machine.now() < tenant->slice_deadline_s))
+                slicing_.push_back(tenant.get());
+        engine_.run(slicing_.size(), [&](std::size_t i, std::size_t) {
+            detail::runSlice(*slicing_[i]);
         });
+        for (const Tenant *tenant : slicing_)
+            if (tenant->done)
+                return true;
+        return false;
     }
 
     const ServerOptions &options_;
@@ -728,9 +787,17 @@ class EventServe
     PowerArbiter arbiter_;
     core::FanoutEngine engine_;
     FleetTracer tracer_;
+    /**
+     * The lease of each machine, which its tenants' gates read. Sized
+     * once, so their pointers into it stay valid, and declared before
+     * the pool so it outlives every tenant.
+     */
+    std::vector<ArbitrationLease> leases_;
     detail::TenantPool pool_;
 
+    const std::size_t inputs_; //!< The app's input count.
     std::vector<std::unique_ptr<Tenant>> active_; // In job order.
+    std::vector<Tenant *> slicing_; //!< runSlices' dispatch list.
     FleetReport report_;
     std::size_t next_job_ = 0;
     std::size_t next_offer_ = 0;
@@ -758,6 +825,8 @@ class EventServe
     bool quantum_pending_ = false;
     bool arbitrate_pending_ = false;
     bool completion_pending_ = false;
+    /** A tenant finished since the last processCompletions sweep. */
+    bool unswept_completions_ = false;
 };
 
 } // namespace

@@ -32,24 +32,24 @@ percentileOf(const std::vector<double> &sorted, double p)
 }
 
 LatencyPercentiles
-latencyPercentiles(std::vector<double> &values)
+latencyPercentiles(double *first, double *last)
 {
     LatencyPercentiles out;
-    if (values.empty())
+    const auto n = static_cast<std::size_t>(last - first);
+    if (n == 0)
         return out;
     // The ranks ascend, so each selection only reorders the suffix
     // the previous one left at or above its order statistic.
     const auto select = [&](std::size_t from, double p) {
-        const std::size_t index = rankIndex(values.size(), p);
-        std::nth_element(values.begin() + from, values.begin() + index,
-                         values.end());
+        const std::size_t index = rankIndex(n, p);
+        std::nth_element(first + from, first + index, last);
         return index;
     };
     const std::size_t i50 = select(0, 50.0);
-    out.p50 = values[i50];
+    out.p50 = first[i50];
     const std::size_t i95 = select(i50, 95.0);
-    out.p95 = values[i95];
-    out.p99 = values[select(i95, 99.0)];
+    out.p95 = first[i95];
+    out.p99 = first[select(i95, 99.0)];
     return out;
 }
 

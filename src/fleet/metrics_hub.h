@@ -73,14 +73,23 @@ struct LatencyPercentiles
 };
 
 /**
- * The p50/p95/p99 nearest-rank percentiles of @p values — exactly
- * percentileOf over the sorted values — the one aggregation the
- * per-machine, per-tenant, and per-class report paths all share, kept
- * here so their tails can never drift apart numerically. Selects the
- * three order statistics in place without a full sort, so it leaves
- * @p values permuted but not necessarily sorted.
+ * The p50/p95/p99 nearest-rank percentiles of the values in
+ * [@p first, @p last) — exactly percentileOf over the sorted values —
+ * the one aggregation the per-machine, per-tenant, and per-class
+ * report paths all share, kept here so their tails can never drift
+ * apart numerically. Selects the three order statistics in place
+ * without a full sort, so it leaves the range permuted but not
+ * necessarily sorted.
  */
-LatencyPercentiles latencyPercentiles(std::vector<double> &values);
+LatencyPercentiles latencyPercentiles(double *first, double *last);
+
+/** latencyPercentiles over all of @p values. */
+inline LatencyPercentiles
+latencyPercentiles(std::vector<double> &values)
+{
+    return latencyPercentiles(values.data(),
+                              values.data() + values.size());
+}
 
 } // namespace powerdial::fleet
 

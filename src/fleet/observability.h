@@ -71,6 +71,15 @@ class FleetTracer
     void arbitration(std::size_t generation,
                      const ArbitrationDecision &decision);
 
+    /** Whether lease records would be kept — the serve gates its
+     *  per-tenant walk after an arbitration round on this. */
+    bool
+    wantsLeases() const
+    {
+        return sink_ != nullptr &&
+            sink_->wants(obs::kCatArbitration, obs::Severity::Info);
+    }
+
     /** Job @p job's lease was rewritten to @p lease's terms. */
     void lease(std::size_t job, std::size_t tenant,
                std::size_t machine, const ArbitrationLease &lease);

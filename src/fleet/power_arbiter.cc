@@ -48,6 +48,20 @@ applyQosFeedback(const ArbiterOptions &options,
     }
 }
 
+/**
+ * Cap @p machine at P-state @p cap and run it there, as fast as the cap
+ * allows. A machine that already holds the cap at that P-state is left
+ * as it is: re-installing would recompute the same cached power.
+ */
+void
+installCap(sim::Machine &machine, std::size_t cap)
+{
+    if (machine.pstateCap() == cap && machine.pstate() == cap)
+        return;
+    machine.setPStateCap(cap);
+    machine.setPState(cap);
+}
+
 } // namespace
 
 const char *
@@ -88,17 +102,20 @@ PowerArbiter::pstateCapFor(const sim::Machine &machine,
     return states - 1;
 }
 
-std::vector<double>
+void
 PowerArbiter::splitBudget(const sim::Cluster &cluster,
-                          const std::vector<double> &qos_loss) const
+                          const std::vector<double> &qos_loss,
+                          std::vector<double> &budgets)
 {
     const std::size_t n = cluster.size();
     const double cap = options_.cluster_cap_watts;
-    std::vector<double> budgets(n, cap / static_cast<double>(n));
+    budgets.assign(n, cap / static_cast<double>(n));
     if (options_.policy == ArbiterPolicy::Uniform)
-        return budgets;
-    if (cluster.heterogeneous())
-        return splitBudgetHeterogeneous(cluster, qos_loss);
+        return;
+    if (cluster.heterogeneous()) {
+        splitBudgetHeterogeneous(cluster, qos_loss, budgets);
+        return;
+    }
 
     // Both informed policies start from an idle floor for every
     // machine (idle machines are powered on, not off) and split the
@@ -108,9 +125,10 @@ PowerArbiter::splitBudget(const sim::Cluster &cluster,
         cluster.machine(0).powerModel().idleWatts();
     const double headroom = cap - idle * static_cast<double>(n);
     if (headroom <= 0.0)
-        return budgets;
+        return;
 
-    std::vector<double> weights(n, 0.0);
+    std::vector<double> &weights = weights_;
+    weights.assign(n, 0.0);
     double weight_sum = 0.0;
     for (std::size_t i = 0; i < n; ++i) {
         weights[i] = static_cast<double>(cluster.activeOn(i));
@@ -125,13 +143,12 @@ PowerArbiter::splitBudget(const sim::Cluster &cluster,
 
     for (std::size_t i = 0; i < n; ++i)
         budgets[i] = idle + headroom * weights[i] / weight_sum;
-    return budgets;
 }
 
-std::vector<double>
+void
 PowerArbiter::splitBudgetHeterogeneous(
-    const sim::Cluster &cluster,
-    const std::vector<double> &qos_loss) const
+    const sim::Cluster &cluster, const std::vector<double> &qos_loss,
+    std::vector<double> &budgets)
 {
     // The mixed-fleet generalisation of the informed split above: the
     // idle floor and the weight are per-class. Every machine gets its
@@ -142,11 +159,12 @@ PowerArbiter::splitBudgetHeterogeneous(
     // the watts that instance can actually turn into speed. Kept as a
     // separate function (not a parameterised merge) so homogeneous
     // fleets keep the legacy arithmetic and its exact rounding.
+    // @p budgets arrives as the uniform split, the fallback.
     const std::size_t n = cluster.size();
     const double cap = options_.cluster_cap_watts;
-    std::vector<double> budgets(n, cap / static_cast<double>(n));
 
-    std::vector<double> floors(n, 0.0);
+    std::vector<double> &floors = floors_;
+    floors.assign(n, 0.0);
     double floor_sum = 0.0;
     for (std::size_t i = 0; i < n; ++i) {
         floors[i] = cluster.machine(i).powerModel().idleWatts();
@@ -154,9 +172,10 @@ PowerArbiter::splitBudgetHeterogeneous(
     }
     const double headroom = cap - floor_sum;
     if (headroom <= 0.0)
-        return budgets;
+        return;
 
-    std::vector<double> weights(n, 0.0);
+    std::vector<double> &weights = weights_;
+    weights.assign(n, 0.0);
     double weight_sum = 0.0;
     bool any_active = false;
     for (std::size_t i = 0; i < n; ++i)
@@ -170,21 +189,29 @@ PowerArbiter::splitBudgetHeterogeneous(
         weight_sum += weights[i];
     }
     if (weight_sum <= 0.0)
-        return budgets;
+        return;
 
     applyQosFeedback(options_, qos_loss, weights, weight_sum);
 
     for (std::size_t i = 0; i < n; ++i)
         budgets[i] = floors[i] + headroom * weights[i] / weight_sum;
-    return budgets;
 }
 
 ArbitrationDecision
 PowerArbiter::arbitrate(sim::Cluster &cluster,
                         const std::vector<double> &qos_loss)
 {
-    const std::size_t n = cluster.size();
     ArbitrationDecision decision;
+    arbitrate(cluster, qos_loss, decision);
+    return decision;
+}
+
+void
+PowerArbiter::arbitrate(sim::Cluster &cluster,
+                        const std::vector<double> &qos_loss,
+                        ArbitrationDecision &decision)
+{
+    const std::size_t n = cluster.size();
     decision.pstate_cap.assign(n, 0);
     decision.pause_ratio.assign(n, 0.0);
 
@@ -192,22 +219,19 @@ PowerArbiter::arbitrate(sim::Cluster &cluster,
         // Uncapped: every machine runs at full frequency.
         decision.budget_watts.assign(
             n, std::numeric_limits<double>::infinity());
-        for (std::size_t i = 0; i < n; ++i) {
-            cluster.machine(i).setPStateCap(0);
-            cluster.machine(i).setPState(0);
-        }
-        return decision;
+        for (std::size_t i = 0; i < n; ++i)
+            installCap(cluster.machine(i), 0);
+        return;
     }
 
-    decision.budget_watts = splitBudget(cluster, qos_loss);
+    splitBudget(cluster, qos_loss, decision.budget_watts);
     for (std::size_t i = 0; i < n; ++i) {
         sim::Machine &machine = cluster.machine(i);
         const double budget = decision.budget_watts[i];
         const double util =
             cluster.loadOf(i, cluster.activeOn(i)).utilization;
         const std::size_t cap = pstateCapFor(machine, budget, util);
-        machine.setPStateCap(cap);
-        machine.setPState(cap); // Run as fast as the cap allows.
+        installCap(machine, cap);
         decision.pstate_cap[i] = cap;
 
         // Even the slowest state may overshoot a tight budget; meet
@@ -224,7 +248,6 @@ PowerArbiter::arbitrate(sim::Cluster &cluster,
                 std::clamp(ratio, 0.0, kMaxPauseRatio);
         }
     }
-    return decision;
 }
 
 } // namespace powerdial::fleet

@@ -102,6 +102,16 @@ class PowerArbiter
                                   const std::vector<double> &qos_loss);
 
     /**
+     * The same round, written into @p decision in place. A decision
+     * reused across rounds of one cluster keeps its storage, so the
+     * round allocates nothing. A machine that already holds its new
+     * P-state cap (at that P-state) is left untouched.
+     */
+    void arbitrate(sim::Cluster &cluster,
+                   const std::vector<double> &qos_loss,
+                   ArbitrationDecision &decision);
+
+    /**
      * The fastest P-state whose model power at @p utilization fits
      * within @p budget_watts; the slowest state if none fits.
      */
@@ -110,9 +120,10 @@ class PowerArbiter
                                     double utilization);
 
   private:
-    std::vector<double> splitBudget(const sim::Cluster &cluster,
-                                    const std::vector<double> &qos_loss)
-        const;
+    /** Split the cap into @p budgets, one per machine. */
+    void splitBudget(const sim::Cluster &cluster,
+                     const std::vector<double> &qos_loss,
+                     std::vector<double> &budgets);
 
     /**
      * The informed split for mixed fleets: per-class idle floors, and
@@ -120,11 +131,14 @@ class PowerArbiter
      * power range (peak - idle). Homogeneous fleets never reach this
      * path, so the legacy split's exact rounding is preserved.
      */
-    std::vector<double>
-    splitBudgetHeterogeneous(const sim::Cluster &cluster,
-                             const std::vector<double> &qos_loss) const;
+    void splitBudgetHeterogeneous(const sim::Cluster &cluster,
+                                  const std::vector<double> &qos_loss,
+                                  std::vector<double> &budgets);
 
     ArbiterOptions options_;
+    // Per-machine scratch of the splits, reused across rounds.
+    std::vector<double> weights_;
+    std::vector<double> floors_;
 };
 
 } // namespace powerdial::fleet

@@ -26,14 +26,14 @@
  * Tenants are *persistent across epochs*: a job admitted at epoch e
  * holds one core::Session that the server advances one epoch slice at
  * a time (Session::advanceUntil), so a job spanning several epochs is
- * in flight while later arbitration rounds run. Each tenant carries a
- * mutable ArbitrationLease; the arbiter writes new terms (share,
- * P-state cap, duty-cycle pause) into the lease at every epoch
- * boundary and the tenant's beat gate re-reads it, applying changed
- * terms within one beat — mid-run, without the session ever being
- * restarted. Admission control bounds each machine's run queue
- * (ServerOptions::queue_depth); arrivals past the bound are shed and
- * counted.
+ * in flight while later arbitration rounds run. Each machine carries a
+ * mutable ArbitrationLease that all its tenants read; the arbiter
+ * writes new terms (share, P-state cap, duty-cycle pause) into the
+ * lease at every epoch boundary and each tenant's beat gate re-reads
+ * it, applying changed terms within one beat — mid-run, without the
+ * session ever being restarted. Admission control bounds each
+ * machine's run queue (ServerOptions::queue_depth); arrivals past the
+ * bound are shed and counted.
  *
  * Determinism follows the repo's replay discipline: all placement and
  * arbitration decisions are serial; only the mutually independent
@@ -117,10 +117,11 @@ struct ArbitrationSample
 using ArbitrationProbe = std::function<void(const ArbitrationSample &)>;
 
 /**
- * The mutable, epoch-indexed contract between the arbiter and one
- * in-flight tenant. The server rewrites the terms at every epoch
- * boundary (serially, between slices); the tenant's per-beat session
- * gate re-reads them and applies any change at its next beat. The
+ * The mutable, epoch-indexed contract between the arbiter and the
+ * in-flight tenants of one machine. The server rewrites the terms at
+ * every epoch boundary (serially, between slices); each tenant's
+ * per-beat session gate re-reads them and applies any change at its
+ * next beat. The
  * generation tags every rewrite so both the gate (did I apply this
  * yet?) and the metrics pipeline (which arbitration round produced
  * this series?) can tell leases apart.

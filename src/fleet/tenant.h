@@ -4,8 +4,9 @@
  *
  * Both schedules of the serve — epoch and event — run their jobs on
  * the pieces here: the recyclable Tenant slot and its per-serve pool,
- * the lease gate that wires a tenant's lease into its session, and the
- * slice step that fills the job's record from the session's result.
+ * the lease gate that wires the host machine's lease into a tenant's
+ * session, and the slice step that fills the job's record from the
+ * session's result.
  * They live in a header so tests can drive a tenant directly.
  */
 #ifndef POWERDIAL_FLEET_TENANT_H
@@ -27,12 +28,13 @@ namespace powerdial::fleet::detail {
  * its rebound knob table, and the session that drives them, with the
  * lease gate attached (and the trace probe, when the serve traces).
  * Reset for every job by assignJob: the job's record, its simulated
- * machine, lease, slice bookkeeping, and trace stream. Everything a
- * slice writes is in the slot, so slices of different tenants can run
- * concurrently; the serve takes the job's record and trace stream when
- * it releases the tenant. A finished tenant goes back to its serve's
- * TenantPool and serves a later job, so a serve clones the application
- * once per peak concurrent job, not per job.
+ * machine, the host lease it reads, slice bookkeeping, and trace
+ * stream. Everything a slice writes is in the slot, so slices of
+ * different tenants can run concurrently; the serve takes the job's
+ * record and trace stream when it releases the tenant. A finished
+ * tenant goes back to its serve's TenantPool and serves a later job,
+ * so a serve clones the application once per peak concurrent job, not
+ * per job.
  * A tenant keeps one heap address for the whole serve — only its
  * owning pointer moves between the active list and the pool — so the
  * session's pointers into the clone, table, machine, and trace probe
@@ -41,6 +43,17 @@ namespace powerdial::fleet::detail {
  */
 struct Tenant
 {
+    /** A slot whose machine already has @p host_config's class: the
+     *  class of its first job's host (see assignJob). */
+    explicit Tenant(const sim::Machine::Config &host_config)
+        : machine(host_config), machine_class(&host_config)
+    {
+    }
+
+    // The lease gate and the session hold the slot's address.
+    Tenant(const Tenant &) = delete;
+    Tenant &operator=(const Tenant &) = delete;
+
     // Per job: assignJob resets every field in this block.
     /**
      * The job's identity (job id, input stream, host machine, arrival
@@ -53,7 +66,12 @@ struct Tenant
                                  //!< (event engine; the epoch loop
                                  //!< derives times from record.epoch).
     sim::Machine machine;
-    ArbitrationLease lease;
+    /**
+     * The lease of the job's host machine. The serve keeps one lease
+     * per machine and rewrites it each arbitration round for every
+     * tenant the machine hosts; it must outlive the job.
+     */
+    const ArbitrationLease *lease = nullptr;
     double slice_deadline_s = 0.0;  //!< Tenant-local slice end.
     std::size_t beats_reported = 0; //!< Beats already attributed to
                                     //!< earlier epochs' rates.
@@ -66,13 +84,13 @@ struct Tenant
     std::unique_ptr<core::App> app;
     core::KnobTable table;
     std::optional<core::Session> session;
-    /** The class configuration the machine last took (see assignJob);
-     *  null until the slot's first job. */
-    const sim::Machine::Config *machine_class = nullptr;
+    /** The class configuration the machine last took (see
+     *  assignJob). */
+    const sim::Machine::Config *machine_class;
 };
 
 /**
- * The tenant's beat gate: the lease re-read, then the lease-driven
+ * The tenant's beat gate: the host lease re-read, then the lease-driven
  * duty-cycle pause, after @p caller's gate when one is set. The
  * re-read applies changed terms within one beat of an arbiter rewrite
  * and tags the job's record with the applied generation (the record's
@@ -86,7 +104,7 @@ makeLeaseGate(Tenant &tenant, core::BeatGate caller)
     Tenant *t = &tenant;
     return core::composeGates(
         std::move(caller), [t](core::BeatGateContext &ctx) {
-            const ArbitrationLease &lease = t->lease;
+            const ArbitrationLease &lease = *t->lease;
             if (t->record.lease_generation != lease.generation) {
                 ctx.machine.setPStateCap(lease.pstate_cap);
                 ctx.machine.setShare(lease.share);
@@ -101,7 +119,9 @@ makeLeaseGate(Tenant &tenant, core::BeatGate caller)
 
 /**
  * Build one tenant slot the way both engines must: a clone of @p app
- * with a rebindKnobTable() copy of @p table, and a session gated by
+ * with a rebindKnobTable() rebinding of @p table, a machine of
+ * @p host_config's class (the class of the host its first job lands
+ * on, so that job's assignJob only rewinds it), and a session gated by
  * makeLeaseGate (after the caller's gate). Only a traced serve's
  * sessions have an observer, the trace probe; an untraced session has
  * none, so its beats build no per-beat trace. The slot serves no job
@@ -110,9 +130,10 @@ makeLeaseGate(Tenant &tenant, core::BeatGate caller)
 inline std::unique_ptr<Tenant>
 makeTenant(const ServerOptions &options, const core::App &app,
            const core::KnobTable &table,
-           const core::ResponseModel &model)
+           const core::ResponseModel &model,
+           const sim::Machine::Config &host_config)
 {
-    auto tenant = std::make_unique<Tenant>();
+    auto tenant = std::make_unique<Tenant>(host_config);
     Tenant &t = *tenant;
     t.app = app.clone();
     t.table = core::rebindKnobTable(table, *t.app);
@@ -140,13 +161,16 @@ makeTenant(const ServerOptions &options, const core::App &app,
  * simulates little-node frequency, power, and speed tables, not the
  * fleet default's. The slot keys the class on @p host_config's
  * address: a job whose class configuration is the one the slot's
- * previous job used only rewinds the machine, with no per-P-state
+ * machine already has only rewinds the machine, with no per-P-state
  * work. @p host_config must therefore stay unchanged while the slot
- * lives, as a cluster's catalog entries do.
+ * lives, as a cluster's catalog entries do. The job's gate reads
+ * @p host_lease, the lease of the machine it was placed on, which must
+ * outlive the job.
  */
 inline void
 assignJob(Tenant &t, const ServerOptions &options,
-          const sim::Machine::Config &host_config, std::size_t job,
+          const sim::Machine::Config &host_config,
+          const ArbitrationLease &host_lease, std::size_t job,
           std::size_t machine_index, std::size_t arrival_epoch,
           double arrival_time_s, const workload::OfferedJob &offer,
           double predicted_s)
@@ -169,7 +193,7 @@ assignJob(Tenant &t, const ServerOptions &options,
         t.machine.reset(host_config);
         t.machine_class = &host_config;
     }
-    t.lease = ArbitrationLease{};
+    t.lease = &host_lease;
     t.slice_deadline_s = 0.0;
     t.beats_reported = 0;
     if (t.trace)
@@ -229,22 +253,25 @@ class TenantPool
     /**
      * A tenant assigned (see assignJob) to fleet job @p job, admitted
      * as @p admission of @p offer on @p cluster at @p arrival_epoch /
-     * @p arrival_time_s.
+     * @p arrival_time_s, reading @p host_lease, the lease of the
+     * machine it was placed on.
      */
     std::unique_ptr<Tenant>
-    acquire(const sim::Cluster &cluster, const Admission &admission,
-            const workload::OfferedJob &offer, std::size_t job,
-            std::size_t arrival_epoch, double arrival_time_s)
+    acquire(const sim::Cluster &cluster, const ArbitrationLease &host_lease,
+            const Admission &admission, const workload::OfferedJob &offer,
+            std::size_t job, std::size_t arrival_epoch,
+            double arrival_time_s)
     {
+        const sim::Machine::Config &host_config =
+            cluster.configOf(admission.machine);
         std::unique_ptr<Tenant> tenant;
         if (idle_.empty()) {
-            tenant = makeTenant(options_, app_, table_, model_);
+            tenant = makeTenant(options_, app_, table_, model_, host_config);
         } else {
             tenant = std::move(idle_.back());
             idle_.pop_back();
         }
-        assignJob(*tenant, options_, cluster.configOf(admission.machine),
-                  job,
+        assignJob(*tenant, options_, host_config, host_lease, job,
                   admission.machine, arrival_epoch, arrival_time_s,
                   offer, admission.predicted_s);
         return tenant;

@@ -12,7 +12,9 @@
  *   powerdial::core::Session session(app, ident.table, cal.model);
  *   auto &trace = session.attach<powerdial::core::BeatTraceRecorder>();
  *   powerdial::sim::Machine machine;
- *   auto run = session.run(input, machine);
+ *   auto run = session.run(input, machine);      // plain data: time,
+ *                                                // QoS estimate, beats
+ *   auto output = app.output();                  // the run's output
  *
  * Individual headers remain includable on their own; this file only
  * aggregates them.

@@ -1,6 +1,9 @@
 /** @file Unit and property tests for the ControlPolicy seam. */
 #include <algorithm>
 #include <cmath>
+#include <limits>
+#include <utility>
+#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -421,6 +424,65 @@ TEST(GainScheduledPolicy, Validation)
     GainScheduledPolicy fresh;
     EXPECT_THROW(fresh.update(1.0), std::logic_error);
     EXPECT_EQ(GainScheduledPolicy().name(), "gain-scheduled");
+}
+
+// ---------------------------------------------------------------------------
+// Non-finite setups and tunings, for all three laws
+// ---------------------------------------------------------------------------
+
+TEST(ControlPolicies, RejectNonFiniteSetupsAndTunings)
+{
+    // Every row was accepted before the checks were written to fail on
+    // NaN (an ordered comparison with NaN is false, so `x <= 0` let it
+    // through), and each accepted row then returned NaN or infinity
+    // from every update().
+    const double nan = std::numeric_limits<double>::quiet_NaN();
+    const double inf = std::numeric_limits<double>::infinity();
+    const std::vector<ControlSetup> bad_setups = {
+        {nan, 10.0, 1.0, 100.0}, {10.0, nan, 1.0, 100.0},
+        {10.0, 10.0, nan, 100.0}, {10.0, 10.0, 1.0, nan},
+        {inf, 10.0, 1.0, 100.0}, {10.0, inf, 1.0, 100.0},
+    };
+    const std::vector<std::pair<const char *, PolicyFactory>> laws = {
+        {"deadbeat", makeDeadbeatPolicy()},
+        {"pid", makePidPolicy()},
+        {"gain-scheduled", makeGainScheduledPolicy()},
+    };
+    for (const auto &[law, factory] : laws) {
+        for (std::size_t row = 0; row < bad_setups.size(); ++row) {
+            SCOPED_TRACE(::testing::Message()
+                         << law << " setup row " << row);
+            EXPECT_THROW(factory()->begin(bad_setups[row]),
+                         std::invalid_argument);
+        }
+    }
+
+    for (const double gain : {nan, inf})
+        EXPECT_THROW(DeadbeatPolicy{gain}, std::invalid_argument);
+    for (const double bad : {nan, inf}) {
+        for (int field = 0; field < 3; ++field) {
+            SCOPED_TRACE(::testing::Message()
+                         << "pid gain " << field << " = " << bad);
+            PidGains gains;
+            (field == 0 ? gains.kp : field == 1 ? gains.ki : gains.kd) =
+                bad;
+            EXPECT_THROW(PidPolicy{gains}, std::invalid_argument);
+        }
+    }
+    for (int field = 0; field < 4; ++field) {
+        SCOPED_TRACE(::testing::Message() << "gain schedule field "
+                                          << field << " = NaN");
+        GainScheduleConfig config;
+        (field == 0   ? config.estimate_alpha
+         : field == 1 ? config.gain
+         : field == 2 ? config.min_scale
+                      : config.max_scale) = nan;
+        EXPECT_THROW(GainScheduledPolicy{config}, std::invalid_argument);
+    }
+    GainScheduleConfig infinite_gain;
+    infinite_gain.gain = inf;
+    EXPECT_THROW(GainScheduledPolicy{infinite_gain},
+                 std::invalid_argument);
 }
 
 // ---------------------------------------------------------------------------

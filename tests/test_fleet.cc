@@ -15,6 +15,7 @@
 #include "fleet_scenarios.h"
 #include "workload/arrivals.h"
 #include "workload/load_trace.h"
+#include "workload/rng.h"
 
 namespace powerdial::fleet {
 namespace {
@@ -345,6 +346,91 @@ TEST(PowerArbiter, TightBudgetInducesDutyCyclePauses)
     EXPECT_EQ(decision.pstate_cap[0],
               cluster.machine(0).scale().states() - 1);
     EXPECT_GT(decision.pause_ratio[0], 0.0);
+}
+
+/** Assert two clusters' machines hold the same DVFS and power state. */
+void
+expectSameMachineStates(const sim::Cluster &a, const sim::Cluster &b)
+{
+    ASSERT_EQ(a.size(), b.size());
+    for (std::size_t i = 0; i < a.size(); ++i) {
+        SCOPED_TRACE(::testing::Message() << "machine " << i);
+        const sim::Machine &x = a.machine(i);
+        const sim::Machine &y = b.machine(i);
+        EXPECT_EQ(x.pstate(), y.pstate());
+        EXPECT_EQ(x.pstateCap(), y.pstateCap());
+        EXPECT_EQ(x.frequencyHz(), y.frequencyHz());
+        EXPECT_EQ(x.speedRatio(), y.speedRatio());
+        EXPECT_EQ(x.utilization(), y.utilization());
+    }
+    EXPECT_EQ(a.dynamicWatts(), b.dynamicWatts());
+}
+
+TEST(PowerArbiter, InPlaceRoundEqualsAFreshArbitrateCall)
+{
+    // Two copies of one fleet take the same seeded rounds: one through
+    // a fresh arbiter's arbitrate() call each round, after which every
+    // machine's cap is installed again as the rounds used to (cap,
+    // then P-state, on every machine); the other through one arbiter
+    // writing into one reused decision, which leaves a machine that
+    // already holds its cap alone. Decisions and every machine's
+    // state must match after each round, across policies, caps (none;
+    // below idle, so every machine pauses; one that pauses only the
+    // busier machines; loose) and both fleet shapes, while occupancy
+    // and QoS feedback move between rounds.
+    const auto catalog = sim::MachineCatalog::bigLittle();
+    for (const bool mixed : {false, true}) {
+        for (const ArbiterPolicy policy :
+             {ArbiterPolicy::Uniform, ArbiterPolicy::UtilizationProportional,
+              ArbiterPolicy::QosFeedback}) {
+            for (const double cap_per_machine :
+                 {0.0, 60.0, 110.0, 150.0}) {
+                SCOPED_TRACE(::testing::Message()
+                             << "mixed=" << mixed << " policy="
+                             << arbiterPolicyName(policy)
+                             << " cap/machine=" << cap_per_machine);
+                sim::Cluster fresh_cluster =
+                    mixed ? sim::Cluster(catalog, {2, 3})
+                          : sim::Cluster(5, sim::Machine::Config{});
+                sim::Cluster reused_cluster = fresh_cluster;
+                const ArbiterOptions options{
+                    cap_per_machine * 5.0, policy, 0.5};
+                PowerArbiter reused_arbiter(options);
+                ArbitrationDecision reused;
+                std::vector<double> qos;
+                workload::Rng rng(7);
+                for (std::size_t round = 0; round < 24; ++round) {
+                    SCOPED_TRACE(::testing::Message() << "round " << round);
+                    const std::size_t m = rng.below(5);
+                    if (rng.below(3) == 0 &&
+                        fresh_cluster.activeOn(m) > 0) {
+                        fresh_cluster.release(m);
+                        reused_cluster.release(m);
+                    } else {
+                        fresh_cluster.place(m);
+                        reused_cluster.place(m);
+                    }
+                    if (round % 4 == 3)
+                        qos.assign(5, 0.0);
+                    if (!qos.empty())
+                        qos[rng.below(5)] = rng.uniform(0.0, 0.2);
+
+                    const ArbitrationDecision fresh =
+                        PowerArbiter(options).arbitrate(fresh_cluster, qos);
+                    for (std::size_t i = 0; i < fresh_cluster.size(); ++i) {
+                        sim::Machine &machine = fresh_cluster.machine(i);
+                        machine.setPStateCap(fresh.pstate_cap[i]);
+                        machine.setPState(fresh.pstate_cap[i]);
+                    }
+                    reused_arbiter.arbitrate(reused_cluster, qos, reused);
+                    EXPECT_EQ(fresh.budget_watts, reused.budget_watts);
+                    EXPECT_EQ(fresh.pstate_cap, reused.pstate_cap);
+                    EXPECT_EQ(fresh.pause_ratio, reused.pause_ratio);
+                    expectSameMachineStates(fresh_cluster, reused_cluster);
+                }
+            }
+        }
+    }
 }
 
 TEST(PowerArbiter, RejectsBadFeedbackGain)

@@ -25,6 +25,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cmath>
 #include <cstdint>
 #include <limits>
 #include <stdexcept>
@@ -32,6 +33,7 @@
 #include <utility>
 #include <vector>
 
+#include "fleet/admission.h"
 #include "fleet/metrics_hub.h"
 #include "fleet/server.h"
 #include "fleet_scenarios.h"
@@ -520,6 +522,52 @@ TEST(PredictiveAdmission, NonFiniteCompletionsLeaveMarginUnchanged)
             EXPECT_EQ(marginOf(*policy), before) << "completion " << k;
         }
         ASSERT_EQ(before, oracle.margin()) << "completion " << k;
+    }
+}
+
+TEST(PredictiveAdmission, FusedWindowStepEqualsEvictThenInsert)
+{
+    // The old window step, verbatim: erase the first element equal to
+    // the evicted value, then insert the new one after its equals.
+    const auto evict_then_insert = [](std::vector<double> &sorted,
+                                      double old, double value) {
+        sorted.erase(std::lower_bound(sorted.begin(), sorted.end(), old));
+        sorted.insert(
+            std::upper_bound(sorted.begin(), sorted.end(), value), value);
+    };
+    // Seeded windows drawn from a small grid that holds both zeros,
+    // so values repeat and +0 and -0 (equal, but told apart by their
+    // bits) share runs; each step evicts a value the window holds.
+    const double grid[] = {-0.0, 0.0, 0.25, 0.5, 0.5, 1.0, 2.0};
+    for (const std::size_t size : {1u, 2u, 5u, 64u}) {
+        for (std::uint64_t seed = 1; seed <= 6; ++seed) {
+            SCOPED_TRACE(::testing::Message()
+                         << "size=" << size << " seed=" << seed);
+            workload::Rng rng(seed);
+            const auto draw = [&] {
+                return rng.below(2) == 0 ? grid[rng.below(7)]
+                                         : rng.uniform(-1.0, 3.0);
+            };
+            std::vector<double> ring(size);
+            for (double &value : ring)
+                value = draw();
+            std::vector<double> fused = ring;
+            std::sort(fused.begin(), fused.end());
+            std::vector<double> oracle = fused;
+            for (std::size_t k = 0; k < 8 * size + 40; ++k) {
+                const std::size_t slot = k % size;
+                const double value = draw();
+                detail::replaceSorted(fused, ring[slot], value);
+                evict_then_insert(oracle, ring[slot], value);
+                ring[slot] = value;
+                ASSERT_EQ(fused.size(), oracle.size());
+                for (std::size_t i = 0; i < fused.size(); ++i)
+                    ASSERT_EQ(std::signbit(fused[i]),
+                              std::signbit(oracle[i]))
+                        << "step " << k << " index " << i;
+                ASSERT_EQ(fused, oracle) << "step " << k;
+            }
+        }
     }
 }
 

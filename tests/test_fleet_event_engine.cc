@@ -436,24 +436,27 @@ struct TenantJob
     double arrival_s = 0.0;
 };
 
+/** Assign @p job to @p tenant, which reads @p host_lease. */
 void
 assignTenantJob(detail::Tenant &tenant, const ServerOptions &options,
-                const TenantJob &job)
+                const TenantJob &job, const ArbitrationLease &host_lease)
 {
     const workload::OfferedJob offer{job.input, 1, 0.0};
-    detail::assignJob(tenant, options, *job.host, job.job, job.machine,
-                      0, job.arrival_s, offer, 0.0);
+    detail::assignJob(tenant, options, *job.host, host_lease, job.job,
+                      job.machine, 0, job.arrival_s, offer, 0.0);
 }
 
 /**
- * Install @p job's lease (as writeLease would), run to the end,
- * attribute the job's beats (as a stats sample would), and take the
- * job's record and trace stream (as the release would).
+ * Install @p job's terms in @p host_lease, the lease @p tenant reads
+ * (as an arbitration round would), run to the end, attribute the job's
+ * beats (as a stats sample would), and take the job's record and trace
+ * stream (as the release would).
  */
 JobRecord
-runTenantJob(detail::Tenant &tenant, const TenantJob &job)
+runTenantJob(detail::Tenant &tenant, const TenantJob &job,
+             ArbitrationLease &host_lease)
 {
-    tenant.lease = job.lease;
+    host_lease = job.lease;
     tenant.slice_deadline_s = std::numeric_limits<double>::infinity();
     detail::runSlice(tenant);
     EXPECT_TRUE(tenant.done);
@@ -480,12 +483,12 @@ expectSameJobState(const detail::Tenant &a, const detail::Tenant &b)
     EXPECT_EQ(a.machine.cores(), b.machine.cores());
     EXPECT_EQ(a.machine.share(), b.machine.share());
     EXPECT_EQ(a.machine.utilization(), b.machine.utilization());
-    EXPECT_EQ(a.lease.generation, b.lease.generation);
-    EXPECT_EQ(a.lease.epoch, b.lease.epoch);
-    EXPECT_EQ(a.lease.share, b.lease.share);
-    EXPECT_EQ(a.lease.utilization, b.lease.utilization);
-    EXPECT_EQ(a.lease.pstate_cap, b.lease.pstate_cap);
-    EXPECT_EQ(a.lease.pause_ratio, b.lease.pause_ratio);
+    EXPECT_EQ(a.lease->generation, b.lease->generation);
+    EXPECT_EQ(a.lease->epoch, b.lease->epoch);
+    EXPECT_EQ(a.lease->share, b.lease->share);
+    EXPECT_EQ(a.lease->utilization, b.lease->utilization);
+    EXPECT_EQ(a.lease->pstate_cap, b.lease->pstate_cap);
+    EXPECT_EQ(a.lease->pause_ratio, b.lease->pause_ratio);
     EXPECT_EQ(a.slice_deadline_s, b.slice_deadline_s);
     EXPECT_EQ(a.beats_reported, b.beats_reported);
     EXPECT_EQ(a.done, b.done);
@@ -507,6 +510,10 @@ traceStreamOf(obs::TraceSink &sink, std::size_t job)
 
 TEST(TenantPool, RecycledTenantMatchesFreshTenant)
 {
+    // The reused slot reads its host's lease from one lease per
+    // machine, as a serve's tenants do; each fresh slot reads a lease
+    // of its own, as every tenant did before leases were kept per
+    // machine. Both hold the same terms, so the jobs must match.
     auto p = makePipeline();
     const auto catalog = sim::MachineCatalog::bigLittle();
     // Job A differs from B in input, machine class, lease terms, and
@@ -533,18 +540,29 @@ TEST(TenantPool, RecycledTenantMatchesFreshTenant)
     ServerOptions reused_options = fresh_options;
     fresh_options.trace = &fresh_sink;
     reused_options.trace = &reused_sink;
-    auto fresh =
-        detail::makeTenant(fresh_options, p.app, p.table, p.model);
-    auto reused =
-        detail::makeTenant(reused_options, p.app, p.table, p.model);
+    std::vector<ArbitrationLease> machine_leases(2);
+    ArbitrationLease fresh_lease;
+    // Both slots are built for the first job's class: A's for the
+    // reused slot, so B then rebuilds its machine's class tables.
+    auto fresh = detail::makeTenant(fresh_options, p.app, p.table,
+                                    p.model, *b.host);
+    auto reused = detail::makeTenant(reused_options, p.app, p.table,
+                                     p.model, *a.host);
 
-    assignTenantJob(*reused, reused_options, a);
-    const JobRecord reused_a = runTenantJob(*reused, a);
-    assignTenantJob(*reused, reused_options, b);
-    assignTenantJob(*fresh, fresh_options, b);
+    assignTenantJob(*reused, reused_options, a,
+                    machine_leases[a.machine]);
+    const JobRecord reused_a =
+        runTenantJob(*reused, a, machine_leases[a.machine]);
+    assignTenantJob(*reused, reused_options, b,
+                    machine_leases[b.machine]);
+    assignTenantJob(*fresh, fresh_options, b, fresh_lease);
+    machine_leases[b.machine] = b.lease;
+    fresh_lease = b.lease;
     expectSameJobState(*reused, *fresh);
-    const JobRecord reused_b = runTenantJob(*reused, b);
-    const JobRecord fresh_b = runTenantJob(*fresh, b);
+    EXPECT_EQ(reused->lease, &machine_leases[b.machine]);
+    const JobRecord reused_b =
+        runTenantJob(*reused, b, machine_leases[b.machine]);
+    const JobRecord fresh_b = runTenantJob(*fresh, b, fresh_lease);
 
     EXPECT_NE(reused_a.latency_s, reused_b.latency_s);
     tests::expectJobRecordsIdentical(reused_b, fresh_b);
@@ -560,13 +578,18 @@ TEST(TenantPool, RecycledTenantMatchesFreshTenant)
     c.input = 2;
     c.lease = ArbitrationLease{6, 2, 0.5, 0.5, 3, 0.1};
     c.arrival_s = 6.5;
-    auto fresh_c =
-        detail::makeTenant(fresh_options, p.app, p.table, p.model);
-    assignTenantJob(*reused, reused_options, c);
-    assignTenantJob(*fresh_c, fresh_options, c);
+    ArbitrationLease fresh_c_lease;
+    auto fresh_c = detail::makeTenant(fresh_options, p.app, p.table,
+                                      p.model, *c.host);
+    assignTenantJob(*reused, reused_options, c,
+                    machine_leases[c.machine]);
+    assignTenantJob(*fresh_c, fresh_options, c, fresh_c_lease);
+    machine_leases[c.machine] = c.lease;
+    fresh_c_lease = c.lease;
     expectSameJobState(*reused, *fresh_c);
-    tests::expectJobRecordsIdentical(runTenantJob(*reused, c),
-                                     runTenantJob(*fresh_c, c));
+    tests::expectJobRecordsIdentical(
+        runTenantJob(*reused, c, machine_leases[c.machine]),
+        runTenantJob(*fresh_c, c, fresh_c_lease));
     EXPECT_EQ(traceStreamOf(reused_sink, c.job),
               traceStreamOf(fresh_sink, c.job));
 }
@@ -653,13 +676,17 @@ TEST(TenantPool, LeaseGateHonoursARetunedPauseAtTheNextBeat)
     ServerOptions options;
     options.session.withGate(
         [](core::BeatGateContext &ctx) { ctx.pause_per_busy = 0.1; });
-    auto tenant = detail::makeTenant(options, p.app, p.table, p.model);
+    const sim::Machine::Config host;
+    auto tenant =
+        detail::makeTenant(options, p.app, p.table, p.model, host);
+    ArbitrationLease lease;
+    tenant->lease = &lease;
     const core::BeatGate &gate = tenant->session->options().gate;
     sim::Machine machine;
     core::BeatGateContext first{0, machine};
     gate(first);
     EXPECT_DOUBLE_EQ(first.pause_per_busy, 0.1);
-    tenant->lease.pause_ratio = 0.3;
+    lease.pause_ratio = 0.3;
     core::BeatGateContext second{1, machine};
     gate(second);
     EXPECT_DOUBLE_EQ(second.pause_per_busy, 0.4);

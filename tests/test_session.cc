@@ -188,7 +188,7 @@ TEST(Session, BeatTraceIsComplete)
     EXPECT_EQ(traced.beats.size(), 200u);
     EXPECT_EQ(traced.run.beat_count, 200u);
     EXPECT_GT(traced.run.seconds, 0.0);
-    ASSERT_EQ(traced.run.output.components.size(), 1u);
+    ASSERT_EQ(p.app.output().components.size(), 1u);
     // Timestamps must be monotone.
     for (std::size_t i = 1; i < traced.beats.size(); ++i)
         EXPECT_GE(traced.beats[i].time_s, traced.beats[i - 1].time_s);
@@ -270,6 +270,43 @@ TEST(Session, RebindKnobTableDrivesClone)
     ASSERT_NE(toy, nullptr);
     EXPECT_EQ(toy->k(), p.app.knobSpace().valuesOf(3)[0]);
     EXPECT_EQ(p.app.k(), original_k);
+}
+
+TEST(Session, ReboundTableSharesValuesUntilARecord)
+{
+    // Identification's recorded values never change afterwards, so a
+    // rebound table shares them instead of copying; record() copies
+    // before it writes, so a write into one table never reaches
+    // another.
+    auto p = makePipeline();
+    auto clone = p.app.clone();
+    KnobTable rebound = rebindKnobTable(p.table, *clone);
+    const std::size_t combinations = p.app.knobSpace().combinations();
+    for (std::size_t c = 0; c < combinations; ++c)
+        for (std::size_t v = 0; v < p.table.variableCount(); ++v)
+            EXPECT_EQ(&rebound.value(c, v), &p.table.value(c, v));
+
+    const std::vector<double> source_3 = p.table.value(3, 0);
+    rebound.record(3, 0, {42.0});
+    EXPECT_EQ(rebound.value(3, 0), std::vector<double>{42.0});
+    EXPECT_EQ(p.table.value(3, 0), source_3);
+    for (std::size_t c = 0; c < combinations; ++c) {
+        if (c != 3) {
+            EXPECT_EQ(rebound.value(c, 0), p.table.value(c, 0));
+        }
+    }
+
+    // The other way round: the source records, a second rebinding
+    // (still sharing) keeps the old value, and so does a plain copy.
+    KnobTable second = rebindKnobTable(p.table, *clone);
+    const KnobTable copy = p.table;
+    const std::vector<double> source_1 = p.table.value(1, 0);
+    p.table.record(1, 0, {-7.0});
+    EXPECT_EQ(p.table.value(1, 0), std::vector<double>{-7.0});
+    EXPECT_EQ(second.value(1, 0), source_1);
+    EXPECT_EQ(copy.value(1, 0), source_1);
+    EXPECT_EQ(&second.value(0, 0), &copy.value(0, 0));
+    EXPECT_EQ(rebound.value(1, 0), source_1);
 }
 
 /** Property: the controller holds target across all seven P-states. */

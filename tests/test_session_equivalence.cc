@@ -119,11 +119,12 @@ expectBitIdentical(core::App &app, const Scenario &scenario)
     EXPECT_EQ(old_run.seconds, new_run.seconds);
     EXPECT_EQ(old_run.mean_qos_loss_estimate,
               new_run.mean_qos_loss_estimate);
+    const qos::OutputAbstraction new_output = app.output();
     ASSERT_EQ(old_run.output.components.size(),
-              new_run.output.components.size());
+              new_output.components.size());
     for (std::size_t i = 0; i < old_run.output.components.size(); ++i)
         EXPECT_EQ(old_run.output.components[i],
-                  new_run.output.components[i]);
+                  new_output.components[i]);
     // Both machines must have evolved identically too.
     EXPECT_EQ(old_machine.now(), new_machine.now());
     EXPECT_EQ(old_machine.energyJoules(), new_machine.energyJoules());
